@@ -34,12 +34,116 @@ pub const SPILL_BATCH: usize = 256;
 /// Where a flow's state lives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Residence {
-    Dram,
+    /// In fabric DRAM, at `slot` of the [`Lru`] list.
+    Dram {
+        slot: u32,
+    },
     /// Evicted but still in the spill write buffer (not yet on flash).
     Staged,
     Flash {
         lba: u64,
     },
+}
+
+/// The end-of-list marker for [`Lru`] links.
+const NIL: u32 = u32::MAX;
+
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    flow: u64,
+    prev: u32,
+    next: u32,
+}
+
+/// DRAM-resident flows in recency order (head = coldest): a doubly linked
+/// list threaded through a slab, so appending, touching and evicting are
+/// all O(1). Callers keep each flow's slot (in [`Residence::Dram`]); a slot
+/// freed by [`Lru::pop_front`] is reused by the next [`Lru::push_back`].
+#[derive(Debug)]
+struct Lru {
+    nodes: Vec<Node>,
+    free: Vec<u32>,
+    head: u32,
+    tail: u32,
+}
+
+impl Lru {
+    fn new() -> Lru {
+        Lru {
+            nodes: Vec::new(),
+            free: Vec::new(),
+            head: NIL,
+            tail: NIL,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.nodes.len() - self.free.len()
+    }
+
+    /// Appends `flow` as the hottest entry and returns its slot.
+    fn push_back(&mut self, flow: u64) -> u32 {
+        let node = Node {
+            flow,
+            prev: NIL,
+            next: NIL,
+        };
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.nodes[slot as usize] = node;
+                slot
+            }
+            None => {
+                assert!(self.nodes.len() < NIL as usize, "LRU slab is full");
+                self.nodes.push(node);
+                (self.nodes.len() - 1) as u32
+            }
+        };
+        self.link_back(slot);
+        slot
+    }
+
+    /// Makes the entry at `slot` the hottest.
+    fn move_to_back(&mut self, slot: u32) {
+        if slot != self.tail {
+            self.unlink(slot);
+            self.link_back(slot);
+        }
+    }
+
+    /// Removes and returns the coldest flow, freeing its slot.
+    fn pop_front(&mut self) -> Option<u64> {
+        let slot = self.head;
+        if slot == NIL {
+            return None;
+        }
+        self.unlink(slot);
+        self.free.push(slot);
+        Some(self.nodes[slot as usize].flow)
+    }
+
+    fn unlink(&mut self, slot: u32) {
+        let Node { prev, next, .. } = self.nodes[slot as usize];
+        match prev {
+            NIL => self.head = next,
+            p => self.nodes[p as usize].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            n => self.nodes[n as usize].prev = prev,
+        }
+    }
+
+    fn link_back(&mut self, slot: u32) {
+        let node = &mut self.nodes[slot as usize];
+        node.prev = self.tail;
+        node.next = NIL;
+        match self.tail {
+            NIL => self.head = slot,
+            t => self.nodes[t as usize].next = slot,
+        }
+        self.tail = slot;
+    }
 }
 
 /// The load balancer.
@@ -49,8 +153,8 @@ pub struct LoadBalancer {
     dram_capacity: usize,
     /// flow hash -> (backend, residence).
     table: HashMap<u64, (BackendId, Residence)>,
-    /// LRU order for spill decisions (front = coldest).
-    lru: std::collections::VecDeque<u64>,
+    /// LRU order for spill decisions.
+    lru: Lru,
     spill: NvmeDevice,
     spill_cursor: u64,
     /// Flows evicted into the current (unflushed) spill page.
@@ -92,7 +196,7 @@ impl LoadBalancer {
             backends,
             dram_capacity,
             table: HashMap::new(),
-            lru: std::collections::VecDeque::new(),
+            lru: Lru::new(),
             spill: NvmeDevice::new_block(spill_lbas),
             spill_cursor: 0,
             staging: Vec::with_capacity(spill_batch),
@@ -128,13 +232,6 @@ impl LoadBalancer {
         self.table.len()
     }
 
-    fn touch_lru(&mut self, flow: u64) {
-        if let Some(pos) = self.lru.iter().position(|&f| f == flow) {
-            self.lru.remove(pos);
-        }
-        self.lru.push_back(flow);
-    }
-
     /// Spills the coldest DRAM entry. Records accumulate in a write
     /// buffer and flush as one flash page per [`SPILL_BATCH`] evictions,
     /// asynchronously — Tiara-style state offload happens off the packet
@@ -151,6 +248,19 @@ impl LoadBalancer {
             self.flush_staging(now);
         }
         now
+    }
+
+    /// Installs `flow` as the hottest DRAM entry, first spilling the
+    /// coldest one if DRAM is full; returns when the steer completes.
+    fn install_dram(&mut self, flow: u64, backend: BackendId, now: Ns) -> Ns {
+        let t = if self.lru.len() >= self.dram_capacity {
+            self.spill_coldest(now)
+        } else {
+            now
+        };
+        let slot = self.lru.push_back(flow);
+        self.table.insert(flow, (backend, Residence::Dram { slot }));
+        t
     }
 
     /// Writes the staging buffer as one page and marks its flows
@@ -193,9 +303,9 @@ impl LoadBalancer {
     pub fn steer(&mut self, flow: u64, now: Ns) -> (BackendId, Ns) {
         let t = now + PIPELINE_WORK;
         match self.table.get(&flow).copied() {
-            Some((backend, Residence::Dram)) => {
+            Some((backend, Residence::Dram { slot })) => {
                 self.counters.bump("hits_dram");
-                self.touch_lru(flow);
+                self.lru.move_to_back(slot);
                 (backend, t + DRAM_LOOKUP)
             }
             Some((backend, Residence::Staged)) => {
@@ -204,13 +314,7 @@ impl LoadBalancer {
                 if let Some(pos) = self.staging.iter().position(|&f| f == flow) {
                     self.staging.remove(pos);
                 }
-                let mut t = t + DRAM_LOOKUP;
-                if self.lru.len() >= self.dram_capacity {
-                    t = self.spill_coldest(t);
-                }
-                self.table.insert(flow, (backend, Residence::Dram));
-                self.lru.push_back(flow);
-                (backend, t)
+                (backend, self.install_dram(flow, backend, t + DRAM_LOOKUP))
             }
             Some((backend, Residence::Flash { lba })) => {
                 // Cold flow: read the record back, promote to DRAM.
@@ -221,24 +325,12 @@ impl LoadBalancer {
                     .submit(Command::Read { lba, blocks: 1 }, t)
                     .expect("spill read");
                 debug_assert!(matches!(c.response, Response::Data(_)));
-                let mut t = c.done;
-                if self.lru.len() >= self.dram_capacity {
-                    t = self.spill_coldest(t);
-                }
-                self.table.insert(flow, (backend, Residence::Dram));
-                self.lru.push_back(flow);
-                (backend, t)
+                (backend, self.install_dram(flow, backend, c.done))
             }
             None => {
                 self.counters.bump("new_flows");
                 let backend = self.choose_backend(flow);
-                let mut t = t + DRAM_LOOKUP;
-                if self.lru.len() >= self.dram_capacity {
-                    t = self.spill_coldest(t);
-                }
-                self.table.insert(flow, (backend, Residence::Dram));
-                self.lru.push_back(flow);
-                (backend, t)
+                (backend, self.install_dram(flow, backend, t + DRAM_LOOKUP))
             }
         }
     }
@@ -299,6 +391,54 @@ mod tests {
         if lb.counters.get("hits_staged") > 0 {
             assert_eq!(lb.counters.get("hits_flash"), before);
             assert!(done2 - done < Ns(5_000));
+        }
+    }
+
+    #[test]
+    fn slab_lru_matches_a_vecdeque_reference() {
+        use hyperion_sim::rng::Rng;
+        use std::collections::VecDeque;
+        // Table values keep the slot inline, with no second index.
+        assert_eq!(std::mem::size_of::<(BackendId, Residence)>(), 24);
+        for seed in 0..8 {
+            let mut rng = Rng::seeded(seed);
+            let mut lru = Lru::new();
+            let mut slots: HashMap<u64, u32> = HashMap::new();
+            let mut reference: VecDeque<u64> = VecDeque::new();
+            let mut reused = 0;
+            for _ in 0..4_000 {
+                match rng.next_below(10) {
+                    // Push a flow that is not resident: new, or evicted earlier.
+                    0..=3 => {
+                        let flow = rng.next_below(2_000);
+                        if slots.contains_key(&flow) {
+                            continue;
+                        }
+                        reused += usize::from(!lru.free.is_empty());
+                        slots.insert(flow, lru.push_back(flow));
+                        reference.push_back(flow);
+                    }
+                    4..=7 if !reference.is_empty() => {
+                        let i = rng.next_below(reference.len() as u64) as usize;
+                        let flow = reference.remove(i).expect("index in range");
+                        reference.push_back(flow);
+                        lru.move_to_back(slots[&flow]);
+                    }
+                    _ => {
+                        let victim = lru.pop_front();
+                        assert_eq!(victim, reference.pop_front(), "seed {seed}");
+                        if let Some(flow) = victim {
+                            slots.remove(&flow);
+                        }
+                    }
+                }
+                assert_eq!(lru.len(), reference.len());
+            }
+            assert!(reused > 0, "seed {seed} never reused a freed slot");
+            while let Some(flow) = reference.pop_front() {
+                assert_eq!(lru.pop_front(), Some(flow), "seed {seed}");
+            }
+            assert_eq!((lru.pop_front(), lru.len()), (None, 0));
         }
     }
 

@@ -5,7 +5,7 @@
 //! Usage:
 //! ```text
 //! report              # all experiments + breakdowns
-//! report e6 f2        # a subset by id (e1..e12, f2)
+//! report e6 f2        # a subset by id (e1..e15, f2)
 //! report --json e6    # machine-readable telemetry dumps only
 //! report --trace e6   # Chrome/Perfetto trace of the first selection
 //! report --slo        # per-tenant SLO digest table only
@@ -25,10 +25,18 @@
 //! (E15 is the interesting one; others render what their plane tracked).
 //! `--profile` runs the two reference eBPF programs under the hot-path
 //! profiler and prints their ranked basic blocks — no selection needed.
+//! An id outside e1..e15/f2 is an error: the report prints nothing and
+//! exits with status 2.
 
 use hyperion_bench::{breakdown, experiments, observe, slo, Table};
 use hyperion_telemetry::json::to_json;
 use hyperion_telemetry::{to_perfetto, Recorder};
+
+/// Every experiment id the report accepts (`figure2` is an alias of `f2`).
+const IDS: [&str; 17] = [
+    "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14", "e15",
+    "f2", "figure2",
+];
 
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).map(|a| a.to_lowercase()).collect();
@@ -38,6 +46,10 @@ fn main() {
     let util = raw.iter().any(|a| a == "--util");
     let profile = raw.iter().any(|a| a == "--profile");
     let args: Vec<String> = raw.into_iter().filter(|a| !a.starts_with('-')).collect();
+    if let Some(bad) = args.iter().find(|a| !IDS.contains(&a.as_str())) {
+        eprintln!("report: unknown experiment id `{bad}` (expected e1..e15 or f2)");
+        std::process::exit(2);
+    }
     let want = |id: &str| args.is_empty() || args.iter().any(|a| a == id);
     // E13/E14/E15 (fault injection, cluster failover, bottleneck sweep)
     // are explicit-only: the committed BENCH_report.json baseline and the

@@ -112,7 +112,7 @@ fn lb_table() -> Table {
             "spilled",
             "flash promotions",
             "packets/s",
-            "p99-class steer",
+            "max steer",
         ],
     );
     for &flows in &[10_000u64, 50_000, 200_000] {

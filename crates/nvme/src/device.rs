@@ -11,7 +11,8 @@
 //! file system / LSM / shared-log layers above get both correctness and a
 //! faithful latency/queueing profile.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet};
 
 use bytes::Bytes;
 use hyperion_sim::energy::{EnergyMeter, Pj};
@@ -199,9 +200,12 @@ pub struct NvmeDevice {
     /// `reads`/`writes`/`appends`/... structural counters.
     pub counters: Counters,
     kv_page_cursor: u64,
-    /// Completion instants of commands still in flight (the submission
-    /// queue's occupancy model; pruned lazily on each submit).
-    outstanding: Vec<Ns>,
+    /// Completion instants of commands still in flight, as a min-heap (the
+    /// submission queue's occupancy model). Each submit first pops every
+    /// entry that completed at or before its arrival instant; a popped
+    /// entry stays gone even if a later submit arrives at an earlier
+    /// instant.
+    outstanding: BinaryHeap<Reverse<Ns>>,
     /// Injected-fault plan; empty by default (no draws, no perturbation).
     faults: FaultPlan,
     /// LBAs relocated to spare pages after a grown bad block.
@@ -253,7 +257,7 @@ impl NvmeDevice {
             energy: EnergyMeter::new(params::SSD_IDLE_POWER),
             counters: Counters::new(),
             kv_page_cursor: 0,
-            outstanding: Vec::new(),
+            outstanding: BinaryHeap::new(),
             faults: FaultPlan::none(),
             remapped: HashSet::new(),
             remap_cursor: 0,
@@ -342,7 +346,10 @@ impl NvmeDevice {
     /// not yet posted at `now` — the device's queue depth as a client
     /// submitting at `now` would observe it.
     pub fn queue_depth_at(&self, now: Ns) -> usize {
-        self.outstanding.iter().filter(|&&d| d > now).count()
+        self.outstanding
+            .iter()
+            .filter(|&&Reverse(d)| d > now)
+            .count()
     }
 
     /// Executes a command arriving at the controller at `now`.
@@ -351,7 +358,9 @@ impl NvmeDevice {
     /// are applied synchronously (the simulated completion instant tells
     /// callers when they become visible).
     pub fn submit(&mut self, cmd: Command, now: Ns) -> Result<Completion, NvmeError> {
-        self.outstanding.retain(|&d| d > now);
+        while self.outstanding.peek().is_some_and(|&Reverse(d)| d <= now) {
+            self.outstanding.pop();
+        }
         let mut completion = self.execute(cmd, now)?;
         if !self.faults.is_empty() && self.faults.fires(FAULT_NVME_LATENCY_SPIKE, now) {
             // Internal pause (GC, thermal throttle): the command
@@ -359,7 +368,7 @@ impl NvmeDevice {
             completion.done += params::READ_LATENCY * 8;
             self.counters.bump("latency_spikes");
         }
-        self.outstanding.push(completion.done);
+        self.outstanding.push(Reverse(completion.done));
         Ok(completion)
     }
 
@@ -1029,6 +1038,49 @@ mod tests {
         let names: Vec<&str> = rec.instants().iter().map(|(n, _)| n.as_str()).collect();
         assert!(names.contains(&"fault:nvme:media_errors"));
         assert!(names.contains(&"fault:nvme:remaps"));
+    }
+
+    #[test]
+    fn completion_heap_matches_a_retain_model() {
+        use hyperion_sim::rng::Rng;
+        for seed in 0..4 {
+            let mut rng = Rng::seeded(seed);
+            let mut d = NvmeDevice::new_block(1 << 16);
+            let mut model: Vec<Ns> = Vec::new();
+            let mut clock = 500_000u64;
+            for _ in 0..2_000 {
+                // Mostly forward in time; one submit in five arrives up
+                // to 500 us in the past, and one in five exactly at an
+                // in-flight completion instant (the reap boundary).
+                clock += rng.next_below(40_000);
+                let now = match rng.next_below(5) {
+                    0 => Ns(clock - rng.next_below(500_000)),
+                    1 if !model.is_empty() => model[rng.next_below(model.len() as u64) as usize],
+                    _ => Ns(clock),
+                };
+                model.retain(|&done| done > now);
+                let lba = rng.next_below(1 << 16);
+                let cmd = if rng.chance(0.5) {
+                    Command::Read { lba, blocks: 1 }
+                } else {
+                    Command::Write {
+                        lba,
+                        data: lba_data(1, 1),
+                    }
+                };
+                let c = d.submit(cmd, now).unwrap();
+                model.push(c.done);
+                let mut inflight: Vec<Ns> = d.outstanding.iter().map(|r| r.0).collect();
+                inflight.sort_unstable();
+                let mut expected = model.clone();
+                expected.sort_unstable();
+                assert_eq!(inflight, expected, "seed {seed}");
+                for at in [now, c.done, Ns(rng.next_below(clock + 1_000_000))] {
+                    let depth = model.iter().filter(|&&done| done > at).count();
+                    assert_eq!(d.queue_depth_at(at), depth, "seed {seed} at {at}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -15,6 +15,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo test"
 cargo test --workspace -q
 
+echo "==> perfbench tests (own Cargo workspace, not covered by --workspace)"
+cargo test --offline --manifest-path perfbench/Cargo.toml -q
+
 echo "==> fault-matrix smoke (e13: injected faults must recover deterministically)"
 # E13 is explicit-only and never in the gated snapshot below; run it twice
 # and require byte-identical output so fault injection stays deterministic.
