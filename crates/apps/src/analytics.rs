@@ -155,7 +155,7 @@ pub fn host_scan(
     // cost modeled as a copy-speed pass over the touched bytes.
     let mut scratch = BlockStore::with_capacity(dataset.blocks as u64 + 1);
     scratch.alloc(dataset.blocks as u64).expect("scratch");
-    scratch.write(0, image, Ns::ZERO).expect("stage");
+    scratch.write(0, image.to_vec(), Ns::ZERO).expect("stage");
     let (meta, _) = read_footer(&mut scratch, 0, dataset.blocks, Ns::ZERO).expect("footer");
     let (batch, stats, _) =
         scan(&mut scratch, &meta, projection, predicate, Ns::ZERO).expect("scan");

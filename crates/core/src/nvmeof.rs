@@ -110,8 +110,9 @@ impl CommandCapsule {
         out.freeze()
     }
 
-    /// Parses a capsule from wire bytes.
-    pub fn decode(wire: &[u8]) -> Option<CommandCapsule> {
+    /// Parses a capsule from wire bytes. The inline data is a slice of
+    /// `wire`, not a copy.
+    pub fn decode(wire: &Bytes) -> Option<CommandCapsule> {
         if wire.len() < 24 {
             return None;
         }
@@ -132,7 +133,7 @@ impl CommandCapsule {
             opcode,
             lba,
             blocks,
-            data: Bytes::copy_from_slice(&wire[24..24 + dlen]),
+            data: wire.slice(24..24 + dlen),
         })
     }
 
@@ -161,8 +162,9 @@ impl ResponseCapsule {
         out.freeze()
     }
 
-    /// Parses a response from wire bytes.
-    pub fn decode(wire: &[u8]) -> Option<ResponseCapsule> {
+    /// Parses a response from wire bytes. The inline data is a slice of
+    /// `wire`, not a copy.
+    pub fn decode(wire: &Bytes) -> Option<ResponseCapsule> {
         if wire.len() < 12 {
             return None;
         }
@@ -183,7 +185,7 @@ impl ResponseCapsule {
         Some(ResponseCapsule {
             cid,
             status,
-            data: Bytes::copy_from_slice(&wire[12..12 + dlen]),
+            data: wire.slice(12..12 + dlen),
         })
     }
 
@@ -229,7 +231,7 @@ impl NvmeOfTarget {
     /// response and its ready time. Malformed capsules get an
     /// `InvalidField` response rather than silence (the initiator must be
     /// able to time out deterministically in simulation).
-    pub fn handle(&mut self, wire: &[u8], now: Ns) -> (Bytes, Ns) {
+    pub fn handle(&mut self, wire: &Bytes, now: Ns) -> (Bytes, Ns) {
         let Some(capsule) = CommandCapsule::decode(wire) else {
             let resp = ResponseCapsule {
                 cid: 0,
@@ -565,13 +567,16 @@ mod tests {
 
     #[test]
     fn truncated_or_garbage_capsules_rejected() {
-        assert_eq!(CommandCapsule::decode(&[1, 2, 3]), None);
+        assert_eq!(
+            CommandCapsule::decode(&Bytes::from_static(&[1, 2, 3])),
+            None
+        );
         let mut wire = Initiator::new().read(0, 1).encode().to_vec();
         wire[0] ^= 0xFF; // break the magic
-        assert_eq!(CommandCapsule::decode(&wire), None);
+        assert_eq!(CommandCapsule::decode(&Bytes::from(wire)), None);
         // The target answers garbage with InvalidField, not silence.
         let mut target = NvmeOfTarget::new(1 << 16);
-        let (resp, _) = target.handle(&[0u8; 4], Ns::ZERO);
+        let (resp, _) = target.handle(&Bytes::from_static(&[0u8; 4]), Ns::ZERO);
         let resp = ResponseCapsule::decode(&resp).expect("decodable");
         assert_eq!(resp.status, FabricStatus::InvalidField);
     }
@@ -592,6 +597,36 @@ mod tests {
         let resp = ResponseCapsule::decode(&resp).expect("decodable");
         assert_eq!(resp.status, FabricStatus::Ok);
         assert_eq!(resp.data, payload);
+    }
+
+    #[test]
+    fn zero_block_read_is_an_invalid_field() {
+        let mut target = NvmeOfTarget::new(1 << 16);
+        let mut ini = Initiator::new();
+        for lba in [0, 7] {
+            let (resp, now) = target.handle(&ini.read(lba, 0).encode(), Ns(100));
+            let resp = ResponseCapsule::decode(&resp).expect("decodable");
+            assert_eq!(resp.status, FabricStatus::InvalidField);
+            assert!(resp.data.is_empty());
+            assert_eq!(now, Ns(100), "rejected before any flash work");
+        }
+    }
+
+    #[test]
+    fn decoded_payloads_share_the_wire_buffer() {
+        let w = Initiator::new().write(3, Bytes::from(vec![7u8; 4096]));
+        let wire = w.encode();
+        let c = CommandCapsule::decode(&wire).expect("decodable");
+        assert_eq!(c.data.as_ptr(), wire[24..].as_ptr());
+        let r = ResponseCapsule {
+            cid: 1,
+            status: FabricStatus::Ok,
+            data: c.data,
+        };
+        let wire = r.encode();
+        let back = ResponseCapsule::decode(&wire).expect("decodable");
+        assert_eq!(back.data.as_ptr(), wire[12..].as_ptr());
+        assert_eq!(back, r);
     }
 
     #[test]

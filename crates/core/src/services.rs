@@ -563,7 +563,7 @@ impl TreeOp {
             }
             TreeOp::NodeRead { lba } => {
                 let (data, t) = dpu.blocks.read(lba, 1, now).map_err(ServiceError::Block)?;
-                Ok((ServiceResponse::Node(Bytes::from(data)), t))
+                Ok((ServiceResponse::Node(data), t))
             }
         }
     }

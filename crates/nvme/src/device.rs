@@ -134,7 +134,8 @@ pub enum NvmeError {
         /// Offending LBA.
         lba: u64,
     },
-    /// Write data not a positive multiple of the LBA size.
+    /// Write data not a positive multiple of the LBA size, or a read of
+    /// zero blocks.
     BadLength(usize),
     /// Zone index out of range.
     NoSuchZone(u64),
@@ -459,20 +460,16 @@ impl NvmeDevice {
                 if self.kind == NamespaceKind::KeyValue {
                     return Err(NvmeError::WrongNamespace { kind: self.kind });
                 }
+                if blocks == 0 {
+                    return Err(NvmeError::BadLength(0));
+                }
                 let blocks = blocks as u64;
                 self.check_range(lba, blocks)?;
                 self.counters.bump("reads");
                 let done = self.read_pages(lba, blocks, start);
                 let done = self.recover_read(lba, blocks, done)?;
-                let mut out = Vec::with_capacity((blocks * params::LBA_SIZE) as usize);
-                for b in 0..blocks {
-                    match self.blocks.get(&(lba + b)) {
-                        Some(data) => out.extend_from_slice(data),
-                        None => out.extend(std::iter::repeat_n(0u8, params::LBA_SIZE as usize)),
-                    }
-                }
                 Ok(Completion {
-                    response: Response::Data(Bytes::from(out)),
+                    response: Response::Data(self.gather(lba, blocks)),
                     done,
                 })
             }
@@ -498,7 +495,6 @@ impl NvmeDevice {
             Command::ZoneAppend { zone, data } => {
                 self.require(NamespaceKind::Zoned)?;
                 let blocks = Self::blocks_in(&data)?;
-                let nzones = self.zones.len() as u64;
                 let z = self
                     .zones
                     .get_mut(zone as usize)
@@ -507,7 +503,6 @@ impl NvmeDevice {
                     z.cond = ZoneCond::Full;
                     return Err(NvmeError::ZoneFull(zone));
                 }
-                let _ = nzones;
                 let lba = zone * params::ZONE_LBAS + z.write_pointer;
                 z.write_pointer += blocks;
                 z.cond = if z.write_pointer == params::ZONE_LBAS {
@@ -674,11 +669,33 @@ impl NvmeDevice {
         }
     }
 
+    /// Keeps each LBA of `data` as a slice of the caller's buffer: the
+    /// payload is stored where it arrived, not copied.
     fn store_blocks(&mut self, lba: u64, data: &Bytes) {
-        for (i, chunk) in data.chunks(params::LBA_SIZE as usize).enumerate() {
+        let size = params::LBA_SIZE as usize;
+        for i in 0..data.len() / size {
             self.blocks
-                .insert(lba + i as u64, Bytes::copy_from_slice(chunk));
+                .insert(lba + i as u64, data.slice(i * size..(i + 1) * size));
         }
+    }
+
+    /// The contents of `blocks` LBAs from `lba`, zeros where never
+    /// written. A single written LBA is returned as the stored buffer
+    /// itself; anything else is assembled into one new buffer.
+    fn gather(&self, lba: u64, blocks: u64) -> Bytes {
+        if blocks == 1 {
+            if let Some(data) = self.blocks.get(&lba) {
+                return data.clone();
+            }
+        }
+        let mut out = Vec::with_capacity((blocks * params::LBA_SIZE) as usize);
+        for b in 0..blocks {
+            match self.blocks.get(&(lba + b)) {
+                Some(data) => out.extend_from_slice(data),
+                None => out.extend(std::iter::repeat_n(0u8, params::LBA_SIZE as usize)),
+            }
+        }
+        Bytes::from(out)
     }
 }
 
@@ -1105,5 +1122,93 @@ mod tests {
             ),
             Err(NvmeError::WrongNamespace { .. })
         ));
+    }
+
+    #[test]
+    fn zero_block_reads_are_rejected() {
+        let mut d = NvmeDevice::new_block(1 << 10);
+        for lba in [0, 5] {
+            assert_eq!(
+                d.submit(Command::Read { lba, blocks: 0 }, Ns::ZERO)
+                    .unwrap_err(),
+                NvmeError::BadLength(0)
+            );
+        }
+        assert_eq!(d.counters.get("reads"), 0);
+        assert_eq!(d.flash_ops(), (0, 0, 0));
+    }
+
+    #[test]
+    fn data_path_matches_a_naive_model() {
+        use hyperion_sim::rng::Rng;
+        const LBA: usize = params::LBA_SIZE as usize;
+        const CAPACITY: u64 = 48;
+        fn expected(model: &HashMap<u64, [u8; LBA]>, lba: u64, blocks: u64) -> Vec<u8> {
+            (lba..lba + blocks)
+                .flat_map(|b| model.get(&b).copied().unwrap_or([0; LBA]))
+                .collect()
+        }
+        for seed in 0..4 {
+            let mut rng = Rng::seeded(seed);
+            let mut d = NvmeDevice::new_block(CAPACITY);
+            let mut model: HashMap<u64, [u8; LBA]> = HashMap::new();
+            // Earlier reads with the contents they returned: later
+            // overwrites of the same LBAs must not show through them.
+            let mut kept: Vec<(Bytes, Vec<u8>)> = Vec::new();
+            let (mut shared, mut unwritten) = (0, 0);
+            for step in 0..600 {
+                let blocks = 1 + rng.next_below(4);
+                let lba = rng.next_below(CAPACITY - blocks + 1);
+                let now = Ns(step * 1_000);
+                if rng.chance(0.5) {
+                    // Multi-LBA writes over a small namespace: most of
+                    // them partially overwrite an earlier write.
+                    let mut data = vec![0u8; blocks as usize * LBA];
+                    rng.fill_bytes(&mut data);
+                    for (i, block) in data.chunks_exact(LBA).enumerate() {
+                        model.insert(lba + i as u64, block.try_into().unwrap());
+                    }
+                    d.submit(
+                        Command::Write {
+                            lba,
+                            data: Bytes::from(data),
+                        },
+                        now,
+                    )
+                    .unwrap();
+                } else {
+                    let c = d
+                        .submit(
+                            Command::Read {
+                                lba,
+                                blocks: blocks as u32,
+                            },
+                            now,
+                        )
+                        .unwrap();
+                    let Response::Data(data) = c.response else {
+                        panic!("read returns data");
+                    };
+                    let written = (lba..lba + blocks)
+                        .filter(|b| model.contains_key(b))
+                        .count();
+                    shared += usize::from(blocks == 1 && written == 1);
+                    unwritten += usize::from(written < blocks as usize);
+                    let want = expected(&model, lba, blocks);
+                    assert!(data[..] == want[..], "seed {seed} step {step} lba {lba}");
+                    if step % 8 == 0 {
+                        kept.push((data, want));
+                    }
+                }
+            }
+            assert!(model.len() > 40, "seed {seed}: namespace mostly written");
+            assert!(
+                kept.len() > 20 && shared > 20 && unwritten > 5,
+                "seed {seed}"
+            );
+            for (data, want) in &kept {
+                assert!(data[..] == want[..], "seed {seed}: an old read changed");
+            }
+        }
     }
 }

@@ -78,12 +78,14 @@ impl BlockStore {
         Ok(lba)
     }
 
-    /// Reads `n` blocks starting at `lba`.
-    pub fn read(&mut self, lba: u64, n: u32, now: Ns) -> Result<(Vec<u8>, Ns), BlockError> {
+    /// Reads `n` blocks starting at `lba`. The returned buffer may share
+    /// storage with the device (it is immutable); callers that modify a
+    /// block copy it first.
+    pub fn read(&mut self, lba: u64, n: u32, now: Ns) -> Result<(Bytes, Ns), BlockError> {
         self.reads += n as u64;
         let c = self.device.submit(Command::Read { lba, blocks: n }, now)?;
         match c.response {
-            Response::Data(d) => Ok((d.to_vec(), c.done)),
+            Response::Data(d) => Ok((d, c.done)),
             _ => unreachable!("read returns data"),
         }
     }

@@ -98,25 +98,60 @@ impl Node {
     }
 
     fn decode(data: &[u8], lba: u64) -> Result<Node, TreeError> {
+        let page = Page::parse(data, lba)?;
+        let keys = page.keys.iter().map(word).collect();
+        let rest = page.rest.iter().map(word).collect();
+        Ok(if page.leaf {
+            Node::Leaf {
+                keys,
+                values: rest,
+                next: page.next,
+            }
+        } else {
+            Node::Internal {
+                keys,
+                children: rest,
+            }
+        })
+    }
+}
+
+/// One little-endian `u64` word of a node page.
+fn word(w: &[u8; 8]) -> u64 {
+    u64::from_le_bytes(*w)
+}
+
+/// A node page read where it sits, without decoding: the header fields
+/// and the encoded words (`n` keys, then `n` values or `n + 1` children).
+/// Lookups search `keys` in place; [`Node::decode`] copies them out.
+struct Page<'a> {
+    leaf: bool,
+    next: u64,
+    keys: &'a [[u8; 8]],
+    rest: &'a [[u8; 8]],
+}
+
+impl<'a> Page<'a> {
+    fn parse(data: &'a [u8], lba: u64) -> Result<Page<'a>, TreeError> {
         let tag = u32::from_le_bytes(data[0..4].try_into().expect("4 bytes"));
         let n = u32::from_le_bytes(data[4..8].try_into().expect("4 bytes")) as usize;
         let next = u64::from_le_bytes(data[8..16].try_into().expect("8 bytes"));
-        let word = |i: usize| -> u64 {
-            u64::from_le_bytes(data[16 + i * 8..24 + i * 8].try_into().expect("8 bytes"))
+        let (leaf, rest_len) = match tag {
+            TAG_LEAF => (true, n),
+            TAG_INTERNAL => (false, n + 1),
+            _ => return Err(TreeError::Corrupt { lba }),
         };
-        match tag {
-            TAG_LEAF => {
-                let keys = (0..n).map(word).collect();
-                let values = (n..2 * n).map(word).collect();
-                Ok(Node::Leaf { keys, values, next })
-            }
-            TAG_INTERNAL => {
-                let keys = (0..n).map(word).collect();
-                let children = (n..2 * n + 1).map(word).collect();
-                Ok(Node::Internal { keys, children })
-            }
-            _ => Err(TreeError::Corrupt { lba }),
+        let (words, _) = data[16..].as_chunks::<8>();
+        if n + rest_len > words.len() {
+            return Err(TreeError::Corrupt { lba });
         }
+        let (keys, rest) = words.split_at(n);
+        Ok(Page {
+            leaf,
+            next,
+            keys,
+            rest: &rest[..rest_len],
+        })
     }
 }
 
@@ -197,22 +232,22 @@ impl BTree {
         let mut t = now;
         loop {
             path.push(lba);
-            let (node, done) = Self::load(store, lba, t)?;
+            let (data, done) = store.read(lba, 1, t)?;
             t = done;
-            match node {
-                Node::Leaf { keys, values, .. } => {
-                    let value = keys.binary_search(&key).ok().map(|i| values[i]);
-                    return Ok(TracedLookup {
-                        value,
-                        path,
-                        done: t,
-                    });
-                }
-                Node::Internal { keys, children } => {
-                    let idx = keys.partition_point(|&k| k <= key);
-                    lba = children[idx];
-                }
+            let page = Page::parse(&data, lba)?;
+            if page.leaf {
+                let value = page
+                    .keys
+                    .binary_search_by_key(&key, word)
+                    .ok()
+                    .map(|i| word(&page.rest[i]));
+                return Ok(TracedLookup {
+                    value,
+                    path,
+                    done: t,
+                });
             }
+            lba = word(&page.rest[page.keys.partition_point(|k| word(k) <= key)]);
         }
     }
 
@@ -358,23 +393,24 @@ impl BTree {
         let mut out = Vec::new();
         let mut lba = *traced.path.last().expect("path has the leaf");
         loop {
-            let (node, done) = Self::load(store, lba, t)?;
+            let (data, done) = store.read(lba, 1, t)?;
             t = done;
-            let Node::Leaf { keys, values, next } = node else {
+            let page = Page::parse(&data, lba)?;
+            if !page.leaf {
                 return Err(TreeError::Corrupt { lba });
-            };
-            for (k, v) in keys.iter().zip(values.iter()) {
-                if *k >= hi {
+            }
+            for (k, v) in page.keys.iter().map(word).zip(page.rest.iter().map(word)) {
+                if k >= hi {
                     return Ok((out, t));
                 }
-                if *k >= lo {
-                    out.push((*k, *v));
+                if k >= lo {
+                    out.push((k, v));
                 }
             }
-            if next == 0 {
+            if page.next == 0 {
                 return Ok((out, t));
             }
-            lba = next;
+            lba = page.next;
         }
     }
 }
@@ -468,5 +504,65 @@ mod tests {
         }
         let (all, _) = tree.range(&mut store, 0, 1_000, Ns::ZERO).unwrap();
         assert_eq!(all.len(), 1_000);
+    }
+
+    #[test]
+    fn in_place_lookup_matches_a_btreemap_model() {
+        use hyperion_sim::rng::Rng;
+        use std::collections::BTreeMap;
+        for (n, height) in [(150u64, 1), (6_000, 2), (21_000, 3)] {
+            let mut store = BlockStore::with_capacity(1 << 20);
+            let (mut tree, mut t) = BTree::create(&mut store, Ns::ZERO).unwrap();
+            let mut model = BTreeMap::new();
+            // Keys 10, 13, 16, ...: every key has absent neighbours.
+            let mut keys: Vec<u64> = (0..n).map(|i| 10 + 3 * i).collect();
+            // Ascending inserts leave every node half full, which reaches
+            // height 3 with the fewest keys; the smaller trees shuffle.
+            if height < 3 {
+                Rng::seeded(n).shuffle(&mut keys);
+            }
+            for &k in &keys {
+                let v = k.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                t = tree.insert(&mut store, k, v, t).unwrap();
+                model.insert(k, v);
+            }
+            assert_eq!(tree.height(), height, "{n} keys");
+            let max = 10 + 3 * (n - 1);
+            let below = 0..10;
+            let above = [max + 1, max + 2, max + 1_000, u64::MAX];
+            let around = model.keys().step_by(5).flat_map(|&k| [k, k + 1, k + 2]);
+            for key in below.chain(above).chain(around) {
+                let (v, _) = tree.get(&mut store, key, Ns::ZERO).unwrap();
+                assert_eq!(v, model.get(&key).copied(), "{n} keys, key {key}");
+            }
+        }
+    }
+
+    #[test]
+    fn bad_node_pages_are_corrupt_not_panics() {
+        let (mut store, tree) = build(8_000);
+        let leaf = *tree
+            .lookup_traced(&mut store, 42, Ns::ZERO)
+            .unwrap()
+            .path
+            .last()
+            .unwrap();
+        let mut page = vec![0u8; BLOCK as usize];
+        page[0..4].copy_from_slice(&7u32.to_le_bytes());
+        store.write(leaf, page.clone(), Ns::ZERO).unwrap();
+        assert_eq!(
+            tree.get(&mut store, 42, Ns::ZERO).unwrap_err(),
+            TreeError::Corrupt { lba: leaf }
+        );
+        // A valid tag with a key count the page cannot hold.
+        page[0..4].copy_from_slice(&TAG_INTERNAL.to_le_bytes());
+        page[4..8].copy_from_slice(&300u32.to_le_bytes());
+        store.write(tree.root_lba(), page, Ns::ZERO).unwrap();
+        assert_eq!(
+            tree.get(&mut store, 42, Ns::ZERO).unwrap_err(),
+            TreeError::Corrupt {
+                lba: tree.root_lba()
+            }
+        );
     }
 }

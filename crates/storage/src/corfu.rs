@@ -311,14 +311,11 @@ impl LogUnit {
                         let hyperion_nvme::device::Response::Data(d) = c.response else {
                             unreachable!("read returns data");
                         };
-                        (d.to_vec(), c.done)
+                        (d, c.done)
                     }
                 };
                 let len = u32::from_le_bytes(raw[0..4].try_into().expect("4 bytes")) as usize;
-                Ok((
-                    LogEntry::Data(Bytes::copy_from_slice(&raw[12..12 + len])),
-                    done,
-                ))
+                Ok((LogEntry::Data(raw.slice(12..12 + len)), done))
             }
         }
     }

@@ -253,7 +253,8 @@ impl FileSystem {
         now: Ns,
     ) -> Result<Ns, FsError> {
         let (lba, off) = self.inode_location(ino);
-        let (mut raw, t) = store.read(lba, 1, now)?;
+        let (raw, t) = store.read(lba, 1, now)?;
+        let mut raw = raw.to_vec();
         raw[off..off + INODE_SIZE as usize].copy_from_slice(&inode.encode());
         Ok(store.write(lba, raw, t)?)
     }
@@ -292,7 +293,8 @@ impl FileSystem {
         if name.len() > NAME_LEN {
             return Err(FsError::NameTooLong(name.to_string()));
         }
-        let (mut raw, t) = store.read(dir_block, 1, now)?;
+        let (raw, t) = store.read(dir_block, 1, now)?;
+        let mut raw = raw.to_vec();
         let entry_size = NAME_LEN + 8;
         let slots = BLOCK as usize / entry_size;
         for s in 0..slots {

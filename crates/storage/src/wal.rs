@@ -489,7 +489,8 @@ mod tests {
         wal.append(&mut store, &WalRecord::Commit { txn: 5 }, Ns::ZERO)
             .unwrap();
         // Corrupt the record body but keep the magic.
-        let (mut raw, _) = store.read(wal.first_lba(), 1, Ns::ZERO).unwrap();
+        let (raw, _) = store.read(wal.first_lba(), 1, Ns::ZERO).unwrap();
+        let mut raw = raw.to_vec();
         raw[20] ^= 0xFF;
         store.write(wal.first_lba(), raw, Ns::ZERO).unwrap();
         assert_eq!(

@@ -8,9 +8,12 @@ cd "$(dirname "$0")/.."
 
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
+cargo fmt --manifest-path perfbench/Cargo.toml -- --check
 
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
+# perfbench is its own Cargo workspace; --workspace never reaches it.
+cargo clippy --offline --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
 
 echo "==> cargo test"
 cargo test --workspace -q
