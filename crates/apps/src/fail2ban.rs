@@ -115,8 +115,8 @@ pub fn deploy(
     Ok((slot, live_at))
 }
 
-/// Runs `packets` of traffic through the deployed classifier, persisting
-/// every ban event to the shared log.
+/// Runs `packets` of traffic through the deployed classifier (see
+/// [`run_on_dpu_traced`]).
 pub fn run_on_dpu(
     dpu: &mut HyperionDpu,
     cp: &mut ControlPlane,
@@ -125,27 +125,17 @@ pub fn run_on_dpu(
     packets: u64,
     start: Ns,
 ) -> Fail2BanReport {
-    run_inner(dpu, cp, slot, gen, packets, start, None)
+    run_on_dpu_traced(dpu, cp, slot, gen, packets, start, None)
 }
 
-/// [`run_on_dpu`] with telemetry: every packet records its pipeline hop
-/// (`f2b:pipeline`, fabric), every ban records the fire-and-forget flash
-/// durability window (`log:append`, nvme) plus an `e7.ban_durable` op
-/// sample.
+/// Runs `packets` of traffic through the deployed classifier, persisting
+/// every ban event to the shared log.
+///
+/// With a recorder, every packet records its pipeline hop (`f2b:pipeline`,
+/// fabric), and every ban records the fire-and-forget flash durability
+/// window (`log:append`, nvme) plus an `e7.ban_durable` op sample.
 #[allow(clippy::too_many_arguments)]
 pub fn run_on_dpu_traced(
-    dpu: &mut HyperionDpu,
-    cp: &mut ControlPlane,
-    slot: SlotId,
-    gen: &mut TrafficGen,
-    packets: u64,
-    start: Ns,
-    rec: &mut Recorder,
-) -> Fail2BanReport {
-    run_inner(dpu, cp, slot, gen, packets, start, Some(rec))
-}
-
-fn run_inner(
     dpu: &mut HyperionDpu,
     cp: &mut ControlPlane,
     slot: SlotId,
@@ -239,7 +229,15 @@ mod tests {
         let mut gen2 = TrafficGen::new(11, 50, 1.0, 32);
         let plain = run_on_dpu(&mut dpu1, &mut cp1, slot1, &mut gen1, 1_000, t1);
         let mut rec = Recorder::new("t");
-        let traced = run_on_dpu_traced(&mut dpu2, &mut cp2, slot2, &mut gen2, 1_000, t2, &mut rec);
+        let traced = run_on_dpu_traced(
+            &mut dpu2,
+            &mut cp2,
+            slot2,
+            &mut gen2,
+            1_000,
+            t2,
+            Some(&mut rec),
+        );
         assert_eq!(plain.end, traced.end);
         assert_eq!(plain.bans, traced.bans);
         assert_eq!(plain.logged, traced.logged);

@@ -144,9 +144,9 @@ pub fn telemetry() -> Recorder {
     let mut t = t0;
     for i in 0..LOOKUPS {
         let key = (i * keys / LOOKUPS).min(keys - 1);
-        let cli = client_driven_lookup_traced(&mut dpu, &mut ch, &mut net, key, t, &mut rec);
+        let cli = client_driven_lookup_traced(&mut dpu, &mut ch, &mut net, key, t, Some(&mut rec));
         t = cli.done;
-        let off = offloaded_lookup_traced(&mut dpu, &mut ch, &mut net, key, t, &mut rec);
+        let off = offloaded_lookup_traced(&mut dpu, &mut ch, &mut net, key, t, Some(&mut rec));
         t = off.done;
     }
     rec

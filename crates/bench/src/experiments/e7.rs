@@ -169,7 +169,7 @@ pub fn telemetry() -> Recorder {
         &mut gen,
         TELEMETRY_PACKETS,
         live,
-        &mut rec,
+        Some(&mut rec),
     );
 
     let program = assemble(
@@ -210,7 +210,7 @@ pub fn telemetry() -> Recorder {
                         data: bytes::Bytes::from(vec![0u8; 4096]),
                     },
                     now,
-                    &mut rec,
+                    Some(&mut rec),
                 )
                 .expect("log write");
             log_lba += 1;

@@ -37,9 +37,10 @@ fn chase_run() -> Recorder {
     let mut t = t0;
     for i in 0..LOOKUPS {
         let key = (i * KEYS / LOOKUPS).min(KEYS - 1);
-        let cli = client_driven_lookup_traced(&mut dpu, &mut ch, &mut net, key, t, &mut rec);
+        let cli = client_driven_lookup_traced(&mut dpu, &mut ch, &mut net, key, t, Some(&mut rec));
         assert_eq!(cli.value, Some(key * 7));
-        let off = offloaded_lookup_traced(&mut dpu, &mut ch, &mut net, key, cli.done, &mut rec);
+        let off =
+            offloaded_lookup_traced(&mut dpu, &mut ch, &mut net, key, cli.done, Some(&mut rec));
         assert_eq!(off.value, Some(key * 7));
         t = off.done;
     }

@@ -124,9 +124,7 @@ pub struct DpuPorts {
 ///
 /// Defaults match the prototype blueprint: two segment-store SSDs, five
 /// reconfigurable slots, auth key 0. The builder exposes the assembly
-/// choices the paper treats as deployment parameters; the deprecated
-/// `assemble(auth_key)` one-knob shim remains only for out-of-tree
-/// callers and is hidden from docs.
+/// choices the paper treats as deployment parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct DpuBuilder {
     segment_ssds: usize,
@@ -229,13 +227,6 @@ impl DpuBuilder {
 }
 
 impl HyperionDpu {
-    /// Assembles an unbooted DPU with fresh SSDs.
-    #[doc(hidden)]
-    #[deprecated(since = "0.1.0", note = "use `DpuBuilder` instead")]
-    pub fn assemble(auth_key: u64) -> HyperionDpu {
-        DpuBuilder::new().auth_key(auth_key).build()
-    }
-
     /// Boots standalone: JTAG self-tests, then segment-table recovery from
     /// the boot area, then structure-volume formatting (first boot) —
     /// no host CPU anywhere on the path. Returns the ready instant.

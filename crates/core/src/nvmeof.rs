@@ -328,7 +328,7 @@ impl Default for Initiator {
 }
 
 /// How one fabric command exchange finished.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FabricExchange {
     /// When the response capsule reached the initiator.
     pub done: Ns,
@@ -340,18 +340,17 @@ pub struct FabricExchange {
     pub attempts: u32,
 }
 
-/// When retrying after `e` helps, the earliest instant the next attempt
-/// may be issued (timeout for silent drops, NACK/link-return otherwise,
-/// plus backoff); `None` when the error is fatal to the exchange.
-fn next_attempt_at(e: &NetError, t: Ns, policy: &RetryPolicy, attempt: u32) -> Option<Ns> {
-    match e {
-        NetError::Dropped => Some(t + policy.timeout + policy.backoff(attempt)),
-        NetError::Corrupted { delivered_at } => {
-            Some((*delivered_at).max(t) + policy.backoff(attempt))
-        }
-        NetError::LinkDown { until } => Some((*until).max(t) + policy.backoff(attempt)),
-        _ => None,
-    }
+/// Counter and trace instant for one NVMe-oF command retry: the counter
+/// says how many, the instant says when the failed attempt was issued.
+fn count_nvmeof_retry(rec: &mut Recorder, e: &NetError, t: Ns) {
+    let (counter, instant) = match e {
+        NetError::Dropped => ("nvmeof:timeouts", "fault:nvmeof:timeouts"),
+        NetError::Corrupted { .. } => ("nvmeof:corrupt", "fault:nvmeof:corrupt"),
+        NetError::LinkDown { .. } => ("nvmeof:link_down", "fault:nvmeof:link_down"),
+        _ => return,
+    };
+    rec.bump(counter);
+    rec.instant(instant, t);
 }
 
 impl Initiator {
@@ -388,15 +387,8 @@ impl Initiator {
         }
     }
 
-    /// Drives one command exchange (request over the fabric, execute on
-    /// the target, response back) to completion under `policy`.
-    ///
-    /// Either leg failing re-issues the whole command — NVMe-oF command
-    /// retry sits above transport loss — after the policy's timeout (for
-    /// silent drops) or the failure's own resolution instant, plus capped
-    /// exponential backoff. Each retry re-arms with a fresh `cid` so a
-    /// stale response cannot be confused with the live attempt. Gives up
-    /// with [`NetError::Exhausted`] after `policy.max_attempts` attempts.
+    /// Drives one command exchange to completion under `policy` (see
+    /// [`Initiator::exchange_traced`]).
     #[allow(clippy::too_many_arguments)]
     pub fn exchange(
         &mut self,
@@ -405,26 +397,29 @@ impl Initiator {
         client: Endpoint,
         target_ep: Endpoint,
         target: &mut NvmeOfTarget,
-        mut capsule: CommandCapsule,
+        capsule: CommandCapsule,
         now: Ns,
         policy: &RetryPolicy,
     ) -> Result<(ResponseCapsule, FabricExchange), NetError> {
-        self.exchange_inner(
-            net,
-            tr,
-            client,
-            target_ep,
-            target,
-            &mut capsule,
-            now,
-            policy,
-            None,
+        self.exchange_traced(
+            net, tr, client, target_ep, target, capsule, now, policy, None,
         )
     }
 
-    /// [`Initiator::exchange`] with telemetry: an `nvmeof` span over the
-    /// whole session, per-failure retry counters, and a queueing edge when
-    /// retries delayed the start of the winning attempt.
+    /// Drives one command exchange (request over the fabric, execute on
+    /// the target, response back) to completion under `policy`.
+    ///
+    /// Either leg failing re-issues the whole command — NVMe-oF command
+    /// retry sits above transport loss — at
+    /// [`RetryPolicy::retry_at`]. Each retry re-arms with a fresh `cid` so
+    /// a stale response cannot be confused with the live attempt. Gives up
+    /// with [`NetError::Exhausted`] after `policy.max_attempts` attempts
+    /// (at least one).
+    ///
+    /// With a recorder: an `nvmeof` span over the whole session,
+    /// per-failure retry counters and `fault:nvmeof:*` instants, and a
+    /// queueing edge when retries delayed the start of the winning
+    /// attempt. The fabric legs themselves record nothing.
     #[allow(clippy::too_many_arguments)]
     pub fn exchange_traced(
         &mut self,
@@ -436,107 +431,53 @@ impl Initiator {
         mut capsule: CommandCapsule,
         now: Ns,
         policy: &RetryPolicy,
-        rec: &mut Recorder,
+        mut rec: Option<&mut Recorder>,
     ) -> Result<(ResponseCapsule, FabricExchange), NetError> {
-        let label = match capsule.opcode {
-            FabricOpcode::Read => "nvmeof:read",
-            FabricOpcode::Write => "nvmeof:write",
-            FabricOpcode::Flush => "nvmeof:flush",
-        };
-        let span = rec.open(Component::Service, label, now);
-        let out = self.exchange_inner(
-            net,
-            tr,
-            client,
-            target_ep,
-            target,
-            &mut capsule,
-            now,
-            policy,
-            Some(rec),
-        );
-        match &out {
-            Ok((_, x)) => {
-                if x.attempts > 1 {
-                    rec.count("nvmeof:retries", (x.attempts - 1) as u64);
-                }
-                if x.started > now {
-                    rec.queue_edge(span, x.started);
-                }
-                rec.close(span, x.done);
+        let span = rec.as_deref_mut().map(|rec| {
+            let label = match capsule.opcode {
+                FabricOpcode::Read => "nvmeof:read",
+                FabricOpcode::Write => "nvmeof:write",
+                FabricOpcode::Flush => "nvmeof:flush",
+            };
+            rec.open(Component::Service, label, now)
+        });
+        let attempt = |t, k, _: Option<&mut Recorder>| {
+            if k > 0 {
+                capsule.cid = self.alloc_cid();
             }
-            Err(_) => {
-                rec.bump("nvmeof:gave_up");
-                rec.close(span, now);
+            let d = tr.send(net, client, target_ep, t, capsule.wire_len())?;
+            let (resp_wire, ready) = target.handle(&capsule.encode(), d.done);
+            let resp = ResponseCapsule::decode(&resp_wire).expect("target responses decode");
+            let back = tr.send(net, target_ep, client, ready, resp.wire_len())?;
+            Ok((resp, back.done))
+        };
+        let run = policy.drive(now, rec.as_deref_mut(), attempt, count_nvmeof_retry);
+        let out = run.result.map(|(resp, done)| {
+            let x = FabricExchange {
+                done,
+                started: run.last,
+                attempts: run.attempts,
+            };
+            (resp, x)
+        });
+        if let (Some(rec), Some(span)) = (rec, span) {
+            match &out {
+                Ok((_, x)) => {
+                    if x.attempts > 1 {
+                        rec.count("nvmeof:retries", (x.attempts - 1) as u64);
+                    }
+                    if x.started > now {
+                        rec.queue_edge(span, x.started);
+                    }
+                    rec.close(span, x.done);
+                }
+                Err(_) => {
+                    rec.bump("nvmeof:gave_up");
+                    rec.close(span, now);
+                }
             }
         }
         out
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn exchange_inner(
-        &mut self,
-        net: &mut Network,
-        tr: &Transport,
-        client: Endpoint,
-        target_ep: Endpoint,
-        target: &mut NvmeOfTarget,
-        capsule: &mut CommandCapsule,
-        now: Ns,
-        policy: &RetryPolicy,
-        mut rec: Option<&mut Recorder>,
-    ) -> Result<(ResponseCapsule, FabricExchange), NetError> {
-        let mut t = now;
-        for attempt in 0..policy.max_attempts {
-            if attempt > 0 {
-                capsule.cid = self.alloc_cid();
-            }
-            let err = match tr.send(net, client, target_ep, t, capsule.wire_len()) {
-                Ok(d) => {
-                    let (resp_wire, ready) = target.handle(&capsule.encode(), d.done);
-                    let resp =
-                        ResponseCapsule::decode(&resp_wire).expect("target responses decode");
-                    match tr.send(net, target_ep, client, ready, resp.wire_len()) {
-                        Ok(back) => {
-                            return Ok((
-                                resp,
-                                FabricExchange {
-                                    done: back.done,
-                                    started: t,
-                                    attempts: attempt + 1,
-                                },
-                            ));
-                        }
-                        Err(e) => e,
-                    }
-                }
-                Err(e) => e,
-            };
-            match next_attempt_at(&err, t, policy, attempt) {
-                Some(next) => {
-                    if let Some(rec) = rec.as_deref_mut() {
-                        let counter = match &err {
-                            NetError::Dropped => Some("nvmeof:timeouts"),
-                            NetError::Corrupted { .. } => Some("nvmeof:corrupt"),
-                            NetError::LinkDown { .. } => Some("nvmeof:link_down"),
-                            _ => None,
-                        };
-                        if let Some(counter) = counter {
-                            rec.bump(counter);
-                            // Mark the fault arrival on the trace timeline
-                            // too — the counter says how many, the instant
-                            // says when.
-                            rec.instant(&format!("fault:{counter}"), t);
-                        }
-                    }
-                    t = next;
-                }
-                None => return Err(err),
-            }
-        }
-        Err(NetError::Exhausted {
-            attempts: policy.max_attempts,
-        })
     }
 }
 
@@ -691,7 +632,7 @@ mod tests {
                     capsule,
                     t,
                     &policy,
-                    &mut rec,
+                    Some(&mut rec),
                 )
                 .expect("bounded retry recovers at 50% loss");
             assert_eq!(resp.status, FabricStatus::Ok);
@@ -735,12 +676,61 @@ mod tests {
             capsule,
             Ns::ZERO,
             &policy,
-            &mut rec,
+            Some(&mut rec),
         );
         assert!(matches!(out, Err(NetError::Exhausted { attempts: 4 })));
         assert_eq!(rec.counter("nvmeof:gave_up"), 1);
         assert_eq!(rec.counter("nvmeof:timeouts"), 4);
         assert_eq!(target.served(), 0, "nothing reached the target");
+    }
+
+    #[test]
+    fn zero_attempt_budget_still_sends_once() {
+        use hyperion_net::{RetryPolicy, FAULT_NET_DROP};
+        let mut net = Network::new();
+        let client = Endpoint::new(net.add_node(), EndpointKind::Kernel);
+        let dpu = Endpoint::new(net.add_node(), EndpointKind::Hardware);
+        let tr = Transport::new(TransportKind::Udp);
+        let mut target = NvmeOfTarget::new(1 << 16);
+        let mut ini = Initiator::new();
+        // A budget below one attempt is clamped to one, as in the
+        // transport's reliable paths.
+        let policy = RetryPolicy {
+            max_attempts: 0,
+            ..RetryPolicy::DEFAULT
+        };
+        let capsule = ini.read(0, 1);
+        let (resp, x) = ini
+            .exchange(
+                &mut net,
+                &tr,
+                client,
+                dpu,
+                &mut target,
+                capsule,
+                Ns::ZERO,
+                &policy,
+            )
+            .expect("a clean fabric serves the one attempt");
+        assert_eq!(resp.status, FabricStatus::Ok);
+        assert_eq!(x.attempts, 1);
+        assert_eq!(target.served(), 1);
+        net.set_fault_plan(
+            hyperion_sim::fault::FaultPlan::seeded(3).bernoulli(FAULT_NET_DROP, 1.0),
+        );
+        let capsule = ini.read(0, 1);
+        let out = ini.exchange(
+            &mut net,
+            &tr,
+            client,
+            dpu,
+            &mut target,
+            capsule,
+            x.done,
+            &policy,
+        );
+        assert_eq!(out, Err(NetError::Exhausted { attempts: 1 }));
+        assert_eq!(net.messages(), 3, "two legs, then one lost request");
     }
 
     #[test]

@@ -8,11 +8,13 @@
 //! completion time is the *server work* a transport charges between
 //! request arrival and response departure — with no host CPU anywhere.
 //!
-//! The surface is typed by domain: [`KvOp`], [`TreeOp`], [`LogOp`],
-//! [`FileOp`], and [`ColumnarOp`] each dispatch with the uniform signature
+//! The surface is typed by domain: [`TreeOp`], [`LogOp`], [`FileOp`], and
+//! [`ColumnarOp`] each dispatch with the uniform signature
 //! `dispatch(self, &mut HyperionDpu, now) -> Result<(ServiceResponse, Ns),
-//! ServiceError>`, and [`ServiceOp`] is the umbrella a transport endpoint
-//! routes on. The flat [`ServiceRequest`] enum and
+//! ServiceError>`; [`KvOp`]'s `dispatch_traced` also takes the optional
+//! recorder its KV-SSD device spans nest under. [`ServiceOp`] is the
+//! umbrella a transport endpoint routes on, through
+//! [`HyperionDpu::dispatch_traced`]. The flat [`ServiceRequest`] enum and
 //! [`HyperionDpu::serve`] remain as a thin compatibility wrapper over the
 //! same dispatch path.
 //!
@@ -455,16 +457,10 @@ impl KvOp {
     }
 
     /// Runs this op on the DPU at `now`; returns the response and the
-    /// instant the DPU finishes the work.
-    pub fn dispatch(
-        self,
-        dpu: &mut HyperionDpu,
-        now: Ns,
-    ) -> Result<(ServiceResponse, Ns), ServiceError> {
-        self.dispatch_rec(dpu, now, None)
-    }
-
-    fn dispatch_rec(
+    /// instant the DPU finishes the work. With a recorder, KV-SSD commands
+    /// record their device span (see
+    /// [`NvmeDevice::submit_traced`](hyperion_nvme::device::NvmeDevice::submit_traced)).
+    pub fn dispatch_traced(
         self,
         dpu: &mut HyperionDpu,
         now: Ns,
@@ -498,20 +494,12 @@ impl KvOp {
             }
             KvOp::SsdPut { key, value } => {
                 let cmd = hyperion_nvme::device::Command::KvPut { key, value };
-                let c = match rec {
-                    Some(rec) => dpu.kvssd.submit_traced(cmd, now, rec),
-                    None => dpu.kvssd.submit(cmd, now),
-                }
-                .map_err(kv_ssd_err)?;
+                let c = dpu.kvssd.submit_traced(cmd, now, rec).map_err(kv_ssd_err)?;
                 Ok((ServiceResponse::Ok, c.done))
             }
             KvOp::SsdGet { key } => {
                 let cmd = hyperion_nvme::device::Command::KvGet { key };
-                let c = match rec {
-                    Some(rec) => dpu.kvssd.submit_traced(cmd, now, rec),
-                    None => dpu.kvssd.submit(cmd, now),
-                }
-                .map_err(kv_ssd_err)?;
+                let c = dpu.kvssd.submit_traced(cmd, now, rec).map_err(kv_ssd_err)?;
                 let value = match c.response {
                     hyperion_nvme::device::Response::Data(d) => Some(d),
                     _ => None,
@@ -722,50 +710,6 @@ impl ServiceOp {
             ServiceOp::Columnar(_) => "columnar",
         }
     }
-
-    /// Routes to the owning group's dispatch.
-    pub fn dispatch(
-        self,
-        dpu: &mut HyperionDpu,
-        now: Ns,
-    ) -> Result<(ServiceResponse, Ns), ServiceError> {
-        self.dispatch_rec(dpu, now, None)
-    }
-
-    fn dispatch_rec(
-        self,
-        dpu: &mut HyperionDpu,
-        now: Ns,
-        mut rec: Option<&mut Recorder>,
-    ) -> Result<(ServiceResponse, Ns), ServiceError> {
-        // Admission first: a shed request costs the DPU nothing but the
-        // decision itself. Off (None) by default — the baseline path does
-        // not even reap.
-        if let Some(adm) = dpu.admission.as_mut() {
-            if let Err(overload) = adm.admit(now) {
-                dpu.counters.bump("shed");
-                if let Some(rec) = rec.as_deref_mut() {
-                    rec.bump("service:shed");
-                }
-                return Err(ServiceError::Overloaded {
-                    depth: overload.depth,
-                    limit: overload.limit,
-                });
-            }
-        }
-        dpu.counters.bump("served");
-        let result = match self {
-            ServiceOp::Kv(op) => op.dispatch_rec(dpu, now, rec),
-            ServiceOp::Tree(op) => op.dispatch(dpu, now),
-            ServiceOp::Log(op) => op.dispatch(dpu, now),
-            ServiceOp::File(op) => op.dispatch(dpu, now),
-            ServiceOp::Columnar(op) => op.dispatch(dpu, now),
-        };
-        if let (Some(adm), Ok((_, done))) = (dpu.admission.as_mut(), &result) {
-            adm.record(*done);
-        }
-        result
-    }
 }
 
 impl HyperionDpu {
@@ -792,45 +736,77 @@ impl HyperionDpu {
         Ok(t)
     }
 
-    /// Runs one typed op at `now`; returns the response and the instant
-    /// the DPU finishes the work. Accepts any op group (or a legacy
-    /// [`ServiceRequest`]) via `Into<ServiceOp>`.
+    /// Runs one typed op at `now` (see [`HyperionDpu::dispatch_traced`]).
     pub fn dispatch(
         &mut self,
         now: Ns,
         op: impl Into<ServiceOp>,
     ) -> Result<(ServiceResponse, Ns), ServiceError> {
-        op.into().dispatch(self, now)
+        self.dispatch_traced(now, op.into(), None)
     }
 
-    /// [`HyperionDpu::dispatch`] with telemetry: a [`Component::Service`]
-    /// span over the op, a per-op latency sample under the op's label, a
-    /// fabric slot-occupancy gauge, and nested device spans where the op
-    /// touches the KV-SSD.
+    /// Runs one typed op at `now`; returns the response and the instant
+    /// the DPU finishes the work. [`HyperionDpu::dispatch`] accepts any op
+    /// group (or a legacy [`ServiceRequest`]) via `Into<ServiceOp>`; this
+    /// body takes the converted op, so it is compiled once.
+    ///
+    /// With a recorder: a [`Component::Service`] span over the op, a
+    /// per-op latency sample under the op's label, a fabric
+    /// slot-occupancy gauge, a `service:shed` count per shed request, and
+    /// nested device spans where the op touches the KV-SSD.
     pub fn dispatch_traced(
         &mut self,
         now: Ns,
-        op: impl Into<ServiceOp>,
-        rec: &mut Recorder,
+        op: ServiceOp,
+        mut rec: Option<&mut Recorder>,
     ) -> Result<(ServiceResponse, Ns), ServiceError> {
-        let op = op.into();
         let label = op.label();
-        rec.gauge(
-            "fabric:slots_occupied",
-            self.fabric.slots.occupied_slots() as u64,
-        );
-        let span = rec.open(Component::Service, label, now);
-        match op.dispatch_rec(self, now, Some(rec)) {
-            Ok((resp, t)) => {
-                rec.close(span, t);
-                rec.record_op(label, t.saturating_sub(now));
-                Ok((resp, t))
+        let span = rec.as_deref_mut().map(|rec| {
+            rec.gauge(
+                "fabric:slots_occupied",
+                self.fabric.slots.occupied_slots() as u64,
+            );
+            rec.open(Component::Service, label, now)
+        });
+        let result = (|| {
+            // Admission first: a shed request costs the DPU nothing but
+            // the decision itself. Off (None) by default — the baseline
+            // path does not even reap.
+            if let Some(adm) = self.admission.as_mut() {
+                if let Err(overload) = adm.admit(now) {
+                    self.counters.bump("shed");
+                    if let Some(rec) = rec.as_deref_mut() {
+                        rec.bump("service:shed");
+                    }
+                    return Err(ServiceError::Overloaded {
+                        depth: overload.depth,
+                        limit: overload.limit,
+                    });
+                }
             }
-            Err(e) => {
-                rec.close(span, now);
-                Err(e)
+            self.counters.bump("served");
+            let result = match op {
+                ServiceOp::Kv(op) => op.dispatch_traced(self, now, rec.as_deref_mut()),
+                ServiceOp::Tree(op) => op.dispatch(self, now),
+                ServiceOp::Log(op) => op.dispatch(self, now),
+                ServiceOp::File(op) => op.dispatch(self, now),
+                ServiceOp::Columnar(op) => op.dispatch(self, now),
+            };
+            if let (Some(adm), Ok((_, done))) = (self.admission.as_mut(), &result) {
+                adm.record(*done);
+            }
+            result
+        })();
+        if let (Some(rec), Some(span)) = (rec, span) {
+            match &result {
+                Ok((_, t)) => {
+                    rec.close(span, *t);
+                    rec.record_op(label, t.saturating_sub(now));
+                }
+                Err(_) => rec.close(span, now),
             }
         }
+        result
     }
 
     /// Serves one request at `now`; returns the response and the instant
@@ -908,7 +884,7 @@ mod tests {
         let t = dpu.booted_at();
         let mut rec = hyperion_telemetry::Recorder::new("svc");
         let (_, t2) = dpu
-            .dispatch_traced(t, KvOp::Put { key: 1, value: 2 }, &mut rec)
+            .dispatch_traced(t, KvOp::Put { key: 1, value: 2 }.into(), Some(&mut rec))
             .unwrap();
         assert!(t2 >= t);
         assert_eq!(rec.open_spans(), 0);
@@ -930,8 +906,9 @@ mod tests {
             KvOp::SsdPut {
                 key: b"k".to_vec(),
                 value: Bytes::from_static(b"v"),
-            },
-            &mut rec,
+            }
+            .into(),
+            Some(&mut rec),
         )
         .unwrap();
         let spans = rec.spans();

@@ -237,7 +237,7 @@ pub fn run_tenant_mix(
                 },
             };
             let group = op.group();
-            let (resp, done) = dpu.dispatch_traced(now, op, rec)?;
+            let (resp, done) = dpu.dispatch_traced(now, op, Some(rec))?;
             if let ServiceResponse::Appended { position } = resp {
                 log_tail[t as usize] = Some(position);
             }

@@ -140,6 +140,17 @@ impl SlotManager {
         self.slots.iter().position(|s| s.is_none()).map(SlotId)
     }
 
+    /// Streams `bitstream` into `slot` starting at `now` (see
+    /// [`SlotManager::program_traced`]).
+    pub fn program(
+        &mut self,
+        slot: SlotId,
+        bitstream: Bitstream,
+        now: Ns,
+    ) -> Result<Ns, SlotError> {
+        self.program_traced(slot, bitstream, now, None)
+    }
+
     /// Streams `bitstream` into `slot` starting at `now`.
     ///
     /// Returns the instant the kernel goes live. The duration is ICAP
@@ -149,71 +160,66 @@ impl SlotManager {
     ///
     /// Fails if the tag does not verify, the kernel does not fit, or the
     /// slot is occupied (use [`SlotManager::evict`] first).
-    pub fn program(
-        &mut self,
-        slot: SlotId,
-        bitstream: Bitstream,
-        now: Ns,
-    ) -> Result<Ns, SlotError> {
-        if slot.0 >= self.slots.len() {
-            return Err(SlotError::NoSuchSlot(slot.0));
-        }
-        if !bitstream.verify(self.auth_key) {
-            return Err(SlotError::Unauthorized);
-        }
-        if !bitstream.requires.fits_in(&self.slot_budget) {
-            return Err(SlotError::DoesNotFit {
-                slot: slot.0,
-                occupancy: bitstream.requires.occupancy_of(&self.slot_budget),
-            });
-        }
-        if self.slots[slot.0].is_some() {
-            return Err(SlotError::Occupied(slot.0));
-        }
-        let stream = serialization_delay(bitstream.size_bytes, params::ICAP_BANDWIDTH_BPS);
-        let live = self.icap.access(now, stream) + params::RECONFIG_OVERHEAD;
-        self.slots[slot.0] = Some(Resident {
-            bitstream,
-            live_since: live,
-        });
-        self.reconfigs += 1;
-        Ok(live)
-    }
-
-    /// [`SlotManager::program`] with a telemetry span over the
-    /// reconfiguration. When the recorder's utilization plane is on, the
-    /// ICAP's streaming window is claimed as `fabric:icap`, slot occupancy
-    /// is sampled as a `fabric:slots` depth timeline, and a reconfiguration
-    /// that had to wait for the ICAP gets a queueing edge blaming it.
-    /// Timing is identical to the untraced path.
+    ///
+    /// With a recorder: a telemetry span over the reconfiguration. When
+    /// the recorder's utilization plane is on, the ICAP's streaming window
+    /// is claimed as `fabric:icap`, slot occupancy is sampled as a
+    /// `fabric:slots` depth timeline, and a reconfiguration that had to
+    /// wait for the ICAP gets a queueing edge blaming it.
     pub fn program_traced(
         &mut self,
         slot: SlotId,
         bitstream: Bitstream,
         now: Ns,
-        rec: &mut Recorder,
+        mut rec: Option<&mut Recorder>,
     ) -> Result<Ns, SlotError> {
-        let span = rec.open(Component::Fabric, "fabric:reconfig", now);
-        let icap_start = self.icap.earliest_start(now);
-        let live = match self.program(slot, bitstream, now) {
-            Ok(live) => live,
-            Err(e) => {
+        let obs = rec.as_deref_mut().map(|rec| {
+            let span = rec.open(Component::Fabric, "fabric:reconfig", now);
+            (span, self.icap.earliest_start(now))
+        });
+        let result = (|| {
+            if slot.0 >= self.slots.len() {
+                return Err(SlotError::NoSuchSlot(slot.0));
+            }
+            if !bitstream.verify(self.auth_key) {
+                return Err(SlotError::Unauthorized);
+            }
+            if !bitstream.requires.fits_in(&self.slot_budget) {
+                return Err(SlotError::DoesNotFit {
+                    slot: slot.0,
+                    occupancy: bitstream.requires.occupancy_of(&self.slot_budget),
+                });
+            }
+            if self.slots[slot.0].is_some() {
+                return Err(SlotError::Occupied(slot.0));
+            }
+            let stream = serialization_delay(bitstream.size_bytes, params::ICAP_BANDWIDTH_BPS);
+            let live = self.icap.access(now, stream) + params::RECONFIG_OVERHEAD;
+            self.slots[slot.0] = Some(Resident {
+                bitstream,
+                live_since: live,
+            });
+            self.reconfigs += 1;
+            Ok(live)
+        })();
+        if let (Some(rec), Some((span, icap_start))) = (rec, obs) {
+            let Ok(live) = result else {
                 rec.close(span, now);
-                return Err(e);
+                return result;
+            };
+            if rec.util_enabled() {
+                let stream_end = live - params::RECONFIG_OVERHEAD;
+                rec.claim_busy("fabric:icap", icap_start, stream_end);
+                rec.depth_sample("fabric:slots", now, self.occupied_slots() as u64);
+                if icap_start > now {
+                    rec.queue_edge_labeled(span, icap_start, "fabric:icap");
+                }
+            } else if icap_start > now {
+                rec.queue_edge(span, icap_start);
             }
-        };
-        if rec.util_enabled() {
-            let stream_end = live - params::RECONFIG_OVERHEAD;
-            rec.claim_busy("fabric:icap", icap_start, stream_end);
-            rec.depth_sample("fabric:slots", now, self.occupied_slots() as u64);
-            if icap_start > now {
-                rec.queue_edge_labeled(span, icap_start, "fabric:icap");
-            }
-        } else if icap_start > now {
-            rec.queue_edge(span, icap_start);
+            rec.close(span, live);
         }
-        rec.close(span, live);
-        Ok(live)
+        result
     }
 
     /// Programs the bitstream into the first free slot.
@@ -287,10 +293,10 @@ mod tests {
         let mut rec = Recorder::new("fabric-util");
         rec.enable_util();
         let a = m
-            .program_traced(SlotId(0), small_kernel("a"), Ns::ZERO, &mut rec)
+            .program_traced(SlotId(0), small_kernel("a"), Ns::ZERO, Some(&mut rec))
             .unwrap();
         let b = m
-            .program_traced(SlotId(1), small_kernel("b"), Ns::ZERO, &mut rec)
+            .program_traced(SlotId(1), small_kernel("b"), Ns::ZERO, Some(&mut rec))
             .unwrap();
         let icap = rec.util().resource("fabric:icap").expect("icap claimed");
         // Two back-to-back streams coalesce into one contiguous window.
@@ -302,7 +308,7 @@ mod tests {
         assert_eq!(rec.edge_resources()[0].1, "fabric:icap");
         let slots = rec.util().resource("fabric:slots").expect("depth sampled");
         assert_eq!(slots.peak_depth(), 2);
-        // Timing parity with the untraced path.
+        // Timing parity with the recorder-free (`None`) path.
         let mut plain = mgr();
         assert_eq!(plain.program(SlotId(0), small_kernel("a"), Ns::ZERO), Ok(a));
         assert_eq!(plain.program(SlotId(1), small_kernel("b"), Ns::ZERO), Ok(b));

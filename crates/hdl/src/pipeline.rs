@@ -174,14 +174,9 @@ impl HwPipeline {
         self.items
     }
 
-    /// Admits one item at `now` and returns the instant its result exits
-    /// the pipeline. Back-to-back items are spaced by the initiation
-    /// interval; the pipeline depth adds constant latency.
+    /// Admits one item at `now` (see [`HwPipeline::admit_traced`]).
     pub fn admit(&mut self, now: Ns) -> Ns {
-        self.items += 1;
-        let ii_time = self.clock.cycles_to_ns(self.schedule.ii);
-        let issued = self.intake.access(now, ii_time);
-        issued + self.latency()
+        self.admit_traced("", now, None)
     }
 
     /// Queue wait an item arriving at `now` would see at the intake before
@@ -190,19 +185,36 @@ impl HwPipeline {
         self.intake.earliest_start(now).saturating_sub(now)
     }
 
-    /// [`HwPipeline::admit`] with a [`Component::Fabric`] span labelled
-    /// `label` over the item's traversal. When back-pressure at the
-    /// intake (initiation-interval spacing) delays issue, the span gets a
+    /// Admits one item at `now` and returns the instant its result exits
+    /// the pipeline. Back-to-back items are spaced by the initiation
+    /// interval; the pipeline depth adds constant latency.
+    ///
+    /// With a recorder: a [`Component::Fabric`] span labelled `label`
+    /// over the item's traversal. When back-pressure at the intake
+    /// (initiation-interval spacing) delays issue, the span gets a
     /// queueing edge so the critical-path analyzer can split intake stall
     /// from pipeline latency.
-    pub fn admit_traced(&mut self, label: &'static str, now: Ns, rec: &mut Recorder) -> Ns {
-        let wait = self.intake_wait(now);
-        let span = rec.open(Component::Fabric, label, now);
-        if wait > Ns::ZERO {
-            rec.queue_edge(span, now + wait);
+    pub fn admit_traced(
+        &mut self,
+        label: &'static str,
+        now: Ns,
+        mut rec: Option<&mut Recorder>,
+    ) -> Ns {
+        let span = rec.as_deref_mut().map(|rec| {
+            let wait = self.intake_wait(now);
+            let span = rec.open(Component::Fabric, label, now);
+            if wait > Ns::ZERO {
+                rec.queue_edge(span, now + wait);
+            }
+            span
+        });
+        self.items += 1;
+        let ii_time = self.clock.cycles_to_ns(self.schedule.ii);
+        let issued = self.intake.access(now, ii_time);
+        let done = issued + self.latency();
+        if let (Some(rec), Some(span)) = (rec, span) {
+            rec.close(span, done);
         }
-        let done = self.admit(now);
-        rec.close(span, done);
         done
     }
 
@@ -260,9 +272,9 @@ mod tests {
     fn admit_traced_marks_intake_backpressure() {
         let mut p = pipeline("mov r0, 0\nexit", 0);
         let mut rec = Recorder::new("hdl-unit");
-        let first = p.admit_traced("kernel:item", Ns::ZERO, &mut rec);
+        let first = p.admit_traced("kernel:item", Ns::ZERO, Some(&mut rec));
         // Second item at the same instant stalls one II at the intake.
-        let second = p.admit_traced("kernel:item", Ns::ZERO, &mut rec);
+        let second = p.admit_traced("kernel:item", Ns::ZERO, Some(&mut rec));
         assert!(second > first);
         assert_eq!(rec.spans().len(), 2);
         assert!(rec

@@ -180,43 +180,22 @@ impl Network {
     /// FIFO on the sender uplink and the receiver downlink, and pays one
     /// switch traversal. Messages between distinct node pairs share only
     /// the links they actually use.
-    pub fn deliver(
-        &mut self,
-        src: NodeId,
-        dst: NodeId,
-        now: Ns,
-        bytes: u64,
-    ) -> Result<Ns, NetError> {
-        self.deliver_inner(src, dst, now, bytes, None)
-    }
-
-    /// [`Network::deliver`] with utilization instrumentation: the wire
-    /// windows the message occupies are claimed busy on
-    /// `net:uplink:<src>` / `net:downlink:<dst>`, and when the message
-    /// had to wait for a busy wire, `span` (if given) gets a queueing
-    /// edge labeled with the gating link. Timing and fault behavior are
-    /// identical to `deliver`; with the recorder's utilization plane
-    /// disabled this records nothing at all.
+    ///
+    /// With a recorder whose utilization plane is on, the wire windows the
+    /// message occupies are claimed busy on `net:uplink:<src>` /
+    /// `net:downlink:<dst>`, and when the message had to wait for a busy
+    /// wire, `span` (if given) gets a queueing edge labeled with the gating
+    /// link. Timing and fault behavior do not depend on `rec`.
     pub fn deliver_traced(
         &mut self,
         src: NodeId,
         dst: NodeId,
         now: Ns,
         bytes: u64,
-        rec: &mut Recorder,
+        rec: Option<&mut Recorder>,
         span: Option<SpanId>,
     ) -> Result<Ns, NetError> {
-        self.deliver_inner(src, dst, now, bytes, Some(DeliveryObs { rec, span }))
-    }
-
-    fn deliver_inner(
-        &mut self,
-        src: NodeId,
-        dst: NodeId,
-        now: Ns,
-        bytes: u64,
-        mut obs: Option<DeliveryObs<'_>>,
-    ) -> Result<Ns, NetError> {
+        let mut obs = rec.map(|rec| DeliveryObs { rec, span });
         let wire = wire_bytes_for_message(bytes);
         if src.0 >= self.nodes.len() {
             return Err(NetError::UnknownNode(src.0));
@@ -340,7 +319,7 @@ mod tests {
         let mut net = Network::new();
         let a = net.add_node();
         let b = net.add_node();
-        let t = net.deliver(a, b, Ns::ZERO, 64).unwrap();
+        let t = net.deliver_traced(a, b, Ns::ZERO, 64, None, None).unwrap();
         // 2 x 500ns propagation + 300ns switch + 2 x ~12ns serialization.
         assert!(t > Ns(1_300) && t < Ns(2_000), "latency {t}");
     }
@@ -352,8 +331,12 @@ mod tests {
         let b = net.add_node();
         let c = net.add_node();
         let d = net.add_node();
-        let t1 = net.deliver(a, b, Ns::ZERO, 1 << 20).unwrap();
-        let t2 = net.deliver(c, d, Ns::ZERO, 1 << 20).unwrap();
+        let t1 = net
+            .deliver_traced(a, b, Ns::ZERO, 1 << 20, None, None)
+            .unwrap();
+        let t2 = net
+            .deliver_traced(c, d, Ns::ZERO, 1 << 20, None, None)
+            .unwrap();
         assert_eq!(t1, t2);
     }
 
@@ -363,8 +346,12 @@ mod tests {
         let sinks = net.add_node();
         let s1 = net.add_node();
         let s2 = net.add_node();
-        let t1 = net.deliver(s1, sinks, Ns::ZERO, 1 << 20).unwrap();
-        let t2 = net.deliver(s2, sinks, Ns::ZERO, 1 << 20).unwrap();
+        let t1 = net
+            .deliver_traced(s1, sinks, Ns::ZERO, 1 << 20, None, None)
+            .unwrap();
+        let t2 = net
+            .deliver_traced(s2, sinks, Ns::ZERO, 1 << 20, None, None)
+            .unwrap();
         assert!(t2 > t1, "second sender must queue at the downlink");
     }
 
@@ -372,14 +359,18 @@ mod tests {
     fn unknown_nodes_error() {
         let mut net = Network::new();
         let a = net.add_node();
-        assert!(net.deliver(a, NodeId(7), Ns::ZERO, 10).is_err());
+        assert!(net
+            .deliver_traced(a, NodeId(7), Ns::ZERO, 10, None, None)
+            .is_err());
     }
 
     #[test]
     fn loopback_skips_the_wire() {
         let mut net = Network::new();
         let a = net.add_node();
-        let t = net.deliver(a, a, Ns::ZERO, 1 << 20).unwrap();
+        let t = net
+            .deliver_traced(a, a, Ns::ZERO, 1 << 20, None, None)
+            .unwrap();
         assert_eq!(t, Ns::ZERO + params::SWITCH_LATENCY);
     }
 
@@ -391,7 +382,10 @@ mod tests {
             let b = net.add_node();
             net.set_fault_plan(FaultPlan::seeded(11).bernoulli(FAULT_NET_DROP, 0.5));
             (0..64)
-                .map(|i| net.deliver(a, b, Ns(i * 10_000), 64).is_ok())
+                .map(|i| {
+                    net.deliver_traced(a, b, Ns(i * 10_000), 64, None, None)
+                        .is_ok()
+                })
                 .collect::<Vec<bool>>()
         };
         let x = run();
@@ -405,12 +399,12 @@ mod tests {
         let a = net.add_node();
         let b = net.add_node();
         net.set_fault_plan(FaultPlan::seeded(1).window(FAULT_NET_FLAP, Ns(100), Ns(500)));
-        assert!(net.deliver(a, b, Ns(0), 64).is_ok());
-        match net.deliver(a, b, Ns(200), 64) {
+        assert!(net.deliver_traced(a, b, Ns(0), 64, None, None).is_ok());
+        match net.deliver_traced(a, b, Ns(200), 64, None, None) {
             Err(NetError::LinkDown { until }) => assert_eq!(until, Ns(500)),
             other => panic!("expected LinkDown, got {other:?}"),
         }
-        assert!(net.deliver(a, b, Ns(500), 64).is_ok());
+        assert!(net.deliver_traced(a, b, Ns(500), 64, None, None).is_ok());
     }
 
     #[test]
@@ -421,14 +415,20 @@ mod tests {
         let c = net.add_node();
         net.set_fault_plan(FaultPlan::seeded(1).window(&partition_site(b), Ns(1_000), Ns(5_000)));
         // Before the window: clean.
-        assert!(net.deliver(a, b, Ns(0), 64).is_ok());
+        assert!(net.deliver_traced(a, b, Ns(0), 64, None, None).is_ok());
         // Inside the window: both directions blackhole, silently.
-        assert_eq!(net.deliver(a, b, Ns(2_000), 64), Err(NetError::Dropped));
-        assert_eq!(net.deliver(b, a, Ns(2_000), 64), Err(NetError::Dropped));
+        assert_eq!(
+            net.deliver_traced(a, b, Ns(2_000), 64, None, None),
+            Err(NetError::Dropped)
+        );
+        assert_eq!(
+            net.deliver_traced(b, a, Ns(2_000), 64, None, None),
+            Err(NetError::Dropped)
+        );
         // Unrelated pairs are untouched.
-        assert!(net.deliver(a, c, Ns(2_000), 64).is_ok());
+        assert!(net.deliver_traced(a, c, Ns(2_000), 64, None, None).is_ok());
         // After the window: the node is reachable again.
-        assert!(net.deliver(a, b, Ns(5_000), 64).is_ok());
+        assert!(net.deliver_traced(a, b, Ns(5_000), 64, None, None).is_ok());
     }
 
     #[test]
@@ -447,7 +447,10 @@ mod tests {
             }
             net.set_fault_plan(plan);
             (0..64)
-                .map(|i| net.deliver(a, b, Ns(i * 10_000), 64).is_ok())
+                .map(|i| {
+                    net.deliver_traced(a, b, Ns(i * 10_000), 64, None, None)
+                        .is_ok()
+                })
                 .collect::<Vec<bool>>()
         };
         assert_eq!(run(false), run(true));
@@ -460,7 +463,7 @@ mod tests {
         let b = net.add_node();
         let clean = net.base_latency(4096);
         net.set_fault_plan(FaultPlan::seeded(1).bernoulli(FAULT_NET_CORRUPT, 1.0));
-        match net.deliver(a, b, Ns::ZERO, 4096) {
+        match net.deliver_traced(a, b, Ns::ZERO, 4096, None, None) {
             Err(NetError::Corrupted { delivered_at }) => assert_eq!(delivered_at, clean),
             other => panic!("expected Corrupted, got {other:?}"),
         }
@@ -472,7 +475,9 @@ mod tests {
         let a = net.add_node();
         let b = net.add_node();
         let est = net.base_latency(4096);
-        let t = net.deliver(a, b, Ns::ZERO, 4096).unwrap();
+        let t = net
+            .deliver_traced(a, b, Ns::ZERO, 4096, None, None)
+            .unwrap();
         assert_eq!(t, est);
     }
 }

@@ -59,59 +59,30 @@ impl RpcChannel {
         self.transport
     }
 
-    /// Issues a unary call: request payload up, `server_work` at the
-    /// server, response payload down.
+    /// Issues a unary call (see [`RpcChannel::call_traced`]).
     pub fn call(
         &mut self,
         net: &mut Network,
-        _method: MethodId,
+        method: MethodId,
         now: Ns,
         req_payload: u64,
         resp_payload: u64,
         server_work: Ns,
     ) -> Result<Delivery, NetError> {
-        let d = self.transport.request(
+        self.call_traced(
             net,
-            self.client,
-            self.server,
+            method,
             now,
-            req_payload + RPC_FRAMING,
-            resp_payload + RPC_FRAMING,
+            req_payload,
+            resp_payload,
             server_work,
-        )?;
-        self.counters.bump("calls");
-        self.counters.add("rtts", d.wire_rounds);
-        Ok(d)
+            None,
+        )
     }
 
-    /// Issues `n` dependent calls back-to-back (each starts when the
-    /// previous completes) — the client-driven pointer-chasing pattern of
-    /// §2.4. Returns the final completion.
-    #[allow(clippy::too_many_arguments)]
-    pub fn call_chain(
-        &mut self,
-        net: &mut Network,
-        method: MethodId,
-        mut now: Ns,
-        n: u64,
-        req_payload: u64,
-        resp_payload: u64,
-        server_work: Ns,
-    ) -> Result<Delivery, NetError> {
-        let mut rounds = 0;
-        for _ in 0..n {
-            let d = self.call(net, method, now, req_payload, resp_payload, server_work)?;
-            now = d.done;
-            rounds += d.wire_rounds;
-        }
-        Ok(Delivery {
-            done: now,
-            wire_rounds: rounds,
-        })
-    }
-
-    /// [`RpcChannel::call`] with per-leg telemetry (see
-    /// [`Transport::request_traced`]).
+    /// Issues a unary call: request payload up, `server_work` at the
+    /// server, response payload down. With a recorder, the exchange
+    /// records its per-leg telemetry (see [`Transport::request_traced`]).
     #[allow(clippy::too_many_arguments)]
     pub fn call_traced(
         &mut self,
@@ -121,7 +92,7 @@ impl RpcChannel {
         req_payload: u64,
         resp_payload: u64,
         server_work: Ns,
-        rec: &mut Recorder,
+        rec: Option<&mut Recorder>,
     ) -> Result<Delivery, NetError> {
         let d = self.transport.request_traced(
             net,
@@ -136,42 +107,6 @@ impl RpcChannel {
         self.counters.bump("calls");
         self.counters.add("rtts", d.wire_rounds);
         Ok(d)
-    }
-
-    /// [`RpcChannel::call_chain`] with per-leg telemetry and a per-call
-    /// latency sample under `op` (the E6 pointer-chase breakdown).
-    #[allow(clippy::too_many_arguments)]
-    pub fn call_chain_traced(
-        &mut self,
-        net: &mut Network,
-        method: MethodId,
-        mut now: Ns,
-        n: u64,
-        req_payload: u64,
-        resp_payload: u64,
-        server_work: Ns,
-        op: &str,
-        rec: &mut Recorder,
-    ) -> Result<Delivery, NetError> {
-        let mut rounds = 0;
-        for _ in 0..n {
-            let d = self.call_traced(
-                net,
-                method,
-                now,
-                req_payload,
-                resp_payload,
-                server_work,
-                rec,
-            )?;
-            rec.record_op(op, d.done.saturating_sub(now));
-            now = d.done;
-            rounds += d.wire_rounds;
-        }
-        Ok(Delivery {
-            done: now,
-            wire_rounds: rounds,
-        })
     }
 }
 
@@ -203,13 +138,20 @@ mod tests {
         let one = ch
             .call(&mut net, MethodId(1), Ns::ZERO, 64, 64, Ns::ZERO)
             .unwrap();
+        // Four dependent calls, each starting when the previous completes
+        // (the client-driven pointer-chasing pattern of §2.4).
         let (mut net2, mut ch2) = channel();
-        let four = ch2
-            .call_chain(&mut net2, MethodId(1), Ns::ZERO, 4, 64, 64, Ns::ZERO)
-            .unwrap();
-        assert_eq!(four.wire_rounds, 4 * one.wire_rounds);
+        let (mut done, mut rounds) = (Ns::ZERO, 0);
+        for _ in 0..4 {
+            let d = ch2
+                .call(&mut net2, MethodId(1), done, 64, 64, Ns::ZERO)
+                .unwrap();
+            done = d.done;
+            rounds += d.wire_rounds;
+        }
+        assert_eq!(rounds, 4 * one.wire_rounds);
         // Latency of 4 dependent calls is ~4x one call.
-        let ratio = four.done.0 as f64 / one.done.0 as f64;
+        let ratio = done.0 as f64 / one.done.0 as f64;
         assert!((3.5..4.5).contains(&ratio), "ratio {ratio}");
     }
 }

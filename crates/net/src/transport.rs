@@ -8,7 +8,7 @@
 
 use hyperion_sim::rng::SplitMix64;
 use hyperion_sim::time::Ns;
-use hyperion_telemetry::{Component, Recorder, SpanId};
+use hyperion_telemetry::{Component, Recorder};
 
 use crate::frame::packets_for_message;
 use crate::netsim::{NetError, Network, NodeId};
@@ -159,7 +159,7 @@ pub struct Delivery {
 /// retry timeline bit-for-bit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
-    /// Total send attempts before giving up (>= 1).
+    /// Total send attempts before giving up (0 counts as 1).
     pub max_attempts: u32,
     /// How long the sender waits for an ack before declaring a silent
     /// loss (applies to [`NetError::Dropped`]).
@@ -196,12 +196,141 @@ impl RetryPolicy {
         let jitter = SplitMix64::new(self.jitter_seed ^ attempt as u64).next_u64() % jitter_range;
         Ns(exp + jitter)
     }
+
+    /// When retrying after `e` helps, the earliest instant the next
+    /// attempt may start, given that attempt number `attempt` (0-based)
+    /// started at `t`: a silent loss ([`NetError::Dropped`]) burns the
+    /// full loss timeout, a corrupt frame ([`NetError::Corrupted`]) is
+    /// NACKed on arrival, and a flap ([`NetError::LinkDown`]) waits for
+    /// carrier to return; each is followed by [`RetryPolicy::backoff`],
+    /// which also spreads the post-flap thundering herd. `None` for errors
+    /// a retry cannot fix, such as [`NetError::UnknownNode`].
+    pub fn retry_at(&self, e: &NetError, t: Ns, attempt: u32) -> Option<Ns> {
+        let resume = match *e {
+            NetError::Dropped => t + self.timeout,
+            NetError::Corrupted { delivered_at } => delivered_at.max(t),
+            NetError::LinkDown { until } => until.max(t),
+            _ => return None,
+        };
+        Some(resume + self.backoff(attempt))
+    }
+
+    /// Runs `attempt` under this policy: `attempt(t, k, rec)` issues
+    /// attempt `k` (0-based) at `t`, and a failure is retried at
+    /// [`RetryPolicy::retry_at`] until an attempt succeeds, fails with an
+    /// error no retry can fix, or `max_attempts` attempts (at least one)
+    /// have failed, which yields [`NetError::Exhausted`].
+    ///
+    /// With a recorder, `on_retry(rec, e, t)` sees every retryable failure
+    /// `e` of the attempt issued at `t`, so each layer names its own
+    /// counters and trace instants; without one nothing is recorded.
+    pub fn drive<T>(
+        &self,
+        now: Ns,
+        mut rec: Option<&mut Recorder>,
+        mut attempt: impl FnMut(Ns, u32, Option<&mut Recorder>) -> Result<T, NetError>,
+        on_retry: impl Fn(&mut Recorder, &NetError, Ns),
+    ) -> Retried<T> {
+        let attempts = self.max_attempts.max(1);
+        let mut t = now;
+        for k in 0..attempts {
+            let e = match attempt(t, k, rec.as_deref_mut()) {
+                Ok(value) => {
+                    return Retried {
+                        result: Ok(value),
+                        attempts: k + 1,
+                        last: t,
+                    }
+                }
+                Err(e) => e,
+            };
+            let Some(next) = self.retry_at(&e, t, k) else {
+                return Retried {
+                    result: Err(e),
+                    attempts: k + 1,
+                    last: t,
+                };
+            };
+            if let Some(rec) = rec.as_deref_mut() {
+                on_retry(rec, &e, t);
+            }
+            t = next;
+        }
+        Retried {
+            result: Err(NetError::Exhausted { attempts }),
+            attempts,
+            last: t,
+        }
+    }
 }
 
 impl Default for RetryPolicy {
     fn default() -> Self {
         RetryPolicy::DEFAULT
     }
+}
+
+/// Outcome of [`RetryPolicy::drive`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Retried<T> {
+    /// The successful attempt's value, or the error that ended the run.
+    pub result: Result<T, NetError>,
+    /// Attempts issued (1 = the first try succeeded).
+    pub attempts: u32,
+    /// When the last attempt was issued; after an exhausted budget, when
+    /// the next one would have been. Past the start instant, this is time
+    /// spent recovering, not serving.
+    pub last: Ns,
+}
+
+/// Counters and a trace instant for one transport-level retry (the
+/// `on_retry` of [`Transport::send_reliable_traced`] and
+/// [`Transport::request_reliable_traced`]).
+fn count_net_retry(rec: &mut Recorder, e: &NetError, t: Ns) {
+    let (counter, instant, at) = match *e {
+        NetError::Dropped => ("net:timeouts", "fault:net:drop", t),
+        NetError::Corrupted { delivered_at } => ("net:corrupt", "fault:net:corrupt", delivered_at),
+        NetError::LinkDown { .. } => ("net:link_down", "fault:net:flap", t),
+        _ => return,
+    };
+    rec.bump(counter);
+    rec.bump("net:retries");
+    rec.instant(instant, at);
+}
+
+/// Drives `attempt` under `policy` inside a `label` span (see
+/// [`Transport::send_reliable_traced`]).
+fn reliable(
+    label: &'static str,
+    now: Ns,
+    policy: &RetryPolicy,
+    mut rec: Option<&mut Recorder>,
+    attempt: impl FnMut(Ns, u32, Option<&mut Recorder>) -> Result<Delivery, NetError>,
+) -> Result<ReliableDelivery, NetError> {
+    let span = rec
+        .as_deref_mut()
+        .map(|rec| rec.open(Component::Net, label, now));
+    let run = policy.drive(now, rec.as_deref_mut(), attempt, count_net_retry);
+    if let (Some(rec), Some(span)) = (rec, span) {
+        if run.last > now {
+            // Recovery time is queueing, not service.
+            rec.queue_edge(span, run.last);
+        }
+        match &run.result {
+            Ok(d) => rec.close(span, d.done),
+            Err(e) => {
+                if matches!(e, NetError::Exhausted { .. }) {
+                    rec.bump("net:gave_up");
+                }
+                rec.close(span, run.last.max(now));
+            }
+        }
+    }
+    run.result.map(|d| ReliableDelivery {
+        done: d.done,
+        attempts: run.attempts,
+        wire_rounds: d.wire_rounds,
+    })
 }
 
 /// Outcome of a reliable (retrying) delivery.
@@ -287,90 +416,68 @@ impl Transport {
         now: Ns,
         bytes: u64,
     ) -> Result<Delivery, NetError> {
-        self.send_obs(net, from, to, now, bytes, None)
+        self.send_traced(net, from, to, now, bytes, None)
     }
 
-    /// [`Transport::send`] with optional utilization observation: when a
-    /// recorder rides along, the wire windows are claimed busy on the
-    /// links ([`Network::deliver_traced`]) and a busy-wire wait labels
-    /// `span`'s queueing edge. Timing is identical to `send`.
-    fn send_obs(
+    /// Sends one message and returns its delivery outcome.
+    ///
+    /// With a recorder, a `*:send` span covers the delivery (endpoint
+    /// processing + wire + extra rounds). When the protocol burns control
+    /// round trips before the tail of the data can land (TCP slow-start
+    /// windows, Homa's grant round), the span gets a queueing edge of that
+    /// length: the head of the delivery was spent waiting on the protocol,
+    /// not moving payload bytes. With the recorder's utilization plane
+    /// enabled the wire windows are additionally claimed busy on
+    /// `net:uplink:<src>` / `net:downlink:<dst>`, and a busy-wire wait
+    /// relabels the span's queueing edge with the gating link (the latest
+    /// resource wait wins).
+    pub fn send_traced(
         &self,
         net: &mut Network,
         from: Endpoint,
         to: Endpoint,
         now: Ns,
         bytes: u64,
-        obs: Option<(&mut Recorder, Option<SpanId>)>,
+        mut rec: Option<&mut Recorder>,
     ) -> Result<Delivery, NetError> {
-        let start = now + self.tx_cost(from.kind, bytes);
         let rounds = self.extra_rounds(bytes);
         // Each extra round costs one base RTT of control traffic before
         // the tail of the data lands.
         let round_penalty = net.base_latency(64) * rounds;
-        let arrival = match obs {
-            Some((rec, span)) => net.deliver_traced(from.node, to.node, start, bytes, rec, span)?,
-            None => net.deliver(from.node, to.node, start, bytes)?,
-        };
-        let done = arrival + round_penalty + self.rx_cost(to.kind, bytes);
-        Ok(Delivery {
-            done,
-            wire_rounds: rounds,
-        })
+        let span = rec.as_deref_mut().map(|rec| {
+            let span = rec.open(Component::Net, self.kind.send_label(), now);
+            if rounds > 0 {
+                rec.queue_edge(span, now + round_penalty);
+            }
+            span
+        });
+        let start = now + self.tx_cost(from.kind, bytes);
+        let result = net
+            .deliver_traced(from.node, to.node, start, bytes, rec.as_deref_mut(), span)
+            .map(|arrival| Delivery {
+                done: arrival + round_penalty + self.rx_cost(to.kind, bytes),
+                wire_rounds: rounds,
+            });
+        if let (Some(rec), Some(span)) = (rec, span) {
+            rec.close(span, result.as_ref().map_or(now, |d| d.done));
+        }
+        result
     }
 
     /// Sends one message with loss recovery: injected faults
     /// ([`NetError::Dropped`], [`NetError::Corrupted`],
-    /// [`NetError::LinkDown`]) are retried under `policy` — timeout on a
-    /// silent loss, immediate NACK on corruption, wait-for-carrier on a
-    /// flap — each followed by capped exponential backoff with
-    /// deterministic jitter. Caller mistakes ([`NetError::UnknownNode`])
-    /// are not retried; an exhausted budget returns
-    /// [`NetError::Exhausted`].
-    pub fn send_reliable(
-        &self,
-        net: &mut Network,
-        from: Endpoint,
-        to: Endpoint,
-        now: Ns,
-        bytes: u64,
-        policy: &RetryPolicy,
-    ) -> Result<ReliableDelivery, NetError> {
-        let attempts = policy.max_attempts.max(1);
-        let mut t = now;
-        for attempt in 0..attempts {
-            match self.send(net, from, to, t, bytes) {
-                Ok(d) => {
-                    return Ok(ReliableDelivery {
-                        done: d.done,
-                        attempts: attempt + 1,
-                        wire_rounds: d.wire_rounds,
-                    })
-                }
-                Err(NetError::Dropped) => {
-                    // Nothing came back: burn the full loss timeout.
-                    t += policy.timeout + policy.backoff(attempt);
-                }
-                Err(NetError::Corrupted { delivered_at }) => {
-                    // The receiver saw the bad checksum and NACKed.
-                    t = delivered_at.max(t) + policy.backoff(attempt);
-                }
-                Err(NetError::LinkDown { until }) => {
-                    // Carrier loss is visible: wait for the link, then
-                    // back off to avoid the post-flap thundering herd.
-                    t = until.max(t) + policy.backoff(attempt);
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        Err(NetError::Exhausted { attempts })
-    }
-
-    /// [`Transport::send_reliable`] with telemetry: a `*:send_reliable`
-    /// span covering the whole recovery, a queueing edge at the instant
-    /// the successful attempt finally started (so `critical_path`
-    /// attributes retry waits as queueing, not service), and
-    /// `net:retries` / `net:timeouts` / `net:gave_up` counters.
+    /// [`NetError::LinkDown`]) are retried under `policy` (see
+    /// [`RetryPolicy::retry_at`]). Caller mistakes
+    /// ([`NetError::UnknownNode`]) are not retried; an exhausted budget
+    /// returns [`NetError::Exhausted`].
+    ///
+    /// With a recorder: a `*:send_reliable` span covering the whole
+    /// recovery, a queueing edge at the instant the successful attempt
+    /// finally started (so `critical_path` attributes retry waits as
+    /// queueing, not service), `net:retries` / `net:timeouts` /
+    /// `net:corrupt` / `net:link_down` / `net:gave_up` counters, and a
+    /// `fault:net:*` instant per failed attempt. Each attempt is traced by
+    /// [`Transport::send_traced`].
     #[allow(clippy::too_many_arguments)]
     pub fn send_reliable_traced(
         &self,
@@ -380,111 +487,20 @@ impl Transport {
         now: Ns,
         bytes: u64,
         policy: &RetryPolicy,
-        rec: &mut Recorder,
+        rec: Option<&mut Recorder>,
     ) -> Result<ReliableDelivery, NetError> {
-        let span = rec.open(Component::Net, self.kind.reliable_label(), now);
-        let attempts = policy.max_attempts.max(1);
-        let mut t = now;
-        let mut result = Err(NetError::Exhausted { attempts });
-        for attempt in 0..attempts {
-            match self.send_obs(net, from, to, t, bytes, Some((rec, None))) {
-                Ok(d) => {
-                    result = Ok(ReliableDelivery {
-                        done: d.done,
-                        attempts: attempt + 1,
-                        wire_rounds: d.wire_rounds,
-                    });
-                    break;
-                }
-                Err(NetError::Dropped) => {
-                    rec.bump("net:timeouts");
-                    rec.bump("net:retries");
-                    rec.instant("fault:net:drop", t);
-                    t += policy.timeout + policy.backoff(attempt);
-                }
-                Err(NetError::Corrupted { delivered_at }) => {
-                    rec.bump("net:corrupt");
-                    rec.bump("net:retries");
-                    rec.instant("fault:net:corrupt", delivered_at);
-                    t = delivered_at.max(t) + policy.backoff(attempt);
-                }
-                Err(NetError::LinkDown { until }) => {
-                    rec.bump("net:link_down");
-                    rec.bump("net:retries");
-                    rec.instant("fault:net:flap", t);
-                    t = until.max(t) + policy.backoff(attempt);
-                }
-                Err(e) => {
-                    result = Err(e);
-                    break;
-                }
-            }
-        }
-        if t > now {
-            // Recovery time is queueing, not service.
-            rec.queue_edge(span, t);
-        }
-        match &result {
-            Ok(d) => rec.close(span, d.done),
-            Err(e) => {
-                if matches!(e, NetError::Exhausted { .. }) {
-                    rec.bump("net:gave_up");
-                }
-                rec.close(span, t.max(now));
-            }
-        }
-        result
+        reliable(self.kind.reliable_label(), now, policy, rec, |t, _, rec| {
+            self.send_traced(net, from, to, t, bytes, rec)
+        })
     }
 
     /// A full request/response exchange with loss recovery: the *whole*
     /// exchange (request leg, server work, response leg) is retried as a
     /// unit under `policy` — the RPC idiom, where a client that hears
     /// nothing back cannot tell which leg was lost and simply re-issues.
-    /// Recovery semantics per fault match [`Transport::send_reliable`];
-    /// an exhausted budget returns [`NetError::Exhausted`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn request_reliable(
-        &self,
-        net: &mut Network,
-        client: Endpoint,
-        server: Endpoint,
-        now: Ns,
-        req_bytes: u64,
-        resp_bytes: u64,
-        server_work: Ns,
-        policy: &RetryPolicy,
-    ) -> Result<ReliableDelivery, NetError> {
-        let attempts = policy.max_attempts.max(1);
-        let mut t = now;
-        for attempt in 0..attempts {
-            match self.request(net, client, server, t, req_bytes, resp_bytes, server_work) {
-                Ok(d) => {
-                    return Ok(ReliableDelivery {
-                        done: d.done,
-                        attempts: attempt + 1,
-                        wire_rounds: d.wire_rounds,
-                    })
-                }
-                Err(NetError::Dropped) => {
-                    t += policy.timeout + policy.backoff(attempt);
-                }
-                Err(NetError::Corrupted { delivered_at }) => {
-                    t = delivered_at.max(t) + policy.backoff(attempt);
-                }
-                Err(NetError::LinkDown { until }) => {
-                    t = until.max(t) + policy.backoff(attempt);
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        Err(NetError::Exhausted { attempts })
-    }
-
-    /// [`Transport::request_reliable`] with telemetry: a
-    /// `*:request_reliable` span covering the whole recovery, a queueing
-    /// edge at the instant the successful attempt started (retry waits
-    /// are queueing, not service), and the same `net:*` counters as
-    /// [`Transport::send_reliable_traced`].
+    /// Recovery and telemetry match [`Transport::send_reliable_traced`],
+    /// under a `*:request_reliable` span; each attempt is traced by
+    /// [`Transport::request_traced`].
     #[allow(clippy::too_many_arguments)]
     pub fn request_reliable_traced(
         &self,
@@ -496,14 +512,11 @@ impl Transport {
         resp_bytes: u64,
         server_work: Ns,
         policy: &RetryPolicy,
-        rec: &mut Recorder,
+        rec: Option<&mut Recorder>,
     ) -> Result<ReliableDelivery, NetError> {
-        let span = rec.open(Component::Net, self.kind.reliable_request_label(), now);
-        let attempts = policy.max_attempts.max(1);
-        let mut t = now;
-        let mut result = Err(NetError::Exhausted { attempts });
-        for attempt in 0..attempts {
-            match self.request_obs(
+        let label = self.kind.reliable_request_label();
+        reliable(label, now, policy, rec, |t, _, rec| {
+            self.request_traced(
                 net,
                 client,
                 server,
@@ -511,53 +524,9 @@ impl Transport {
                 req_bytes,
                 resp_bytes,
                 server_work,
-                Some(rec),
-            ) {
-                Ok(d) => {
-                    result = Ok(ReliableDelivery {
-                        done: d.done,
-                        attempts: attempt + 1,
-                        wire_rounds: d.wire_rounds,
-                    });
-                    break;
-                }
-                Err(NetError::Dropped) => {
-                    rec.bump("net:timeouts");
-                    rec.bump("net:retries");
-                    rec.instant("fault:net:drop", t);
-                    t += policy.timeout + policy.backoff(attempt);
-                }
-                Err(NetError::Corrupted { delivered_at }) => {
-                    rec.bump("net:corrupt");
-                    rec.bump("net:retries");
-                    rec.instant("fault:net:corrupt", delivered_at);
-                    t = delivered_at.max(t) + policy.backoff(attempt);
-                }
-                Err(NetError::LinkDown { until }) => {
-                    rec.bump("net:link_down");
-                    rec.bump("net:retries");
-                    rec.instant("fault:net:flap", t);
-                    t = until.max(t) + policy.backoff(attempt);
-                }
-                Err(e) => {
-                    result = Err(e);
-                    break;
-                }
-            }
-        }
-        if t > now {
-            rec.queue_edge(span, t);
-        }
-        match &result {
-            Ok(d) => rec.close(span, d.done),
-            Err(e) => {
-                if matches!(e, NetError::Exhausted { .. }) {
-                    rec.bump("net:gave_up");
-                }
-                rec.close(span, t.max(now));
-            }
-        }
-        result
+                rec,
+            )
+        })
     }
 
     /// A full request/response exchange: client → server (request),
@@ -570,106 +539,11 @@ impl Transport {
     /// and the server's *CPU* contributes no work (`server_work` is still
     /// charged — it stands for device-side work like a flash read — but no
     /// kernel processing is added).
-    #[allow(clippy::too_many_arguments)]
-    pub fn request(
-        &self,
-        net: &mut Network,
-        client: Endpoint,
-        server: Endpoint,
-        now: Ns,
-        req_bytes: u64,
-        resp_bytes: u64,
-        server_work: Ns,
-    ) -> Result<Delivery, NetError> {
-        self.request_obs(
-            net,
-            client,
-            server,
-            now,
-            req_bytes,
-            resp_bytes,
-            server_work,
-            None,
-        )
-    }
-
-    /// [`Transport::request`] with optional utilization observation on
-    /// both legs (see [`Transport::send_obs`]). Timing is identical.
-    #[allow(clippy::too_many_arguments)]
-    fn request_obs(
-        &self,
-        net: &mut Network,
-        client: Endpoint,
-        server: Endpoint,
-        now: Ns,
-        req_bytes: u64,
-        resp_bytes: u64,
-        server_work: Ns,
-        mut rec: Option<&mut Recorder>,
-    ) -> Result<Delivery, NetError> {
-        let req = self.send_obs(
-            net,
-            client,
-            server,
-            now,
-            req_bytes,
-            rec.as_deref_mut().map(|r| (r, None)),
-        )?;
-        let served = req.done + server_work;
-        let resp = self.send_obs(
-            net,
-            server,
-            client,
-            served,
-            resp_bytes,
-            rec.map(|r| (r, None)),
-        )?;
-        Ok(Delivery {
-            done: resp.done,
-            wire_rounds: 1 + req.wire_rounds + resp.wire_rounds,
-        })
-    }
-
-    /// [`Transport::send`] with a telemetry span covering the delivery
-    /// (endpoint processing + wire + extra rounds). When the protocol
-    /// burns control round trips before the tail of the data can land
-    /// (TCP slow-start windows, Homa's grant round), the span gets a
-    /// queueing edge of that length: the head of the delivery was spent
-    /// waiting on the protocol, not moving payload bytes.
     ///
-    /// With the recorder's utilization plane enabled the wire windows are
-    /// additionally claimed busy on `net:uplink:<src>` /
-    /// `net:downlink:<dst>`, and a busy-wire wait relabels the span's
-    /// queueing edge with the gating link (the latest resource wait wins).
-    pub fn send_traced(
-        &self,
-        net: &mut Network,
-        from: Endpoint,
-        to: Endpoint,
-        now: Ns,
-        bytes: u64,
-        rec: &mut Recorder,
-    ) -> Result<Delivery, NetError> {
-        let span = rec.open(Component::Net, self.kind.send_label(), now);
-        let rounds = self.extra_rounds(bytes);
-        if rounds > 0 {
-            rec.queue_edge(span, now + net.base_latency(64) * rounds);
-        }
-        match self.send_obs(net, from, to, now, bytes, Some((rec, Some(span)))) {
-            Ok(d) => {
-                rec.close(span, d.done);
-                Ok(d)
-            }
-            Err(e) => {
-                rec.close(span, now);
-                Err(e)
-            }
-        }
-    }
-
-    /// [`Transport::request`] with per-leg telemetry: a `*:request` span
-    /// covering the whole exchange, nested `*:send` spans for each leg,
-    /// and the server residency recorded as a [`Component::Service`] hop.
+    /// With a recorder: a `*:request` span covering the whole exchange,
+    /// nested `*:send` spans for each leg (see
+    /// [`Transport::send_traced`]), and the server residency recorded as a
+    /// [`Component::Service`] hop.
     #[allow(clippy::too_many_arguments)]
     pub fn request_traced(
         &self,
@@ -680,24 +554,28 @@ impl Transport {
         req_bytes: u64,
         resp_bytes: u64,
         server_work: Ns,
-        rec: &mut Recorder,
+        mut rec: Option<&mut Recorder>,
     ) -> Result<Delivery, NetError> {
-        let span = rec.open(Component::Net, self.kind.request_label(), now);
+        let span = rec
+            .as_deref_mut()
+            .map(|rec| rec.open(Component::Net, self.kind.request_label(), now));
         let result = (|| {
-            let req = self.send_traced(net, client, server, now, req_bytes, rec)?;
+            let req = self.send_traced(net, client, server, now, req_bytes, rec.as_deref_mut())?;
             let served = req.done + server_work;
-            if server_work > Ns::ZERO {
-                rec.record_hop(Component::Service, "server:work", req.done, served);
+            if let Some(rec) = rec.as_deref_mut() {
+                if server_work > Ns::ZERO {
+                    rec.record_hop(Component::Service, "server:work", req.done, served);
+                }
             }
-            let resp = self.send_traced(net, server, client, served, resp_bytes, rec)?;
+            let resp =
+                self.send_traced(net, server, client, served, resp_bytes, rec.as_deref_mut())?;
             Ok(Delivery {
                 done: resp.done,
                 wire_rounds: 1 + req.wire_rounds + resp.wire_rounds,
             })
         })();
-        match &result {
-            Ok(d) => rec.close(span, d.done),
-            Err(_) => rec.close(span, now),
+        if let (Some(rec), Some(span)) = (rec, span) {
+            rec.close(span, result.as_ref().map_or(now, |d| d.done));
         }
         result
     }
@@ -766,7 +644,7 @@ mod tests {
     fn request_counts_one_rtt_minimum() {
         let (mut net, a, b) = pair(EndpointKind::Hardware);
         let d = Transport::new(TransportKind::Udp)
-            .request(&mut net, a, b, Ns::ZERO, 64, 4096, Ns(1_000))
+            .request_traced(&mut net, a, b, Ns::ZERO, 64, 4096, Ns(1_000), None)
             .unwrap();
         assert_eq!(d.wire_rounds, 1);
         assert!(d.done > Ns(1_000));
@@ -793,7 +671,9 @@ mod tests {
         let mut recovered = 0u32;
         let mut t = Ns::ZERO;
         for _ in 0..32 {
-            if let Ok(d) = tr.send_reliable(&mut net, a, b, t, 64, &RetryPolicy::DEFAULT) {
+            if let Ok(d) =
+                tr.send_reliable_traced(&mut net, a, b, t, 64, &RetryPolicy::DEFAULT, None)
+            {
                 if d.attempts > 1 {
                     recovered += 1;
                 }
@@ -815,7 +695,7 @@ mod tests {
             max_attempts: 3,
             ..RetryPolicy::DEFAULT
         };
-        match tr.send_reliable(&mut net, a, b, Ns::ZERO, 64, &policy) {
+        match tr.send_reliable_traced(&mut net, a, b, Ns::ZERO, 64, &policy, None) {
             Err(NetError::Exhausted { attempts }) => assert_eq!(attempts, 3),
             other => panic!("expected Exhausted, got {other:?}"),
         }
@@ -838,7 +718,7 @@ mod tests {
             ..RetryPolicy::DEFAULT
         };
         let d = tr
-            .request_reliable(&mut net, a, b, Ns::ZERO, 64, 64, Ns(1_000), &policy)
+            .request_reliable_traced(&mut net, a, b, Ns::ZERO, 64, 64, Ns(1_000), &policy, None)
             .unwrap();
         assert!(d.attempts > 1, "must have retried through the partition");
         assert!(d.done > Ns(150_000), "cannot finish inside the window");
@@ -850,7 +730,17 @@ mod tests {
             Ns(150_000),
         ));
         let d2 = tr
-            .request_reliable(&mut net2, a2, b2, Ns::ZERO, 64, 64, Ns(1_000), &policy)
+            .request_reliable_traced(
+                &mut net2,
+                a2,
+                b2,
+                Ns::ZERO,
+                64,
+                64,
+                Ns(1_000),
+                &policy,
+                None,
+            )
             .unwrap();
         assert_eq!(d, d2);
     }
@@ -867,7 +757,8 @@ mod tests {
             max_attempts: 3,
             ..RetryPolicy::DEFAULT
         };
-        match tr.request_reliable(&mut net, a, b, Ns::ZERO, 64, 64, Ns::ZERO, &policy) {
+        match tr.request_reliable_traced(&mut net, a, b, Ns::ZERO, 64, 64, Ns::ZERO, &policy, None)
+        {
             Err(NetError::Exhausted { attempts }) => assert_eq!(attempts, 3),
             other => panic!("expected Exhausted, got {other:?}"),
         }
@@ -895,7 +786,7 @@ mod tests {
             64,
             Ns::ZERO,
             &policy,
-            &mut rec,
+            Some(&mut rec),
         );
         assert!(matches!(r, Err(NetError::Exhausted { attempts: 2 })));
         assert_eq!(rec.counter("net:retries"), 2);
@@ -915,7 +806,7 @@ mod tests {
             max_attempts: 2,
             ..RetryPolicy::DEFAULT
         };
-        let r = tr.send_reliable_traced(&mut net, a, b, Ns::ZERO, 64, &policy, &mut rec);
+        let r = tr.send_reliable_traced(&mut net, a, b, Ns::ZERO, 64, &policy, Some(&mut rec));
         assert!(matches!(r, Err(NetError::Exhausted { attempts: 2 })));
         assert_eq!(rec.counter("net:retries"), 2);
         assert_eq!(rec.counter("net:timeouts"), 2);
@@ -935,8 +826,8 @@ mod tests {
         let tr = Transport::new(TransportKind::Udp);
         let mut rec = Recorder::new("incast");
         rec.enable_util();
-        let a = tr.send_traced(&mut net, s1, sink, Ns::ZERO, 1 << 20, &mut rec);
-        let b = tr.send_traced(&mut net, s2, sink, Ns::ZERO, 1 << 20, &mut rec);
+        let a = tr.send_traced(&mut net, s1, sink, Ns::ZERO, 1 << 20, Some(&mut rec));
+        let b = tr.send_traced(&mut net, s2, sink, Ns::ZERO, 1 << 20, Some(&mut rec));
         let (a, b) = (a.unwrap(), b.unwrap());
         assert!(b.done > a.done);
         for id in ["net:uplink:1", "net:uplink:2", "net:downlink:0"] {
@@ -952,7 +843,7 @@ mod tests {
         assert_eq!(down, Ns(up.0 * 2));
         assert_eq!(rec.edge_resources().len(), 1);
         assert_eq!(rec.edge_resources()[0].1, "net:downlink:0");
-        // Timing parity with the untraced path.
+        // Timing parity with the recorder-free (`None`) path.
         let mut plain = Network::new();
         let p_sink = Endpoint::new(plain.add_node(), EndpointKind::Hardware);
         let p1 = Endpoint::new(plain.add_node(), EndpointKind::Hardware);
@@ -978,7 +869,7 @@ mod tests {
             max_attempts: 2,
             ..RetryPolicy::DEFAULT
         };
-        let _ = tr.send_reliable_traced(&mut net, a, b, Ns::ZERO, 64, &policy, &mut rec);
+        let _ = tr.send_reliable_traced(&mut net, a, b, Ns::ZERO, 64, &policy, Some(&mut rec));
         assert_eq!(rec.instants().len(), 2);
         assert!(rec.instants().iter().all(|(n, _)| n == "fault:net:drop"));
     }
@@ -987,11 +878,11 @@ mod tests {
     fn hardware_endpoints_beat_kernel_endpoints() {
         let (mut net, a, b) = pair(EndpointKind::Hardware);
         let hw = Transport::new(TransportKind::Udp)
-            .request(&mut net, a, b, Ns::ZERO, 64, 64, Ns::ZERO)
+            .request_traced(&mut net, a, b, Ns::ZERO, 64, 64, Ns::ZERO, None)
             .unwrap();
         let (mut net2, a2, b2) = pair(EndpointKind::Kernel);
         let sw = Transport::new(TransportKind::Udp)
-            .request(&mut net2, a2, b2, Ns::ZERO, 64, 64, Ns::ZERO)
+            .request_traced(&mut net2, a2, b2, Ns::ZERO, 64, 64, Ns::ZERO, None)
             .unwrap();
         assert!(
             sw.done > hw.done + Ns(8_000),

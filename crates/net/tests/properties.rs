@@ -95,7 +95,7 @@ proptest! {
         let c = Endpoint::new(net.add_node(), EndpointKind::Kernel);
         let s = Endpoint::new(net.add_node(), EndpointKind::Hardware);
         let d = Transport::new(kind)
-            .request(&mut net, c, s, Ns::ZERO, 64, 64, Ns(work))
+            .request_traced(&mut net, c, s, Ns::ZERO, 64, 64, Ns(work), None)
             .unwrap();
         prop_assert!(d.wire_rounds >= 1);
         prop_assert!(d.done >= Ns(work));
@@ -112,7 +112,7 @@ proptest! {
         let mut last = Ns::ZERO;
         for &s in &sizes {
             // All sent at t=0: the uplink serializes them FIFO.
-            let arrival = net.deliver(a, b, Ns::ZERO, s).unwrap();
+            let arrival = net.deliver_traced(a, b, Ns::ZERO, s, None, None).unwrap();
             prop_assert!(arrival >= last);
             last = arrival;
         }

@@ -353,102 +353,93 @@ impl NvmeDevice {
             .count()
     }
 
+    /// Executes a command arriving at the controller at `now` (see
+    /// [`NvmeDevice::submit_traced`]).
+    pub fn submit(&mut self, cmd: Command, now: Ns) -> Result<Completion, NvmeError> {
+        self.submit_traced(cmd, now, None)
+    }
+
     /// Executes a command arriving at the controller at `now`.
     ///
     /// Timing includes controller overhead plus flash work; state changes
     /// are applied synchronously (the simulated completion instant tells
     /// callers when they become visible).
-    pub fn submit(&mut self, cmd: Command, now: Ns) -> Result<Completion, NvmeError> {
-        while self.outstanding.peek().is_some_and(|&Reverse(d)| d <= now) {
-            self.outstanding.pop();
-        }
-        let mut completion = self.execute(cmd, now)?;
-        if !self.faults.is_empty() && self.faults.fires(FAULT_NVME_LATENCY_SPIKE, now) {
-            // Internal pause (GC, thermal throttle): the command
-            // completes, late.
-            completion.done += params::READ_LATENCY * 8;
-            self.counters.bump("latency_spikes");
-        }
-        self.outstanding.push(Reverse(completion.done));
-        Ok(completion)
-    }
-
-    /// [`NvmeDevice::submit`] with a telemetry span over the command and a
+    ///
+    /// With a recorder: a telemetry span over the command and a
     /// queue-depth gauge sampled at submission. Page-addressed commands
     /// whose target die is busy get a queueing edge on the span, so the
     /// critical-path analyzer can split die contention from media time.
+    /// Recovery work (media errors, retries, remaps, latency spikes) is
+    /// counted and marked with `fault:nvme:*` instants. With the
+    /// utilization plane on, the flash channels and dies the command
+    /// occupied are claimed busy and the submission queue depth is sampled.
     pub fn submit_traced(
         &mut self,
         cmd: Command,
         now: Ns,
-        rec: &mut Recorder,
+        mut rec: Option<&mut Recorder>,
     ) -> Result<Completion, NvmeError> {
-        rec.gauge("nvme:queue_depth", self.queue_depth_at(now) as u64);
-        let util = rec.util_enabled();
-        let span = rec.open(Component::Nvme, cmd.label(), now);
-        // The command reaches the flash after controller overhead; only
-        // LBA-addressed ops map to a die we can query up front.
-        if let Command::Read { lba, .. } | Command::Write { lba, .. } = &cmd {
-            let arrive = now + params::CONTROLLER_OVERHEAD;
-            let page = Self::page_of(*lba);
-            let wait = self.flash.queue_wait(page, arrive);
-            if wait > Ns::ZERO {
-                if util {
-                    let (_, die) = self.flash.placement(page);
-                    rec.queue_edge_labeled(span, arrive + wait, &format!("nvme:die{die}"));
-                } else {
-                    rec.queue_edge(span, arrive + wait);
+        let obs = rec.as_deref_mut().map(|rec| {
+            rec.gauge("nvme:queue_depth", self.queue_depth_at(now) as u64);
+            let util = rec.util_enabled();
+            let span = rec.open(Component::Nvme, cmd.label(), now);
+            // The command reaches the flash after controller overhead;
+            // only LBA-addressed ops map to a die we can query up front.
+            if let Command::Read { lba, .. } | Command::Write { lba, .. } = &cmd {
+                let arrive = now + params::CONTROLLER_OVERHEAD;
+                let page = Self::page_of(*lba);
+                let wait = self.flash.queue_wait(page, arrive);
+                if wait > Ns::ZERO {
+                    if util {
+                        let (_, die) = self.flash.placement(page);
+                        rec.queue_edge_labeled(span, arrive + wait, &format!("nvme:die{die}"));
+                    } else {
+                        rec.queue_edge(span, arrive + wait);
+                    }
                 }
             }
-        }
-        if util {
-            rec.depth_sample("nvme:sq", now, self.queue_depth_at(now) as u64);
-            self.flash.begin_trace();
-        }
-        let recovery_before = [
-            self.counters.get("media_errors"),
-            self.counters.get("read_retries"),
-            self.counters.get("remaps"),
-            self.counters.get("latency_spikes"),
-            self.counters.get("media_failures"),
-        ];
-        let result = self.submit(cmd, now);
-        if util {
-            for c in self.flash.end_trace() {
-                let id = if c.channel {
-                    format!("nvme:ch{}", c.index)
-                } else {
-                    format!("nvme:die{}", c.index)
-                };
-                rec.claim_busy(&id, c.start, c.end);
+            if util {
+                rec.depth_sample("nvme:sq", now, self.queue_depth_at(now) as u64);
+                self.flash.begin_trace();
             }
+            let recovery_before =
+                RECOVERY_COUNTERS.map(|name| self.counters.get(&name["nvme:".len()..]));
+            (span, util, recovery_before)
+        });
+        while self.outstanding.peek().is_some_and(|&Reverse(d)| d <= now) {
+            self.outstanding.pop();
         }
-        for (name, before) in [
-            "nvme:media_errors",
-            "nvme:read_retries",
-            "nvme:remaps",
-            "nvme:latency_spikes",
-            "nvme:media_failures",
-        ]
-        .into_iter()
-        .zip(recovery_before)
-        {
-            let after = self.counters.get(name.trim_start_matches("nvme:"));
-            if after > before {
-                rec.count(name, after - before);
-                rec.instant(&format!("fault:{name}"), now);
+        let result = self.execute(cmd, now).map(|mut completion| {
+            if !self.faults.is_empty() && self.faults.fires(FAULT_NVME_LATENCY_SPIKE, now) {
+                // Internal pause (GC, thermal throttle): the command
+                // completes, late.
+                completion.done += params::READ_LATENCY * 8;
+                self.counters.bump("latency_spikes");
             }
+            self.outstanding.push(Reverse(completion.done));
+            completion
+        });
+        if let (Some(rec), Some((span, util, recovery_before))) = (rec, obs) {
+            if util {
+                for c in self.flash.end_trace() {
+                    let id = if c.channel {
+                        format!("nvme:ch{}", c.index)
+                    } else {
+                        format!("nvme:die{}", c.index)
+                    };
+                    rec.claim_busy(&id, c.start, c.end);
+                }
+            }
+            for (name, before) in RECOVERY_COUNTERS.into_iter().zip(recovery_before) {
+                let after = self.counters.get(&name["nvme:".len()..]);
+                if after > before {
+                    rec.count(name, after - before);
+                    rec.instant(&format!("fault:{name}"), now);
+                }
+            }
+            rec.close(span, result.as_ref().map_or(now, |c| c.done));
         }
-        match result {
-            Ok(c) => {
-                rec.close(span, c.done);
-                Ok(c)
-            }
-            Err(e) => {
-                rec.close(span, now);
-                Err(e)
-            }
-        }
+        result
     }
 
     fn execute(&mut self, cmd: Command, now: Ns) -> Result<Completion, NvmeError> {
@@ -698,6 +689,17 @@ impl NvmeDevice {
         Bytes::from(out)
     }
 }
+
+/// Device recovery counters mirrored into telemetry by
+/// [`NvmeDevice::submit_traced`] (the device counter is the name without
+/// its `nvme:` prefix).
+const RECOVERY_COUNTERS: [&str; 5] = [
+    "nvme:media_errors",
+    "nvme:read_retries",
+    "nvme:remaps",
+    "nvme:latency_spikes",
+    "nvme:media_failures",
+];
 
 /// Deterministic timing placement for KV keys on the flash array.
 fn key_page(key: &[u8]) -> u64 {
@@ -1012,12 +1014,20 @@ mod tests {
         let mut rec = Recorder::new("nvme-util");
         rec.enable_util();
         let a = d
-            .submit_traced(Command::Read { lba: 0, blocks: 1 }, Ns::ZERO, &mut rec)
+            .submit_traced(
+                Command::Read { lba: 0, blocks: 1 },
+                Ns::ZERO,
+                Some(&mut rec),
+            )
             .unwrap();
         // Same page again at t=0: queues on the same die, so the second
         // span's queueing edge must blame that die.
         let b = d
-            .submit_traced(Command::Read { lba: 0, blocks: 1 }, Ns::ZERO, &mut rec)
+            .submit_traced(
+                Command::Read { lba: 0, blocks: 1 },
+                Ns::ZERO,
+                Some(&mut rec),
+            )
             .unwrap();
         assert!(b.done > a.done);
         let die = rec.util().resource("nvme:die0").expect("die claimed");
@@ -1025,7 +1035,7 @@ mod tests {
         assert!(rec.util().resource("nvme:ch0").is_some());
         assert_eq!(rec.edge_resources().len(), 1);
         assert_eq!(rec.edge_resources()[0].1, "nvme:die0");
-        // Timing parity with the untraced path.
+        // Timing parity with the recorder-free (`None`) path.
         let mut plain = NvmeDevice::new_block(1 << 20);
         let pa = plain
             .submit(Command::Read { lba: 0, blocks: 1 }, Ns::ZERO)
@@ -1050,8 +1060,12 @@ mod tests {
             clean + Ns(1),
         ));
         let mut rec = Recorder::new("nvme-faults");
-        d2.submit_traced(Command::Read { lba: 0, blocks: 1 }, Ns::ZERO, &mut rec)
-            .unwrap();
+        d2.submit_traced(
+            Command::Read { lba: 0, blocks: 1 },
+            Ns::ZERO,
+            Some(&mut rec),
+        )
+        .unwrap();
         let names: Vec<&str> = rec.instants().iter().map(|(n, _)| n.as_str()).collect();
         assert!(names.contains(&"fault:nvme:media_errors"));
         assert!(names.contains(&"fault:nvme:remaps"));

@@ -173,44 +173,6 @@ impl fmt::Display for Ns {
     }
 }
 
-/// A monotonically advancing virtual clock.
-///
-/// The clock is the single source of "now" for a simulation scenario.
-/// Components never advance it themselves; the scenario driver does, which
-/// keeps causality explicit and timelines reproducible.
-#[derive(Debug, Clone, Default)]
-pub struct Clock {
-    now: Ns,
-}
-
-impl Clock {
-    /// Creates a clock at the simulation epoch.
-    pub fn new() -> Clock {
-        Clock { now: Ns::ZERO }
-    }
-
-    /// Returns the current virtual time.
-    pub fn now(&self) -> Ns {
-        self.now
-    }
-
-    /// Advances the clock by `dt`.
-    pub fn advance(&mut self, dt: Ns) {
-        self.now += dt;
-    }
-
-    /// Moves the clock forward to `t` if `t` is in the future.
-    ///
-    /// Moving to a past instant is a no-op rather than an error: completion
-    /// callbacks frequently race on equal timestamps and the clock must stay
-    /// monotone regardless of arrival order.
-    pub fn advance_to(&mut self, t: Ns) {
-        if t > self.now {
-            self.now = t;
-        }
-    }
-}
-
 /// Converts a byte count and a bandwidth (in bits per second) into the
 /// serialization delay, rounding up to whole nanoseconds.
 ///
@@ -266,16 +228,6 @@ mod tests {
     fn sum_over_iterator() {
         let total: Ns = [Ns(1), Ns(2), Ns(3)].into_iter().sum();
         assert_eq!(total, Ns(6));
-    }
-
-    #[test]
-    fn clock_is_monotone() {
-        let mut c = Clock::new();
-        c.advance(Ns(5));
-        c.advance_to(Ns(3)); // in the past: no-op
-        assert_eq!(c.now(), Ns(5));
-        c.advance_to(Ns(9));
-        assert_eq!(c.now(), Ns(9));
     }
 
     #[test]

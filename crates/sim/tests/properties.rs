@@ -1,6 +1,5 @@
 //! Property-based tests for the simulation kernel's core invariants.
 
-use hyperion_sim::des::Engine;
 use hyperion_sim::resource::Resource;
 use hyperion_sim::rng::{Rng, Zipf};
 use hyperion_sim::stats::Histogram;
@@ -46,29 +45,6 @@ proptest! {
             last_many = last_many.max(many.access(Ns::ZERO, Ns(svc)));
         }
         prop_assert!(last_many <= last_one);
-    }
-
-    /// The DES engine delivers events in non-decreasing time order and the
-    /// same schedule replays identically.
-    #[test]
-    fn des_ordering_and_determinism(
-        times in proptest::collection::vec(0u64..100_000, 1..300),
-    ) {
-        let run = |ts: &[u64]| -> Vec<(u64, usize)> {
-            let mut e: Engine<usize, Vec<(u64, usize)>> = Engine::new(Vec::new());
-            for (i, &t) in ts.iter().enumerate() {
-                e.scheduler().at(Ns(t), i);
-            }
-            e.run(|log, ev, s| log.push((s.now().0, ev)));
-            e.into_state()
-        };
-        let a = run(&times);
-        let b = run(&times);
-        prop_assert_eq!(&a, &b);
-        for w in a.windows(2) {
-            prop_assert!(w[0].0 <= w[1].0);
-        }
-        prop_assert_eq!(a.len(), times.len());
     }
 
     /// Identically seeded RNGs agree on every derived sampling operation.

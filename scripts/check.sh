@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Pre-merge gate: formatting, lints, and the full test suite.
+# Pre-merge gate: formatting, lints, rustdoc, and the full test suite.
 #
 # Run from the repository root:
 #   ./scripts/check.sh
@@ -14,6 +14,9 @@ echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 # perfbench is its own Cargo workspace; --workspace never reaches it.
 cargo clippy --offline --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
+
+echo "==> cargo doc (deny warnings: broken intra-doc links fail)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "==> cargo test"
 cargo test --workspace -q

@@ -29,9 +29,9 @@ fn traced_chase(keys: u64, lookups: u64, kind: TransportKind) -> String {
     let mut t = t0;
     for i in 0..lookups {
         let key = (i * keys / lookups).min(keys - 1);
-        let cli = client_driven_lookup_traced(&mut dpu, &mut ch, &mut net, key, t, &mut rec);
+        let cli = client_driven_lookup_traced(&mut dpu, &mut ch, &mut net, key, t, Some(&mut rec));
         t = cli.done;
-        let off = offloaded_lookup_traced(&mut dpu, &mut ch, &mut net, key, t, &mut rec);
+        let off = offloaded_lookup_traced(&mut dpu, &mut ch, &mut net, key, t, Some(&mut rec));
         t = off.done;
     }
     assert_eq!(rec.open_spans(), 0, "instrumentation must close every span");
@@ -62,7 +62,7 @@ fn merged_recorders_dump_deterministically() {
             let server = Endpoint::new(net.add_node(), EndpointKind::Hardware);
             let mut ch = RpcChannel::new(client, server, Transport::new(TransportKind::Udp));
             let mut rec = Recorder::new("part");
-            offloaded_lookup_traced(&mut dpu, &mut ch, &mut net, k / 2, t0, &mut rec);
+            offloaded_lookup_traced(&mut dpu, &mut ch, &mut net, k / 2, t0, Some(&mut rec));
             base.merge(&rec);
         }
         to_json(&base)
