@@ -11,10 +11,9 @@
 //! must keep their backend (connection affinity), which is why the state
 //! must be kept somewhere at all.
 
-use std::collections::HashMap;
-
 use hyperion_nvme::device::{Command, NvmeDevice, Response};
 use hyperion_nvme::params::LBA_SIZE;
+use hyperion_sim::hash::IntMap;
 use hyperion_sim::stats::Counters;
 use hyperion_sim::time::Ns;
 
@@ -152,7 +151,7 @@ pub struct LoadBalancer {
     backends: u32,
     dram_capacity: usize,
     /// flow hash -> (backend, residence).
-    table: HashMap<u64, (BackendId, Residence)>,
+    table: IntMap<u64, (BackendId, Residence)>,
     /// LRU order for spill decisions.
     lru: Lru,
     spill: NvmeDevice,
@@ -195,7 +194,7 @@ impl LoadBalancer {
         LoadBalancer {
             backends,
             dram_capacity,
-            table: HashMap::new(),
+            table: IntMap::default(),
             lru: Lru::new(),
             spill: NvmeDevice::new_block(spill_lbas),
             spill_cursor: 0,
@@ -403,7 +402,7 @@ mod tests {
         for seed in 0..8 {
             let mut rng = Rng::seeded(seed);
             let mut lru = Lru::new();
-            let mut slots: HashMap<u64, u32> = HashMap::new();
+            let mut slots: IntMap<u64, u32> = IntMap::default();
             let mut reference: VecDeque<u64> = VecDeque::new();
             let mut reused = 0;
             for _ in 0..4_000 {
@@ -439,6 +438,68 @@ mod tests {
                 assert_eq!(lru.pop_front(), Some(flow), "seed {seed}");
             }
             assert_eq!((lru.pop_front(), lru.len()), (None, 0));
+        }
+    }
+
+    #[test]
+    fn spill_pages_hold_the_evicted_flows_in_order() {
+        use hyperion_sim::rng::Rng;
+        use std::collections::VecDeque;
+        const DRAM: usize = 64;
+        for batch in [1, SPILL_BATCH] {
+            let mut rng = Rng::seeded(batch as u64);
+            let mut lb = LoadBalancer::with_spill_batch(4, DRAM, 1 << 16, batch);
+            // Reference LRU of DRAM-resident flows (front = coldest), and
+            // every eviction in order with the flow's backend.
+            let mut resident: VecDeque<(u64, BackendId)> = VecDeque::new();
+            let mut evicted: Vec<(u64, BackendId)> = Vec::new();
+            let mut t = Ns::ZERO;
+            while evicted.len() < 3 * SPILL_BATCH + SPILL_BATCH / 2 {
+                if rng.chance(0.3) && !resident.is_empty() {
+                    // A DRAM hit reorders the LRU, so eviction order is
+                    // not arrival order.
+                    let i = rng.next_below(resident.len() as u64) as usize;
+                    let (flow, backend) = resident.remove(i).expect("index in range");
+                    let (b, done) = lb.steer(flow, t);
+                    assert_eq!(b, backend);
+                    resident.push_back((flow, backend));
+                    t = done;
+                } else {
+                    let flow = rng.next_u64();
+                    let (backend, done) = lb.steer(flow, t);
+                    if resident.len() == DRAM {
+                        evicted.extend(resident.pop_front());
+                    }
+                    resident.push_back((flow, backend));
+                    t = done;
+                }
+            }
+            assert_eq!(lb.counters.get("hits_flash"), 0);
+            let pages = evicted.len() / batch;
+            assert_eq!(lb.counters.get("spill_pages"), pages as u64);
+            for (lba, flows) in evicted.chunks_exact(batch).enumerate() {
+                let c = lb
+                    .spill
+                    .submit(
+                        Command::Read {
+                            lba: lba as u64,
+                            blocks: 1,
+                        },
+                        t,
+                    )
+                    .expect("spill read");
+                let Response::Data(page) = c.response else {
+                    panic!("read returns data");
+                };
+                assert_eq!(page.len(), LBA_SIZE as usize, "batch {batch} lba {lba}");
+                let (records, rest) = page.split_at(16 * batch);
+                for (record, &(flow, backend)) in records.chunks_exact(16).zip(flows) {
+                    assert_eq!(record[..8], flow.to_le_bytes(), "batch {batch} lba {lba}");
+                    assert_eq!(record[8..12], backend.0.to_le_bytes());
+                    assert_eq!(record[12..], [0; 4]);
+                }
+                assert!(rest.iter().all(|&b| b == 0), "batch {batch} lba {lba}");
+            }
         }
     }
 

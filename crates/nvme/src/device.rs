@@ -12,11 +12,13 @@
 //! faithful latency/queueing profile.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, BinaryHeap};
 
 use bytes::Bytes;
 use hyperion_sim::energy::{EnergyMeter, Pj};
 use hyperion_sim::fault::FaultPlan;
+use hyperion_sim::hash::{IntMap, IntSet};
 use hyperion_sim::stats::Counters;
 use hyperion_sim::time::Ns;
 use hyperion_telemetry::{Component, Recorder};
@@ -193,7 +195,10 @@ pub struct NvmeDevice {
     kind: NamespaceKind,
     capacity_lbas: u64,
     flash: FlashArray,
-    blocks: HashMap<u64, Bytes>,
+    /// Written LBAs. A block is either full length (usually a slice of the
+    /// buffer it arrived in) or, when it was written fresh and mostly
+    /// zero, a copy of its written prefix; see [`NvmeDevice::store_blocks`].
+    blocks: IntMap<u64, Bytes>,
     zones: Vec<Zone>,
     kv: BTreeMap<Vec<u8>, Bytes>,
     /// Device energy meter (idle power plus per-byte flash energy).
@@ -210,7 +215,7 @@ pub struct NvmeDevice {
     /// Injected-fault plan; empty by default (no draws, no perturbation).
     faults: FaultPlan,
     /// LBAs relocated to spare pages after a grown bad block.
-    remapped: HashSet<u64>,
+    remapped: IntSet<u64>,
     /// Next spare page for remap programs (past the namespace pages).
     remap_cursor: u64,
 }
@@ -252,7 +257,7 @@ impl NvmeDevice {
             kind,
             capacity_lbas,
             flash: FlashArray::new(),
-            blocks: HashMap::new(),
+            blocks: IntMap::default(),
             zones: Vec::new(),
             kv: BTreeMap::new(),
             energy: EnergyMeter::new(params::SSD_IDLE_POWER),
@@ -260,7 +265,7 @@ impl NvmeDevice {
             kv_page_cursor: 0,
             outstanding: BinaryHeap::new(),
             faults: FaultPlan::none(),
-            remapped: HashSet::new(),
+            remapped: IntSet::default(),
             remap_cursor: 0,
         }
     }
@@ -380,7 +385,8 @@ impl NvmeDevice {
         mut rec: Option<&mut Recorder>,
     ) -> Result<Completion, NvmeError> {
         let obs = rec.as_deref_mut().map(|rec| {
-            rec.gauge("nvme:queue_depth", self.queue_depth_at(now) as u64);
+            let depth = self.queue_depth_at(now) as u64;
+            rec.gauge("nvme:queue_depth", depth);
             let util = rec.util_enabled();
             let span = rec.open(Component::Nvme, cmd.label(), now);
             // The command reaches the flash after controller overhead;
@@ -399,7 +405,7 @@ impl NvmeDevice {
                 }
             }
             if util {
-                rec.depth_sample("nvme:sq", now, self.queue_depth_at(now) as u64);
+                rec.depth_sample("nvme:sq", now, depth);
                 self.flash.begin_trace();
             }
             let recovery_before =
@@ -661,30 +667,49 @@ impl NvmeDevice {
     }
 
     /// Keeps each LBA of `data` as a slice of the caller's buffer: the
-    /// payload is stored where it arrived, not copied.
+    /// payload is stored where it arrived, not copied. The one exception
+    /// is a fresh LBA (nothing stored yet) whose written prefix, up to its
+    /// last non-zero 64-byte line, is at most half a block: it keeps a
+    /// copy of just that prefix, which is never larger than the buffer it
+    /// stops retaining. Overwrites never compact, so a block rewritten in
+    /// place (a B+ tree root) is not copied and re-expanded on every write.
     fn store_blocks(&mut self, lba: u64, data: &Bytes) {
         let size = params::LBA_SIZE as usize;
-        for i in 0..data.len() / size {
-            self.blocks
-                .insert(lba + i as u64, data.slice(i * size..(i + 1) * size));
+        for (i, block) in data.chunks_exact(size).enumerate() {
+            let shared = || data.slice(i * size..(i + 1) * size);
+            match self.blocks.entry(lba + i as u64) {
+                Entry::Occupied(mut stored) => {
+                    stored.insert(shared());
+                }
+                Entry::Vacant(fresh) => {
+                    let prefix = written_prefix(block);
+                    fresh.insert(if prefix <= size / 2 {
+                        Bytes::copy_from_slice(&block[..prefix])
+                    } else {
+                        shared()
+                    });
+                }
+            }
         }
     }
 
     /// The contents of `blocks` LBAs from `lba`, zeros where never
-    /// written. A single written LBA is returned as the stored buffer
-    /// itself; anything else is assembled into one new buffer.
+    /// written. A single full-length stored LBA is returned as the stored
+    /// buffer itself; anything else is assembled into one new buffer, with
+    /// compacted and unwritten LBAs padded with zeros.
     fn gather(&self, lba: u64, blocks: u64) -> Bytes {
+        let size = params::LBA_SIZE as usize;
         if blocks == 1 {
-            if let Some(data) = self.blocks.get(&lba) {
+            if let Some(data) = self.blocks.get(&lba).filter(|d| d.len() == size) {
                 return data.clone();
             }
         }
-        let mut out = Vec::with_capacity((blocks * params::LBA_SIZE) as usize);
+        let mut out = Vec::with_capacity(blocks as usize * size);
         for b in 0..blocks {
-            match self.blocks.get(&(lba + b)) {
-                Some(data) => out.extend_from_slice(data),
-                None => out.extend(std::iter::repeat_n(0u8, params::LBA_SIZE as usize)),
+            if let Some(data) = self.blocks.get(&(lba + b)) {
+                out.extend_from_slice(data);
             }
+            out.resize((b as usize + 1) * size, 0);
         }
         Bytes::from(out)
     }
@@ -700,6 +725,24 @@ const RECOVERY_COUNTERS: [&str; 5] = [
     "nvme:latency_spikes",
     "nvme:media_failures",
 ];
+
+/// Granularity of [`written_prefix`]'s scan, in bytes (a cache line).
+const PREFIX_LINE: usize = 64;
+
+/// Length of `block` (a whole number of 64-byte lines) up to and including
+/// its last line that holds a non-zero byte; 0 for an all-zero block.
+/// Scans whole lines from the end, OR-folding each line's eight words: a
+/// byte-wise scan is several times slower on a near-empty block.
+fn written_prefix(block: &[u8]) -> usize {
+    block
+        .chunks_exact(PREFIX_LINE)
+        .rposition(|line| {
+            line.chunks_exact(8).fold(0, |acc, word| {
+                acc | u64::from_ne_bytes(word.try_into().expect("8-byte word"))
+            }) != 0
+        })
+        .map_or(0, |last| (last + 1) * PREFIX_LINE)
+}
 
 /// Deterministic timing placement for KV keys on the flash array.
 fn key_page(key: &[u8]) -> u64 {
@@ -1155,41 +1198,96 @@ mod tests {
     #[test]
     fn data_path_matches_a_naive_model() {
         use hyperion_sim::rng::Rng;
+        use std::collections::HashMap;
         const LBA: usize = params::LBA_SIZE as usize;
-        const CAPACITY: u64 = 48;
-        fn expected(model: &HashMap<u64, [u8; LBA]>, lba: u64, blocks: u64) -> Vec<u8> {
+        const CAPACITY: u64 = 96;
+        /// How the device must hold an LBA after a write.
+        #[derive(Debug, Clone, Copy, PartialEq)]
+        enum Held {
+            /// The writer's buffer itself, as a slice starting here.
+            Shared(usize),
+            /// A copy of just the first `len` bytes.
+            Compact(usize),
+        }
+        type Model = HashMap<u64, ([u8; LBA], Held)>;
+        fn expected(model: &Model, lba: u64, blocks: u64) -> Vec<u8> {
             (lba..lba + blocks)
-                .flat_map(|b| model.get(&b).copied().unwrap_or([0; LBA]))
+                .flat_map(|b| model.get(&b).map_or([0; LBA], |m| m.0))
                 .collect()
+        }
+        /// Dense, all-zero, or near-empty: non-zero bytes only in the first
+        /// `k` 64-byte lines, and half the time one byte in the last.
+        fn gen_block(rng: &mut Rng) -> [u8; LBA] {
+            let mut block = [0u8; LBA];
+            let k = match rng.next_below(3) {
+                0 => 64,
+                1 => 0,
+                _ => rng.next_below(65) as usize,
+            };
+            rng.fill_bytes(&mut block[..k * 64]);
+            if k > 0 && rng.chance(0.5) {
+                let line = &mut block[(k - 1) * 64..k * 64];
+                line.fill(0);
+                line[rng.next_below(64) as usize] = 1 + rng.next_below(255) as u8;
+            }
+            block
+        }
+        /// Byte-wise reference for the written prefix, rounded up to a line.
+        fn prefix_of(block: &[u8]) -> usize {
+            block
+                .iter()
+                .rposition(|&b| b != 0)
+                .map_or(0, |last| (last / 64 + 1) * 64)
         }
         for seed in 0..4 {
             let mut rng = Rng::seeded(seed);
             let mut d = NvmeDevice::new_block(CAPACITY);
-            let mut model: HashMap<u64, [u8; LBA]> = HashMap::new();
+            let mut model = Model::new();
             // Earlier reads with the contents they returned: later
             // overwrites of the same LBAs must not show through them.
             let mut kept: Vec<(Bytes, Vec<u8>)> = Vec::new();
-            let (mut shared, mut unwritten) = (0, 0);
-            for step in 0..600 {
+            let (mut shared, mut unwritten, mut compact_reads, mut mixed) = (0, 0, 0, 0);
+            let (mut compacted, mut to_dense, mut to_sparse) = (0, 0, 0);
+            for step in 0..1_200 {
                 let blocks = 1 + rng.next_below(4);
                 let lba = rng.next_below(CAPACITY - blocks + 1);
                 let now = Ns(step * 1_000);
                 if rng.chance(0.5) {
                     // Multi-LBA writes over a small namespace: most of
                     // them partially overwrite an earlier write.
-                    let mut data = vec![0u8; blocks as usize * LBA];
-                    rng.fill_bytes(&mut data);
-                    for (i, block) in data.chunks_exact(LBA).enumerate() {
-                        model.insert(lba + i as u64, block.try_into().unwrap());
+                    let image: Vec<[u8; LBA]> = (0..blocks).map(|_| gen_block(&mut rng)).collect();
+                    let data = Bytes::from(image.concat());
+                    let base = data.as_ptr() as usize;
+                    for (i, block) in image.into_iter().enumerate() {
+                        let prefix = prefix_of(&block);
+                        let sparse = prefix <= LBA / 2;
+                        let before = model.get(&(lba + i as u64)).map(|m| m.1);
+                        let held = match before {
+                            None if sparse => Held::Compact(prefix),
+                            _ => Held::Shared(base + i * LBA),
+                        };
+                        match before {
+                            Some(Held::Compact(_)) if !sparse => to_dense += 1,
+                            Some(Held::Shared(_)) if sparse => to_sparse += 1,
+                            _ => {}
+                        }
+                        compacted += usize::from(matches!(held, Held::Compact(_)));
+                        model.insert(lba + i as u64, (block, held));
                     }
-                    d.submit(
-                        Command::Write {
-                            lba,
-                            data: Bytes::from(data),
-                        },
-                        now,
-                    )
-                    .unwrap();
+                    d.submit(Command::Write { lba, data }, now).unwrap();
+                    for b in lba..lba + blocks {
+                        let stored = &d.blocks[&b];
+                        match model[&b].1 {
+                            Held::Shared(at) => {
+                                assert_eq!(stored.len(), LBA, "seed {seed} step {step}");
+                                assert_eq!(stored.as_ptr() as usize, at, "seed {seed} step {step}");
+                            }
+                            Held::Compact(len) => {
+                                assert!(len <= LBA / 2);
+                                assert_eq!(stored.len(), len, "seed {seed} step {step}");
+                            }
+                        }
+                    }
                 } else {
                     let c = d
                         .submit(
@@ -1203,10 +1301,21 @@ mod tests {
                     let Response::Data(data) = c.response else {
                         panic!("read returns data");
                     };
-                    let written = (lba..lba + blocks)
-                        .filter(|b| model.contains_key(b))
+                    let held: Vec<Option<Held>> = (lba..lba + blocks)
+                        .map(|b| model.get(&b).map(|m| m.1))
+                        .collect();
+                    let compact = held
+                        .iter()
+                        .filter(|h| matches!(h, Some(Held::Compact(_))))
                         .count();
-                    shared += usize::from(blocks == 1 && written == 1);
+                    let written = held.iter().flatten().count();
+                    if let [Some(Held::Shared(at))] = held[..] {
+                        // A dense 1-LBA read hands back the writer's buffer.
+                        assert_eq!(data.as_ptr() as usize, at, "seed {seed} step {step}");
+                        shared += 1;
+                    }
+                    compact_reads += usize::from(compact > 0);
+                    mixed += usize::from(compact > 0 && compact < blocks as usize);
                     unwritten += usize::from(written < blocks as usize);
                     let want = expected(&model, lba, blocks);
                     assert!(data[..] == want[..], "seed {seed} step {step} lba {lba}");
@@ -1215,10 +1324,18 @@ mod tests {
                     }
                 }
             }
-            assert!(model.len() > 40, "seed {seed}: namespace mostly written");
+            assert!(model.len() > 80, "seed {seed}: namespace mostly written");
             assert!(
-                kept.len() > 20 && shared > 20 && unwritten > 5,
+                kept.len() > 40 && shared > 100 && unwritten > 20,
                 "seed {seed}"
+            );
+            assert!(
+                compacted > 30 && compact_reads > 20 && mixed > 15,
+                "seed {seed}: {compacted} compacted, {compact_reads} reads, {mixed} mixed"
+            );
+            assert!(
+                to_dense > 10 && to_sparse > 300,
+                "seed {seed}: {to_dense} compact->dense, {to_sparse} dense->near-empty"
             );
             for (data, want) in &kept {
                 assert!(data[..] == want[..], "seed {seed}: an old read changed");

@@ -8,6 +8,8 @@
 //! * [`time`] — the `Ns` virtual-time newtype and serialization math;
 //! * [`resource`] — k-server FIFO timelines and bandwidth links, the
 //!   composition-friendly queueing primitive;
+//! * [`hash`] — a fixed integer hasher (`IntMap`/`IntSet`) for tables
+//!   keyed by simulator-generated ids;
 //! * [`rng`] — seeded SplitMix64/Xoshiro256** generators and a Zipf
 //!   sampler, so timelines are reproducible bit-for-bit;
 //! * [`fault`] — seeded, virtual-clock-scheduled fault injection
@@ -25,6 +27,7 @@
 
 pub mod energy;
 pub mod fault;
+pub mod hash;
 pub mod resource;
 pub mod rng;
 pub mod stats;
@@ -32,6 +35,7 @@ pub mod time;
 
 pub use energy::{EnergyMeter, MilliWatts, Pj};
 pub use fault::FaultPlan;
+pub use hash::{IntMap, IntSet};
 pub use resource::{Link, Resource};
 pub use rng::{Rng, Zipf};
 pub use stats::{Counters, Histogram, Summary};

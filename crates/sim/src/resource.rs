@@ -30,7 +30,6 @@ pub struct Resource {
     /// Completion times of the in-flight/last jobs on each server, kept as a
     /// small unsorted vec (k is tiny in all our models).
     servers: Vec<Ns>,
-    busy: Ns,
     jobs: u64,
 }
 
@@ -45,7 +44,6 @@ impl Resource {
         Resource {
             name,
             servers: vec![Ns::ZERO; k],
-            busy: Ns::ZERO,
             jobs: 0,
         }
     }
@@ -79,7 +77,6 @@ impl Resource {
         let start = now.max(free_at);
         let done = start + service;
         self.servers[idx] = done;
-        self.busy += service;
         self.jobs += 1;
         (start, done)
     }
@@ -96,22 +93,9 @@ impl Resource {
         now.max(free_at)
     }
 
-    /// Total service time accumulated so far (for utilization accounting).
-    pub fn busy_time(&self) -> Ns {
-        self.busy
-    }
-
     /// Number of requests served.
     pub fn jobs(&self) -> u64 {
         self.jobs
-    }
-
-    /// Utilization over the window `[0, horizon]`, per server, in `[0, 1]`.
-    pub fn utilization(&self, horizon: Ns) -> f64 {
-        if horizon == Ns::ZERO {
-            return 0.0;
-        }
-        self.busy.0 as f64 / (horizon.0 as f64 * self.servers.len() as f64)
     }
 
     /// Resets the timeline (used between experiment repetitions).
@@ -119,7 +103,6 @@ impl Resource {
         for s in &mut self.servers {
             *s = Ns::ZERO;
         }
-        self.busy = Ns::ZERO;
         self.jobs = 0;
     }
 }
@@ -182,11 +165,6 @@ impl Link {
         serialization_delay(bytes, self.bits_per_sec)
     }
 
-    /// Bytes transferred so far (derived from accumulated busy time).
-    pub fn utilization(&self, horizon: Ns) -> f64 {
-        self.line.utilization(horizon)
-    }
-
     /// Resets the link timeline.
     pub fn reset(&mut self) {
         self.line.reset();
@@ -204,7 +182,6 @@ mod tests {
         assert_eq!(r.access(Ns(0), Ns(10)), Ns(20));
         assert_eq!(r.access(Ns(100), Ns(10)), Ns(110)); // idle gap
         assert_eq!(r.jobs(), 3);
-        assert_eq!(r.busy_time(), Ns(30));
     }
 
     #[test]
@@ -221,14 +198,6 @@ mod tests {
         r.access(Ns(0), Ns(50));
         assert_eq!(r.earliest_start(Ns(0)), Ns(50));
         assert_eq!(r.jobs(), 1);
-    }
-
-    #[test]
-    fn utilization_accounts_all_servers() {
-        let mut r = Resource::new("r", 2);
-        r.access(Ns(0), Ns(50));
-        r.access(Ns(0), Ns(50));
-        assert!((r.utilization(Ns(100)) - 0.5).abs() < 1e-9);
     }
 
     #[test]

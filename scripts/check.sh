@@ -70,4 +70,11 @@ trap 'rm -f "$SNAPSHOT" "$FAULTS_A" "$FAULTS_B"' EXIT
 cargo run --release -q -p hyperion-bench --bin report -- --json > "$SNAPSHOT"
 ./scripts/bench_gate.sh "$SNAPSHOT"
 
+echo "==> full report wall time (host clock; printed, not gated)"
+# The simulator's own speed is noisy across machines, so this only makes
+# it visible in the log. The binary is already built by the steps above;
+# the time includes cargo's up-to-date check.
+TIMEFORMAT='full report: %R s wall'
+time cargo run --release -q -p hyperion-bench --bin report > /dev/null
+
 echo "All checks passed."
