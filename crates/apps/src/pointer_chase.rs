@@ -13,7 +13,7 @@
 //!   next to the flash.
 
 use hyperion::dpu::HyperionDpu;
-use hyperion::services::{ServiceRequest, ServiceResponse, TableRegistry, TreeOp};
+use hyperion::services::{ServiceResponse, TreeOp};
 use hyperion_ebpf::{assemble, MapId, Program, Vm};
 use hyperion_net::rpc::{MethodId, RpcChannel};
 use hyperion_net::Network;
@@ -140,20 +140,13 @@ pub struct ChaseResult {
 
 /// Loads `n` keys (`key -> key * 7`) into the DPU's tree.
 pub fn populate_tree(dpu: &mut HyperionDpu, n: u64, now: Ns) -> Ns {
-    let reg = TableRegistry::default();
     let mut t = now;
     for k in 0..n {
-        let (_, done) = dpu
-            .serve(
-                &reg,
-                ServiceRequest::TreeInsert {
-                    key: k,
-                    value: k * 7,
-                },
-                t,
-            )
-            .expect("insert");
-        t = done;
+        let insert = TreeOp::Insert {
+            key: k,
+            value: k * 7,
+        };
+        (_, t) = dpu.dispatch(t, insert).expect("insert");
     }
     t
 }

@@ -1,8 +1,7 @@
 //! The experiment index: one module per table/figure of EXPERIMENTS.md.
 //!
 //! Each module exposes `run() -> Vec<Table>`; the `report` binary prints
-//! them all, and the Criterion benches in `benches/` wrap the same
-//! functions so `cargo bench` regenerates every result.
+//! them all.
 
 pub mod e1;
 pub mod e10;

@@ -2,8 +2,7 @@
 //!
 //! Regenerates every table and figure of the reproduction (see DESIGN.md
 //! §4 for the index). The [`experiments`] modules produce [`table::Table`]
-//! values; the `report` binary prints them and `cargo bench` runs the same
-//! code under Criterion.
+//! values; the `report` binary prints them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -25,6 +25,7 @@ use hyperion_telemetry::{Component, Recorder};
 
 use crate::flash::{FlashArray, FlashOp};
 use crate::params;
+use crate::prefixes::{Prefix, Prefixes};
 
 /// What a namespace is specialized as.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -189,16 +190,26 @@ struct Zone {
     cond: ZoneCond,
 }
 
+/// One written LBA as the device holds it.
+#[derive(Debug)]
+enum Stored {
+    /// The whole block, usually a slice of the buffer it arrived in.
+    Block(Bytes),
+    /// The written prefix of a block that was fresh and mostly zero; the
+    /// rest of the block is zeros.
+    Prefix(Prefix),
+}
+
 /// One NVMe SSD.
 #[derive(Debug)]
 pub struct NvmeDevice {
     kind: NamespaceKind,
     capacity_lbas: u64,
     flash: FlashArray,
-    /// Written LBAs. A block is either full length (usually a slice of the
-    /// buffer it arrived in) or, when it was written fresh and mostly
-    /// zero, a copy of its written prefix; see [`NvmeDevice::store_blocks`].
-    blocks: IntMap<u64, Bytes>,
+    /// Written LBAs; see [`NvmeDevice::store_blocks`].
+    blocks: IntMap<u64, Stored>,
+    /// The prefixes [`Stored::Prefix`] entries refer to.
+    prefixes: Prefixes,
     zones: Vec<Zone>,
     kv: BTreeMap<Vec<u8>, Bytes>,
     /// Device energy meter (idle power plus per-byte flash energy).
@@ -258,6 +269,7 @@ impl NvmeDevice {
             capacity_lbas,
             flash: FlashArray::new(),
             blocks: IntMap::default(),
+            prefixes: Prefixes::default(),
             zones: Vec::new(),
             kv: BTreeMap::new(),
             energy: EnergyMeter::new(params::SSD_IDLE_POWER),
@@ -535,8 +547,17 @@ impl NvmeDevice {
                     done = done.max(self.flash.access(FlashOp::Erase, page, start));
                 }
                 let base = zone * params::ZONE_LBAS;
-                self.blocks
-                    .retain(|&lba, _| lba < base || lba >= base + params::ZONE_LBAS);
+                let (prefixes, mut repack) = (&mut self.prefixes, false);
+                self.blocks.retain(|&lba, stored| {
+                    let keep = lba < base || lba >= base + params::ZONE_LBAS;
+                    if let (false, Stored::Prefix(p)) = (keep, stored) {
+                        repack |= prefixes.release(*p);
+                    }
+                    keep
+                });
+                if repack {
+                    self.repack_prefixes();
+                }
                 Ok(Completion {
                     response: Response::Ok,
                     done,
@@ -670,27 +691,44 @@ impl NvmeDevice {
     /// payload is stored where it arrived, not copied. The one exception
     /// is a fresh LBA (nothing stored yet) whose written prefix, up to its
     /// last non-zero 64-byte line, is at most half a block: it keeps a
-    /// copy of just that prefix, which is never larger than the buffer it
-    /// stops retaining. Overwrites never compact, so a block rewritten in
-    /// place (a B+ tree root) is not copied and re-expanded on every write.
+    /// copy of just that prefix, packed into the device's prefix slabs,
+    /// which is never larger than the buffer it stops retaining.
+    /// Overwrites never compact, so a block rewritten in place (a B+ tree
+    /// root) is not copied and re-expanded on every write.
     fn store_blocks(&mut self, lba: u64, data: &Bytes) {
         let size = params::LBA_SIZE as usize;
+        let mut repack = false;
         for (i, block) in data.chunks_exact(size).enumerate() {
-            let shared = || data.slice(i * size..(i + 1) * size);
+            let shared = || Stored::Block(data.slice(i * size..(i + 1) * size));
             match self.blocks.entry(lba + i as u64) {
                 Entry::Occupied(mut stored) => {
-                    stored.insert(shared());
+                    if let Stored::Prefix(p) = stored.insert(shared()) {
+                        repack |= self.prefixes.release(p);
+                    }
                 }
                 Entry::Vacant(fresh) => {
                     let prefix = written_prefix(block);
                     fresh.insert(if prefix <= size / 2 {
-                        Bytes::copy_from_slice(&block[..prefix])
+                        Stored::Prefix(self.prefixes.push(&block[..prefix]))
                     } else {
                         shared()
                     });
                 }
             }
         }
+        if repack {
+            self.repack_prefixes();
+        }
+    }
+
+    /// Moves the live prefixes into fresh slabs, dropping the bytes of
+    /// overwritten and erased ones.
+    fn repack_prefixes(&mut self) {
+        self.prefixes
+            .repack(self.blocks.values_mut().filter_map(|stored| match stored {
+                Stored::Prefix(p) => Some(p),
+                Stored::Block(_) => None,
+            }));
     }
 
     /// The contents of `blocks` LBAs from `lba`, zeros where never
@@ -700,14 +738,16 @@ impl NvmeDevice {
     fn gather(&self, lba: u64, blocks: u64) -> Bytes {
         let size = params::LBA_SIZE as usize;
         if blocks == 1 {
-            if let Some(data) = self.blocks.get(&lba).filter(|d| d.len() == size) {
+            if let Some(Stored::Block(data)) = self.blocks.get(&lba) {
                 return data.clone();
             }
         }
         let mut out = Vec::with_capacity(blocks as usize * size);
         for b in 0..blocks {
-            if let Some(data) = self.blocks.get(&(lba + b)) {
-                out.extend_from_slice(data);
+            match self.blocks.get(&(lba + b)) {
+                Some(Stored::Block(data)) => out.extend_from_slice(data),
+                Some(Stored::Prefix(p)) => out.extend_from_slice(self.prefixes.get(*p)),
+                None => {}
             }
             out.resize((b as usize + 1) * size, 0);
         }
@@ -760,6 +800,71 @@ mod tests {
 
     fn lba_data(fill: u8, blocks: usize) -> Bytes {
         Bytes::from(vec![fill; blocks * params::LBA_SIZE as usize])
+    }
+
+    /// `blocks` LBAs whose first `prefix` bytes are `fill`, zeros after.
+    fn sparse_data(fill: u8, prefix: usize, blocks: usize) -> Bytes {
+        let mut block = vec![0u8; params::LBA_SIZE as usize];
+        block[..prefix].fill(fill);
+        Bytes::from(block.repeat(blocks))
+    }
+
+    fn read_one(d: &mut NvmeDevice, lba: u64) -> Bytes {
+        match d.submit(Command::Read { lba, blocks: 1 }, Ns::ZERO) {
+            Ok(Completion {
+                response: Response::Data(data),
+                ..
+            }) => data,
+            other => panic!("read of {lba}: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn overwritten_prefixes_are_repacked_away() {
+        let mut d = NvmeDevice::new_block(1 << 20);
+        // 200 fresh near-empty LBAs (1 KiB prefixes: four slabs), then
+        // all but the last 10 overwritten with dense blocks.
+        let data = sparse_data(7, 1024, 200);
+        d.submit(Command::Write { lba: 0, data }, Ns::ZERO).unwrap();
+        assert_eq!(d.prefixes.slabs(), 4);
+        let data = lba_data(9, 190);
+        d.submit(Command::Write { lba: 0, data }, Ns::ZERO).unwrap();
+        assert_eq!(d.prefixes.slabs(), 1, "the dead prefixes are dropped");
+        for lba in [0, 189] {
+            assert!(read_one(&mut d, lba).iter().all(|&b| b == 9));
+        }
+        for lba in [190, 199] {
+            let data = read_one(&mut d, lba);
+            assert!(data[..1024].iter().all(|&b| b == 7));
+            assert!(data[1024..].iter().all(|&b| b == 0));
+        }
+    }
+
+    #[test]
+    fn erased_prefixes_do_not_pile_up() {
+        let mut d = NvmeDevice::new_zoned(2 * params::ZONE_LBAS);
+        let keep = sparse_data(1, 64, 3);
+        d.submit(
+            Command::ZoneAppend {
+                zone: 1,
+                data: keep,
+            },
+            Ns::ZERO,
+        )
+        .unwrap();
+        // Fill zone 0 with 50 near-empty blocks (100 KiB of prefixes) and
+        // reset it, 40 rounds over.
+        for round in 0..40u8 {
+            let data = sparse_data(round + 2, 2048, 50);
+            d.submit(Command::ZoneAppend { zone: 0, data }, Ns::ZERO)
+                .unwrap();
+            assert_eq!(read_one(&mut d, 49)[2047], round + 2);
+            d.submit(Command::ZoneReset { zone: 0 }, Ns::ZERO).unwrap();
+            assert!(d.prefixes.slabs() <= 3, "round {round}");
+        }
+        let lba = params::ZONE_LBAS + 2;
+        let data = read_one(&mut d, lba);
+        assert!(data[..64].iter().all(|&b| b == 1) && data[64..].iter().all(|&b| b == 0));
     }
 
     #[test]
@@ -1276,15 +1381,18 @@ mod tests {
                     }
                     d.submit(Command::Write { lba, data }, now).unwrap();
                     for b in lba..lba + blocks {
-                        let stored = &d.blocks[&b];
-                        match model[&b].1 {
-                            Held::Shared(at) => {
+                        match (model[&b].1, &d.blocks[&b]) {
+                            (Held::Shared(at), Stored::Block(stored)) => {
                                 assert_eq!(stored.len(), LBA, "seed {seed} step {step}");
                                 assert_eq!(stored.as_ptr() as usize, at, "seed {seed} step {step}");
                             }
-                            Held::Compact(len) => {
+                            (Held::Compact(len), Stored::Prefix(p)) => {
                                 assert!(len <= LBA / 2);
-                                assert_eq!(stored.len(), len, "seed {seed} step {step}");
+                                assert_eq!(p.len(), len, "seed {seed} step {step}");
+                                assert_eq!(d.prefixes.get(*p), &model[&b].0[..len]);
+                            }
+                            (held, stored) => {
+                                panic!("seed {seed} step {step}: {held:?} held as {stored:?}")
                             }
                         }
                     }

@@ -22,6 +22,7 @@
 pub mod device;
 pub mod flash;
 pub mod params;
+mod prefixes;
 pub mod queue;
 
 pub use device::{

@@ -80,7 +80,8 @@ impl BlockStore {
 
     /// Reads `n` blocks starting at `lba`. The returned buffer may share
     /// storage with the device (it is immutable); callers that modify a
-    /// block copy it first.
+    /// block copy it first, and may hand an unmodified one straight back
+    /// to [`BlockStore::write`].
     pub fn read(&mut self, lba: u64, n: u32, now: Ns) -> Result<(Bytes, Ns), BlockError> {
         self.reads += n as u64;
         let c = self.device.submit(Command::Read { lba, blocks: n }, now)?;
@@ -91,19 +92,16 @@ impl BlockStore {
     }
 
     /// Writes whole blocks starting at `lba`; `data` must be a non-zero
-    /// multiple of the block size.
-    pub fn write(&mut self, lba: u64, data: Vec<u8>, now: Ns) -> Result<Ns, BlockError> {
+    /// multiple of the block size. It may be an owned `Vec<u8>` or a
+    /// shared buffer, such as one [`BlockStore::read`] returned, which the
+    /// device then keeps without copying.
+    pub fn write(&mut self, lba: u64, data: impl Into<Bytes>, now: Ns) -> Result<Ns, BlockError> {
+        let data = data.into();
         if data.is_empty() || !data.len().is_multiple_of(BLOCK as usize) {
             return Err(BlockError::BadSize(data.len()));
         }
         self.writes += (data.len() / BLOCK as usize) as u64;
-        let c = self.device.submit(
-            Command::Write {
-                lba,
-                data: Bytes::from(data),
-            },
-            now,
-        )?;
+        let c = self.device.submit(Command::Write { lba, data }, now)?;
         Ok(c.done)
     }
 

@@ -8,9 +8,13 @@
 //! support both sides of that experiment, lookups can return the exact
 //! sequence of node addresses they visited.
 //!
-//! Keys and values are `u64`; nodes are immutable-on-disk (copy-on-write
-//! is not modeled — inserts rewrite the affected nodes in place, which the
-//! block layer times as writes).
+//! Keys and values are `u64`. Copy-on-write is not modeled: an insert
+//! rewrites every node on its root→leaf path in place, which the block
+//! layer times as writes. Inserts edit node pages where they sit rather
+//! than decoding them: the node that gains a key copies its page once and
+//! shifts the words above the insertion point up, and an ancestor whose
+//! child did not split is written back unchanged as the very buffer it was
+//! read as, zero-copy. Only a split builds fresh pages.
 
 use hyperion_sim::time::Ns;
 
@@ -53,67 +57,20 @@ impl From<BlockError> for TreeError {
     }
 }
 
-#[derive(Debug, Clone)]
-enum Node {
-    Leaf {
-        keys: Vec<u64>,
-        values: Vec<u64>,
-        next: u64, // LBA of right sibling leaf, 0 = none
-    },
-    Internal {
-        keys: Vec<u64>,
-        children: Vec<u64>, // LBAs, len = keys.len() + 1
-    },
-}
+/// Bytes before a node page's first word: tag, key count `n`, and the
+/// right-sibling LBA (leaves only; 0 = none).
+const HEADER: usize = 16;
 
-impl Node {
-    fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(BLOCK as usize);
-        match self {
-            Node::Leaf { keys, values, next } => {
-                out.extend_from_slice(&TAG_LEAF.to_le_bytes());
-                out.extend_from_slice(&(keys.len() as u32).to_le_bytes());
-                out.extend_from_slice(&next.to_le_bytes());
-                for k in keys {
-                    out.extend_from_slice(&k.to_le_bytes());
-                }
-                for v in values {
-                    out.extend_from_slice(&v.to_le_bytes());
-                }
-            }
-            Node::Internal { keys, children } => {
-                out.extend_from_slice(&TAG_INTERNAL.to_le_bytes());
-                out.extend_from_slice(&(keys.len() as u32).to_le_bytes());
-                out.extend_from_slice(&0u64.to_le_bytes());
-                for k in keys {
-                    out.extend_from_slice(&k.to_le_bytes());
-                }
-                for c in children {
-                    out.extend_from_slice(&c.to_le_bytes());
-                }
-            }
-        }
-        out.resize(BLOCK as usize, 0);
-        out
-    }
+/// `u64` words a node page holds after its header.
+const WORDS: usize = (BLOCK as usize - HEADER) / 8;
 
-    fn decode(data: &[u8], lba: u64) -> Result<Node, TreeError> {
-        let page = Page::parse(data, lba)?;
-        let keys = page.keys.iter().map(word).collect();
-        let rest = page.rest.iter().map(word).collect();
-        Ok(if page.leaf {
-            Node::Leaf {
-                keys,
-                values: rest,
-                next: page.next,
-            }
-        } else {
-            Node::Internal {
-                keys,
-                children: rest,
-            }
-        })
-    }
+// An overflowing internal node (MAX_KEYS + 1 keys, MAX_KEYS + 2 children)
+// still fits its page, so an insert lands in the page before it splits.
+const _: () = assert!(2 * MAX_KEYS + 3 <= WORDS);
+
+/// Byte offset of word `w` of a node page.
+const fn at(w: usize) -> usize {
+    HEADER + 8 * w
 }
 
 /// One little-endian `u64` word of a node page.
@@ -123,7 +80,7 @@ fn word(w: &[u8; 8]) -> u64 {
 
 /// A node page read where it sits, without decoding: the header fields
 /// and the encoded words (`n` keys, then `n` values or `n + 1` children).
-/// Lookups search `keys` in place; [`Node::decode`] copies them out.
+/// Lookups and inserts search `keys` in place.
 struct Page<'a> {
     leaf: bool,
     next: u64,
@@ -141,10 +98,11 @@ impl<'a> Page<'a> {
             TAG_INTERNAL => (false, n + 1),
             _ => return Err(TreeError::Corrupt { lba }),
         };
-        let (words, _) = data[16..].as_chunks::<8>();
-        if n + rest_len > words.len() {
+        // No node ever holds more than MAX_KEYS, so the words fit.
+        if n > MAX_KEYS {
             return Err(TreeError::Corrupt { lba });
         }
+        let (words, _) = data[HEADER..].as_chunks::<8>();
         let (keys, rest) = words.split_at(n);
         Ok(Page {
             leaf,
@@ -153,6 +111,34 @@ impl<'a> Page<'a> {
             rest: &rest[..rest_len],
         })
     }
+}
+
+/// Builds a node page: the header, then `keys` and `rest` (values or
+/// children) back to back, zero-padded to one block.
+fn page(leaf: bool, next: u64, keys: &[[u8; 8]], rest: &[[u8; 8]]) -> Vec<u8> {
+    let tag = if leaf { TAG_LEAF } else { TAG_INTERNAL };
+    let mut out = Vec::with_capacity(BLOCK as usize);
+    out.extend_from_slice(&tag.to_le_bytes());
+    out.extend_from_slice(&(keys.len() as u32).to_le_bytes());
+    out.extend_from_slice(&next.to_le_bytes());
+    out.extend_from_slice(keys.as_flattened());
+    out.extend_from_slice(rest.as_flattened());
+    out.resize(BLOCK as usize, 0);
+    out
+}
+
+/// Adds `key` as key `i` of `buf`, a node page holding `n` keys, and
+/// `rest` as value `i` (leaf) or child `i + 1` (internal), shifting the
+/// words after each insertion point up in place; bumps `n`.
+fn insert_entry(buf: &mut [u8], leaf: bool, n: usize, i: usize, key: u64, rest: u64) {
+    let (j, m) = if leaf { (i, n) } else { (i + 1, n + 1) };
+    // Rest words j.. move up past both new words; then keys i.. and rest
+    // words ..j move up past the new key.
+    buf.copy_within(at(n + j)..at(n + m), at(n + j + 2));
+    buf.copy_within(at(i)..at(n + j), at(i + 1));
+    buf[at(i)..at(i + 1)].copy_from_slice(&key.to_le_bytes());
+    buf[at(n + 1 + j)..at(n + 2 + j)].copy_from_slice(&rest.to_le_bytes());
+    buf[4..8].copy_from_slice(&(n as u32 + 1).to_le_bytes());
 }
 
 /// The B+ tree handle.
@@ -179,12 +165,7 @@ impl BTree {
     /// Creates an empty tree on `store` at `now`.
     pub fn create(store: &mut BlockStore, now: Ns) -> Result<(BTree, Ns), TreeError> {
         let root = store.alloc(1)?;
-        let node = Node::Leaf {
-            keys: Vec::new(),
-            values: Vec::new(),
-            next: 0,
-        };
-        let done = store.write(root, node.encode(), now)?;
+        let done = store.write(root, page(true, 0, &[], &[]), now)?;
         Ok((
             BTree {
                 root,
@@ -213,11 +194,6 @@ impl BTree {
     /// Root node address (the entry point a remote client needs).
     pub fn root_lba(&self) -> u64 {
         self.root
-    }
-
-    fn load(store: &mut BlockStore, lba: u64, now: Ns) -> Result<(Node, Ns), TreeError> {
-        let (data, done) = store.read(lba, 1, now)?;
-        Ok((Node::decode(&data, lba)?, done))
     }
 
     /// Looks up `key`, recording the root→leaf path.
@@ -271,22 +247,20 @@ impl BTree {
         now: Ns,
     ) -> Result<Ns, TreeError> {
         let (split, t) = self.insert_rec(store, self.root, key, value, now)?;
-        if let Some((sep, right)) = split {
-            // Grow a new root.
-            let new_root = store.alloc(1)?;
-            let node = Node::Internal {
-                keys: vec![sep],
-                children: vec![self.root, right],
-            };
-            let t2 = store.write(new_root, node.encode(), t)?;
-            self.root = new_root;
-            self.height += 1;
-            return Ok(t2);
-        }
-        Ok(t)
+        let Some((sep, right)) = split else {
+            return Ok(t);
+        };
+        // Grow a new root.
+        let new_root = store.alloc(1)?;
+        let children = [self.root.to_le_bytes(), right.to_le_bytes()];
+        let t2 = store.write(new_root, page(false, 0, &[sep.to_le_bytes()], &children), t)?;
+        self.root = new_root;
+        self.height += 1;
+        Ok(t2)
     }
 
     /// Recursive insert; returns an optional (separator, right-LBA) split.
+    /// Every node on the path is rewritten, changed or not.
     fn insert_rec(
         &mut self,
         store: &mut BlockStore,
@@ -295,88 +269,56 @@ impl BTree {
         value: u64,
         now: Ns,
     ) -> Result<(Option<(u64, u64)>, Ns), TreeError> {
-        let (node, t) = Self::load(store, lba, now)?;
-        match node {
-            Node::Leaf {
-                mut keys,
-                mut values,
-                next,
-            } => {
-                match keys.binary_search(&key) {
-                    Ok(i) => values[i] = value,
-                    Err(i) => {
-                        keys.insert(i, key);
-                        values.insert(i, value);
-                        self.len += 1;
-                    }
+        let (data, t) = store.read(lba, 1, now)?;
+        let node = Page::parse(&data, lba)?;
+        let (leaf, n) = (node.leaf, node.keys.len());
+        // The key to add at index `i`, with its value or right child.
+        let (i, new_key, new_rest, t) = if leaf {
+            match node.keys.binary_search_by_key(&key, word) {
+                Ok(i) => {
+                    let mut buf = data.to_vec();
+                    buf[at(n + i)..at(n + i + 1)].copy_from_slice(&value.to_le_bytes());
+                    return Ok((None, store.write(lba, buf, t)?));
                 }
-                if keys.len() <= MAX_KEYS {
-                    let t2 = store.write(lba, Node::Leaf { keys, values, next }.encode(), t)?;
-                    return Ok((None, t2));
+                Err(i) => {
+                    self.len += 1;
+                    (i, key, value, t)
                 }
-                // Split.
-                let mid = keys.len() / 2;
-                let right_keys = keys.split_off(mid);
-                let right_values = values.split_off(mid);
-                let sep = right_keys[0];
-                let right_lba = store.alloc(1)?;
-                let t2 = store.write(
-                    right_lba,
-                    Node::Leaf {
-                        keys: right_keys,
-                        values: right_values,
-                        next,
-                    }
-                    .encode(),
-                    t,
-                )?;
-                let t3 = store.write(
-                    lba,
-                    Node::Leaf {
-                        keys,
-                        values,
-                        next: right_lba,
-                    }
-                    .encode(),
-                    t2,
-                )?;
-                Ok((Some((sep, right_lba)), t3))
             }
-            Node::Internal {
-                mut keys,
-                mut children,
-            } => {
-                let idx = keys.partition_point(|&k| k <= key);
-                let child = children[idx];
-                let (split, t2) = self.insert_rec(store, child, key, value, t)?;
-                if let Some((sep, right)) = split {
-                    keys.insert(idx, sep);
-                    children.insert(idx + 1, right);
-                }
-                if keys.len() <= MAX_KEYS {
-                    let t3 = store.write(lba, Node::Internal { keys, children }.encode(), t2)?;
-                    return Ok((None, t3));
-                }
-                // Split internal: middle key moves up.
-                let mid = keys.len() / 2;
-                let sep = keys[mid];
-                let right_keys = keys.split_off(mid + 1);
-                keys.pop(); // remove sep
-                let right_children = children.split_off(mid + 1);
-                let right_lba = store.alloc(1)?;
-                let t3 = store.write(
-                    right_lba,
-                    Node::Internal {
-                        keys: right_keys,
-                        children: right_children,
-                    }
-                    .encode(),
-                    t2,
-                )?;
-                let t4 = store.write(lba, Node::Internal { keys, children }.encode(), t3)?;
-                Ok((Some((sep, right_lba)), t4))
-            }
+        } else {
+            let i = node.keys.partition_point(|k| word(k) <= key);
+            let (split, t) = self.insert_rec(store, word(&node.rest[i]), key, value, t)?;
+            let Some((sep, right)) = split else {
+                // Unchanged: rewrite the buffer it was read as, no copy.
+                return Ok((None, store.write(lba, data, t)?));
+            };
+            (i, sep, right, t)
+        };
+        let mut buf = data.to_vec();
+        insert_entry(&mut buf, leaf, n, i, new_key, new_rest);
+        if n < MAX_KEYS {
+            return Ok((None, store.write(lba, buf, t)?));
         }
+        // Split the overflowing page in two. A leaf's right half starts
+        // with the separator; an internal node moves its middle key up.
+        let (words, _) = buf[HEADER..].as_chunks::<8>();
+        let (keys, rest) = words.split_at(n + 1);
+        let mid = keys.len() / 2;
+        let right_lba = store.alloc(1)?;
+        let (left, right) = if leaf {
+            (
+                page(true, right_lba, &keys[..mid], &rest[..mid]),
+                page(true, node.next, &keys[mid..], &rest[mid..keys.len()]),
+            )
+        } else {
+            (
+                page(false, 0, &keys[..mid], &rest[..=mid]),
+                page(false, 0, &keys[mid + 1..], &rest[mid + 1..=keys.len()]),
+            )
+        };
+        let t2 = store.write(right_lba, right, t)?;
+        let t3 = store.write(lba, left, t2)?;
+        Ok((Some((word(&keys[mid]), right_lba)), t3))
     }
 
     /// Range scan: all `(key, value)` pairs with `lo <= key < hi`, walking
@@ -418,6 +360,7 @@ impl BTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hyperion_sim::rng::Rng;
 
     fn build(n: u64) -> (BlockStore, BTree) {
         let mut store = BlockStore::with_capacity(1 << 20);
@@ -508,7 +451,6 @@ mod tests {
 
     #[test]
     fn in_place_lookup_matches_a_btreemap_model() {
-        use hyperion_sim::rng::Rng;
         use std::collections::BTreeMap;
         for (n, height) in [(150u64, 1), (6_000, 2), (21_000, 3)] {
             let mut store = BlockStore::with_capacity(1 << 20);
@@ -535,6 +477,271 @@ mod tests {
                 let (v, _) = tree.get(&mut store, key, Ns::ZERO).unwrap();
                 assert_eq!(v, model.get(&key).copied(), "{n} keys, key {key}");
             }
+        }
+    }
+
+    /// The insert path this module had before inserts edited pages in
+    /// place: each node on the path is decoded into vectors, edited there,
+    /// and re-encoded whole. The in-place path must match it page for
+    /// page, instant for instant.
+    #[derive(Debug, Clone)]
+    enum Node {
+        Leaf {
+            keys: Vec<u64>,
+            values: Vec<u64>,
+            next: u64,
+        },
+        Internal {
+            keys: Vec<u64>,
+            children: Vec<u64>,
+        },
+    }
+
+    impl Node {
+        fn encode(&self) -> Vec<u8> {
+            let (tag, keys, rest, next) = match self {
+                Node::Leaf { keys, values, next } => (TAG_LEAF, keys, values, *next),
+                Node::Internal { keys, children } => (TAG_INTERNAL, keys, children, 0),
+            };
+            let mut out = Vec::with_capacity(BLOCK as usize);
+            out.extend_from_slice(&tag.to_le_bytes());
+            out.extend_from_slice(&(keys.len() as u32).to_le_bytes());
+            out.extend_from_slice(&next.to_le_bytes());
+            for w in keys.iter().chain(rest) {
+                out.extend_from_slice(&w.to_le_bytes());
+            }
+            out.resize(BLOCK as usize, 0);
+            out
+        }
+
+        fn decode(data: &[u8], lba: u64) -> Result<Node, TreeError> {
+            let page = Page::parse(data, lba)?;
+            let keys = page.keys.iter().map(word).collect();
+            let rest = page.rest.iter().map(word).collect();
+            Ok(if page.leaf {
+                Node::Leaf {
+                    keys,
+                    values: rest,
+                    next: page.next,
+                }
+            } else {
+                Node::Internal {
+                    keys,
+                    children: rest,
+                }
+            })
+        }
+    }
+
+    impl BTree {
+        fn oracle_create(store: &mut BlockStore, now: Ns) -> (BTree, Ns) {
+            let root = store.alloc(1).unwrap();
+            let node = Node::Leaf {
+                keys: Vec::new(),
+                values: Vec::new(),
+                next: 0,
+            };
+            let done = store.write(root, node.encode(), now).unwrap();
+            let tree = BTree {
+                root,
+                height: 1,
+                len: 0,
+            };
+            (tree, done)
+        }
+
+        fn oracle_insert(
+            &mut self,
+            store: &mut BlockStore,
+            key: u64,
+            value: u64,
+            now: Ns,
+        ) -> Result<Ns, TreeError> {
+            let (split, t) = self.oracle_insert_rec(store, self.root, key, value, now)?;
+            if let Some((sep, right)) = split {
+                let new_root = store.alloc(1)?;
+                let node = Node::Internal {
+                    keys: vec![sep],
+                    children: vec![self.root, right],
+                };
+                let t2 = store.write(new_root, node.encode(), t)?;
+                self.root = new_root;
+                self.height += 1;
+                return Ok(t2);
+            }
+            Ok(t)
+        }
+
+        fn oracle_insert_rec(
+            &mut self,
+            store: &mut BlockStore,
+            lba: u64,
+            key: u64,
+            value: u64,
+            now: Ns,
+        ) -> Result<(Option<(u64, u64)>, Ns), TreeError> {
+            let (data, t) = store.read(lba, 1, now)?;
+            match Node::decode(&data, lba)? {
+                Node::Leaf {
+                    mut keys,
+                    mut values,
+                    next,
+                } => {
+                    match keys.binary_search(&key) {
+                        Ok(i) => values[i] = value,
+                        Err(i) => {
+                            keys.insert(i, key);
+                            values.insert(i, value);
+                            self.len += 1;
+                        }
+                    }
+                    if keys.len() <= MAX_KEYS {
+                        let node = Node::Leaf { keys, values, next };
+                        return Ok((None, store.write(lba, node.encode(), t)?));
+                    }
+                    let mid = keys.len() / 2;
+                    let right_keys = keys.split_off(mid);
+                    let right_values = values.split_off(mid);
+                    let sep = right_keys[0];
+                    let right_lba = store.alloc(1)?;
+                    let right = Node::Leaf {
+                        keys: right_keys,
+                        values: right_values,
+                        next,
+                    };
+                    let t2 = store.write(right_lba, right.encode(), t)?;
+                    let left = Node::Leaf {
+                        keys,
+                        values,
+                        next: right_lba,
+                    };
+                    let t3 = store.write(lba, left.encode(), t2)?;
+                    Ok((Some((sep, right_lba)), t3))
+                }
+                Node::Internal {
+                    mut keys,
+                    mut children,
+                } => {
+                    let idx = keys.partition_point(|&k| k <= key);
+                    let (split, t2) =
+                        self.oracle_insert_rec(store, children[idx], key, value, t)?;
+                    if let Some((sep, right)) = split {
+                        keys.insert(idx, sep);
+                        children.insert(idx + 1, right);
+                    }
+                    if keys.len() <= MAX_KEYS {
+                        let node = Node::Internal { keys, children };
+                        return Ok((None, store.write(lba, node.encode(), t2)?));
+                    }
+                    let mid = keys.len() / 2;
+                    let sep = keys[mid];
+                    let right_keys = keys.split_off(mid + 1);
+                    keys.pop();
+                    let right_children = children.split_off(mid + 1);
+                    let right_lba = store.alloc(1)?;
+                    let right = Node::Internal {
+                        keys: right_keys,
+                        children: right_children,
+                    };
+                    let t3 = store.write(right_lba, right.encode(), t2)?;
+                    let left = Node::Internal { keys, children };
+                    let t4 = store.write(lba, left.encode(), t3)?;
+                    Ok((Some((sep, right_lba)), t4))
+                }
+            }
+        }
+    }
+
+    /// Reads `lbas` from both stores at `now` and asserts equal bytes and
+    /// completion instants.
+    fn assert_pages_match(stores: &mut [BlockStore; 2], lbas: impl Iterator<Item = u64>, now: Ns) {
+        for lba in lbas {
+            let [a, b] = stores.each_mut().map(|s| s.read(lba, 1, now).unwrap());
+            assert!(a == b, "page {lba} differs from the oracle's");
+        }
+    }
+
+    /// Inserts `keys` (with step-dependent values, so repeats overwrite)
+    /// through the in-place path and the oracle on two stores, checking
+    /// after every insert that both did the same I/O at the same instants
+    /// and wrote the same pages; returns the final height. The checks'
+    /// own reads go to both stores alike, so the devices stay in step.
+    fn assert_inserts_match_oracle(keys: &[u64]) -> u32 {
+        let mut stores = [1u64 << 20; 2].map(BlockStore::with_capacity);
+        let (mut tree, t) = BTree::create(&mut stores[0], Ns::ZERO).unwrap();
+        let (mut oracle, oracle_t) = BTree::oracle_create(&mut stores[1], Ns::ZERO);
+        assert_eq!(t, oracle_t);
+        let mut t = t;
+        for (step, &key) in keys.iter().enumerate() {
+            let value = key.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ step as u64;
+            // The insert's path is the one a lookup walks beforehand.
+            let path = tree.lookup_traced(&mut stores[0], key, t).unwrap();
+            assert_eq!(path, oracle.lookup_traced(&mut stores[1], key, t).unwrap());
+            let first_new = stores[0].cursor();
+            let done = tree.insert(&mut stores[0], key, value, t).unwrap();
+            let oracle_done = oracle.oracle_insert(&mut stores[1], key, value, t).unwrap();
+            let ctx = format!("step {step}, key {key}");
+            assert_eq!(done, oracle_done, "{ctx}");
+            let shape = |tree: &BTree| (tree.len(), tree.height(), tree.root_lba());
+            assert_eq!(shape(&tree), shape(&oracle), "{ctx}");
+            let io = |s: &BlockStore| (s.reads(), s.writes(), s.cursor());
+            assert_eq!(io(&stores[0]), io(&stores[1]), "{ctx}");
+            // Every page the insert wrote: its path, new siblings, new root.
+            let written = path.path.into_iter().chain(first_new..stores[0].cursor());
+            assert_pages_match(&mut stores, written, done);
+            t = done;
+        }
+        let allocated = 0..stores[0].cursor();
+        assert_pages_match(&mut stores, allocated, t);
+        tree.height()
+    }
+
+    /// Keys 10, 13, 16, ... (`n` of them), as the lookup model test uses.
+    fn spaced_keys(n: u64) -> Vec<u64> {
+        (0..n).map(|i| 10 + 3 * i).collect()
+    }
+
+    /// Sorted inserts leave nodes half full, so 21k keys reach height 3.
+    #[test]
+    fn in_place_inserts_match_the_oracle_ascending() {
+        for (n, height) in [(150, 1), (6_000, 2), (21_000, 3)] {
+            assert_eq!(assert_inserts_match_oracle(&spaced_keys(n)), height);
+        }
+    }
+
+    #[test]
+    fn in_place_inserts_match_the_oracle_descending() {
+        for (n, height) in [(150, 1), (6_000, 2), (21_000, 3)] {
+            let mut keys = spaced_keys(n);
+            keys.reverse();
+            assert_eq!(assert_inserts_match_oracle(&keys), height);
+        }
+    }
+
+    #[test]
+    fn in_place_inserts_match_the_oracle_shuffled() {
+        for (n, height) in [(150, 1), (6_000, 2)] {
+            let mut keys = spaced_keys(n);
+            Rng::seeded(n).shuffle(&mut keys);
+            assert_eq!(assert_inserts_match_oracle(&keys), height);
+        }
+    }
+
+    /// About one insert in four overwrites an earlier key.
+    #[test]
+    fn in_place_inserts_match_the_oracle_with_overwrites() {
+        for (n, height) in [(150, 1), (6_000, 2)] {
+            let mut fresh = spaced_keys(n);
+            Rng::seeded(n).shuffle(&mut fresh);
+            let mut rng = Rng::seeded(n + 1);
+            let mut keys: Vec<u64> = Vec::new();
+            for &key in &fresh {
+                while !keys.is_empty() && rng.chance(0.25) {
+                    keys.push(keys[rng.range(0, keys.len() as u64) as usize]);
+                }
+                keys.push(key);
+            }
+            assert_eq!(assert_inserts_match_oracle(&keys), height);
         }
     }
 

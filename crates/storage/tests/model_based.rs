@@ -3,6 +3,7 @@
 //! model after every step.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU32, Ordering};
 
 use hyperion_sim::time::Ns;
 use hyperion_storage::blockstore::BlockStore;
@@ -33,28 +34,60 @@ fn kv_ops() -> impl Strategy<Value = Vec<KvOp>> {
     )
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+#[derive(Debug, Clone)]
+enum TreeOp {
+    Put(u64, u64),
+    Get(u64),
+    /// Puts keys `start..start + len`, enough to split nodes.
+    PutRun(u64, u64, u64),
+}
 
-    /// The B+ tree agrees with a BTreeMap for any insert/get sequence.
+fn tree_ops() -> impl Strategy<Value = Vec<TreeOp>> {
+    proptest::collection::vec(
+        prop_oneof![
+            3 => (0u64..2_400, 0u64..1_000_000).prop_map(|(k, v)| TreeOp::Put(k, v)),
+            3 => (0u64..2_400).prop_map(TreeOp::Get),
+            1 => (0u64..2_000, 1u64..401, 0u64..1_000_000)
+                .prop_map(|(start, len, v)| TreeOp::PutRun(start, len, v)),
+        ],
+        1..120,
+    )
+}
+
+/// Cases `btree_matches_model` runs, and how many of them must grow the
+/// tree past one leaf (a [`BTree`] node holds at most 200 keys).
+const BTREE_CASES: u32 = 64;
+const BTREE_MIN_SPLIT_CASES: u32 = BTREE_CASES * 3 / 4;
+static BTREE_CASES_RUN: AtomicU32 = AtomicU32::new(0);
+static BTREE_SPLIT_CASES: AtomicU32 = AtomicU32::new(0);
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(BTREE_CASES))]
+
+    /// The B+ tree agrees with a BTreeMap for any insert/get sequence,
+    /// across node splits.
     #[test]
-    fn btree_matches_model(ops in kv_ops()) {
+    fn btree_matches_model(ops in tree_ops()) {
         let mut store = BlockStore::with_capacity(1 << 20);
         let (mut tree, mut t) = BTree::create(&mut store, Ns::ZERO).unwrap();
         let mut model: BTreeMap<u64, u64> = BTreeMap::new();
         for op in ops {
             match op {
-                KvOp::Put(k, v) => {
+                TreeOp::Put(k, v) => {
                     t = tree.insert(&mut store, k, v, t).unwrap();
                     model.insert(k, v);
                 }
-                KvOp::Get(k) => {
+                TreeOp::Get(k) => {
                     let (got, done) = tree.get(&mut store, k, t).unwrap();
                     t = done;
                     prop_assert_eq!(got, model.get(&k).copied());
                 }
-                // The B+ tree has no delete; these are no-ops here.
-                KvOp::Delete(_) | KvOp::Flush => {}
+                TreeOp::PutRun(start, len, v) => {
+                    for k in start..start + len {
+                        t = tree.insert(&mut store, k, v ^ k, t).unwrap();
+                        model.insert(k, v ^ k);
+                    }
+                }
             }
             prop_assert_eq!(tree.len(), model.len() as u64);
         }
@@ -64,11 +97,23 @@ proptest! {
             t = done;
             prop_assert_eq!(got, Some(v));
         }
-        // Range agrees with the model.
-        let (range, _) = tree.range(&mut store, 100, 300, t).unwrap();
-        let expect: Vec<(u64, u64)> = model.range(100..300).map(|(&k, &v)| (k, v)).collect();
+        // Range agrees with the model, across leaf boundaries.
+        let (range, _) = tree.range(&mut store, 100, 1_300, t).unwrap();
+        let expect: Vec<(u64, u64)> = model.range(100..1_300).map(|(&k, &v)| (k, v)).collect();
         prop_assert_eq!(range, expect);
+        // The last case checks that enough cases split a node.
+        if tree.height() >= 2 {
+            BTREE_SPLIT_CASES.fetch_add(1, Ordering::Relaxed);
+        }
+        if BTREE_CASES_RUN.fetch_add(1, Ordering::Relaxed) + 1 == BTREE_CASES {
+            let split = BTREE_SPLIT_CASES.load(Ordering::Relaxed);
+            prop_assert!(split >= BTREE_MIN_SPLIT_CASES, "only {} cases split a node", split);
+        }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The LSM tree agrees with a BTreeMap across puts, deletes, flushes,
     /// and a final compaction.

@@ -19,7 +19,9 @@ echo "==> cargo doc (deny warnings: broken intra-doc links fail)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "==> cargo test"
-cargo test --workspace -q
+# Tier-1 host time is printed, not gated, like the full-report time below.
+TIMEFORMAT='workspace tests: %R s wall'
+time cargo test --workspace -q
 
 echo "==> perfbench tests (own Cargo workspace, not covered by --workspace)"
 cargo test --offline --manifest-path perfbench/Cargo.toml -q
