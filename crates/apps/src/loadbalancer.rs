@@ -11,6 +11,7 @@
 //! must keep their backend (connection affinity), which is why the state
 //! must be kept somewhere at all.
 
+use bytes::BytesMut;
 use hyperion_nvme::device::{Command, NvmeDevice, Response};
 use hyperion_nvme::params::LBA_SIZE;
 use hyperion_sim::hash::IntMap;
@@ -271,18 +272,18 @@ impl LoadBalancer {
         self.counters.bump("spill_pages");
         let lba = self.spill_cursor % self.spill.capacity_lbas();
         self.spill_cursor += 1;
-        let mut image = vec![0u8; LBA_SIZE as usize];
-        for (i, flow) in self.staging.iter().enumerate() {
+        // Built in the buffer the device keeps (or compacts), not copied.
+        let mut image = BytesMut::zeroed(LBA_SIZE as usize);
+        for (flow, record) in self.staging.iter().zip(image.chunks_exact_mut(16)) {
             let backend = self.table[flow].0;
-            let o = i * 16;
-            image[o..o + 8].copy_from_slice(&flow.to_le_bytes());
-            image[o + 8..o + 12].copy_from_slice(&backend.0.to_le_bytes());
+            record[..8].copy_from_slice(&flow.to_le_bytes());
+            record[8..12].copy_from_slice(&backend.0.to_le_bytes());
         }
         self.spill
             .submit(
                 Command::Write {
                     lba,
-                    data: bytes::Bytes::from(image),
+                    data: image.freeze(),
                 },
                 now,
             )

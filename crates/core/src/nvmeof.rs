@@ -10,10 +10,17 @@
 //! The wire format is a compact capsule (not byte-compatible with the
 //! NVMe-oF spec, but carrying the same information): a command header plus
 //! inline data for writes, and a response capsule with status + inline
-//! data for reads. Capsules serialize/deserialize exactly, so a remote
-//! initiator and the target agree on bytes.
+//! data for reads. On the fabric a capsule is two segments, the way a NIC
+//! posts a gather list or an NVMe-oF command carries an SGL: the encoded
+//! header (`encode` writes only that) and the inline data as its own
+//! shared [`Bytes`]. Headers encode and decode exactly, so a remote
+//! initiator and the target agree on every field, and `decode` rejects a
+//! header whose data length disagrees with the segment beside it. The
+//! data itself is never copied: a 4 KiB block written by a client is the
+//! buffer the device stores and the buffer a later read returns. Timing
+//! and byte counts come from `wire_len`, header plus data.
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 use hyperion_net::transport::{Endpoint, RetryPolicy, Transport};
 use hyperion_net::{NetError, Network};
 use hyperion_nvme::device::{Command, NvmeDevice, NvmeError, Response};
@@ -94,104 +101,101 @@ pub struct ResponseCapsule {
 
 const CAPSULE_MAGIC: u16 = 0x4E46; // "NF"
 
+/// Bytes in an encoded command capsule header.
+pub const COMMAND_HEADER_LEN: usize = 24;
+/// Bytes in an encoded response capsule header.
+pub const RESPONSE_HEADER_LEN: usize = 12;
+
 impl CommandCapsule {
-    /// Serializes the capsule to wire bytes.
-    pub fn encode(&self) -> Bytes {
-        let mut out = BytesMut::with_capacity(24 + self.data.len());
-        out.put_u16_le(CAPSULE_MAGIC);
-        out.put_u16_le(self.cid);
-        out.put_u8(self.opcode.to_byte());
-        out.put_u8(0); // reserved
-        out.put_u16_le(0); // reserved
-        out.put_u64_le(self.lba);
-        out.put_u32_le(self.blocks);
-        out.put_u32_le(self.data.len() as u32);
-        out.put_slice(&self.data);
-        out.freeze()
+    /// Encodes the capsule header. The inline data is not copied: it
+    /// travels beside the header as its own segment.
+    pub fn encode(&self) -> [u8; COMMAND_HEADER_LEN] {
+        let mut h = [0u8; COMMAND_HEADER_LEN];
+        h[0..2].copy_from_slice(&CAPSULE_MAGIC.to_le_bytes());
+        h[2..4].copy_from_slice(&self.cid.to_le_bytes());
+        h[4] = self.opcode.to_byte();
+        // Bytes 5..8 are reserved (zero).
+        h[8..16].copy_from_slice(&self.lba.to_le_bytes());
+        h[16..20].copy_from_slice(&self.blocks.to_le_bytes());
+        h[20..24].copy_from_slice(&(self.data.len() as u32).to_le_bytes());
+        h
     }
 
-    /// Parses a capsule from wire bytes. The inline data is a slice of
-    /// `wire`, not a copy.
-    pub fn decode(wire: &Bytes) -> Option<CommandCapsule> {
-        if wire.len() < 24 {
+    /// Parses a capsule from its header and its inline data segment,
+    /// which becomes the capsule's data as is. Rejects a header of the
+    /// wrong length, a bad magic or opcode, and a data length that
+    /// disagrees with the segment.
+    pub fn decode(header: &[u8], data: Bytes) -> Option<CommandCapsule> {
+        let h: &[u8; COMMAND_HEADER_LEN] = header.try_into().ok()?;
+        if u16::from_le_bytes([h[0], h[1]]) != CAPSULE_MAGIC {
             return None;
         }
-        let magic = u16::from_le_bytes([wire[0], wire[1]]);
-        if magic != CAPSULE_MAGIC {
-            return None;
-        }
-        let cid = u16::from_le_bytes([wire[2], wire[3]]);
-        let opcode = FabricOpcode::from_byte(wire[4])?;
-        let lba = u64::from_le_bytes(wire[8..16].try_into().ok()?);
-        let blocks = u32::from_le_bytes(wire[16..20].try_into().ok()?);
-        let dlen = u32::from_le_bytes(wire[20..24].try_into().ok()?) as usize;
-        if wire.len() < 24 + dlen {
+        let dlen = u32::from_le_bytes(h[20..24].try_into().expect("4 bytes"));
+        if dlen as usize != data.len() {
             return None;
         }
         Some(CommandCapsule {
-            cid,
-            opcode,
-            lba,
-            blocks,
-            data: wire.slice(24..24 + dlen),
+            cid: u16::from_le_bytes([h[2], h[3]]),
+            opcode: FabricOpcode::from_byte(h[4])?,
+            lba: u64::from_le_bytes(h[8..16].try_into().expect("8 bytes")),
+            blocks: u32::from_le_bytes(h[16..20].try_into().expect("4 bytes")),
+            data,
         })
     }
 
-    /// Total wire size.
+    /// Total wire size: header plus inline data.
     pub fn wire_len(&self) -> u64 {
-        24 + self.data.len() as u64
+        (COMMAND_HEADER_LEN + self.data.len()) as u64
     }
 }
 
 impl ResponseCapsule {
-    /// Serializes the response to wire bytes.
-    pub fn encode(&self) -> Bytes {
-        let mut out = BytesMut::with_capacity(12 + self.data.len());
-        out.put_u16_le(CAPSULE_MAGIC);
-        out.put_u16_le(self.cid);
-        out.put_u8(match self.status {
+    /// Encodes the response header. The inline data is not copied: it
+    /// travels beside the header as its own segment.
+    pub fn encode(&self) -> [u8; RESPONSE_HEADER_LEN] {
+        let mut h = [0u8; RESPONSE_HEADER_LEN];
+        h[0..2].copy_from_slice(&CAPSULE_MAGIC.to_le_bytes());
+        h[2..4].copy_from_slice(&self.cid.to_le_bytes());
+        h[4] = match self.status {
             FabricStatus::Ok => 0,
             FabricStatus::LbaRange => 1,
             FabricStatus::InvalidField => 2,
             FabricStatus::MediaError => 3,
-        });
-        out.put_u8(0);
-        out.put_u16_le(0);
-        out.put_u32_le(self.data.len() as u32);
-        out.put_slice(&self.data);
-        out.freeze()
+        };
+        // Bytes 5..8 are reserved (zero).
+        h[8..12].copy_from_slice(&(self.data.len() as u32).to_le_bytes());
+        h
     }
 
-    /// Parses a response from wire bytes. The inline data is a slice of
-    /// `wire`, not a copy.
-    pub fn decode(wire: &Bytes) -> Option<ResponseCapsule> {
-        if wire.len() < 12 {
+    /// Parses a response from its header and its inline data segment,
+    /// which becomes the response's data as is. Rejects a header of the
+    /// wrong length, a bad magic, and a data length that disagrees with
+    /// the segment.
+    pub fn decode(header: &[u8], data: Bytes) -> Option<ResponseCapsule> {
+        let h: &[u8; RESPONSE_HEADER_LEN] = header.try_into().ok()?;
+        if u16::from_le_bytes([h[0], h[1]]) != CAPSULE_MAGIC {
             return None;
         }
-        if u16::from_le_bytes([wire[0], wire[1]]) != CAPSULE_MAGIC {
+        let dlen = u32::from_le_bytes(h[8..12].try_into().expect("4 bytes"));
+        if dlen as usize != data.len() {
             return None;
         }
-        let cid = u16::from_le_bytes([wire[2], wire[3]]);
-        let status = match wire[4] {
+        let status = match h[4] {
             0 => FabricStatus::Ok,
             1 => FabricStatus::LbaRange,
             3 => FabricStatus::MediaError,
             _ => FabricStatus::InvalidField,
         };
-        let dlen = u32::from_le_bytes(wire[8..12].try_into().ok()?) as usize;
-        if wire.len() < 12 + dlen {
-            return None;
-        }
         Some(ResponseCapsule {
-            cid,
+            cid: u16::from_le_bytes([h[2], h[3]]),
             status,
-            data: wire.slice(12..12 + dlen),
+            data,
         })
     }
 
-    /// Total wire size.
+    /// Total wire size: header plus inline data.
     pub fn wire_len(&self) -> u64 {
-        12 + self.data.len() as u64
+        (RESPONSE_HEADER_LEN + self.data.len()) as u64
     }
 }
 
@@ -227,90 +231,56 @@ impl NvmeOfTarget {
         &self.device
     }
 
-    /// Executes one raw capsule arriving at `now`; returns the encoded
-    /// response and its ready time. Malformed capsules get an
-    /// `InvalidField` response rather than silence (the initiator must be
-    /// able to time out deterministically in simulation).
-    pub fn handle(&mut self, wire: &Bytes, now: Ns) -> (Bytes, Ns) {
-        let Some(capsule) = CommandCapsule::decode(wire) else {
-            let resp = ResponseCapsule {
-                cid: 0,
-                status: FabricStatus::InvalidField,
-                data: Bytes::new(),
-            };
-            return (resp.encode(), now);
+    /// Executes one capsule arriving at `now` as its encoded header and
+    /// its inline data segment; returns the response the same way, with
+    /// its ready time. Write data reaches the device and read data leaves
+    /// it as the segments themselves, never copied. Malformed capsules get
+    /// an `InvalidField` response rather than silence (the initiator must
+    /// be able to time out deterministically in simulation).
+    pub fn handle(
+        &mut self,
+        header: &[u8],
+        data: Bytes,
+        now: Ns,
+    ) -> ([u8; RESPONSE_HEADER_LEN], Bytes, Ns) {
+        let (cid, outcome) = match CommandCapsule::decode(header, data) {
+            Some(capsule) => {
+                self.served += 1;
+                (capsule.cid, self.execute(capsule, now))
+            }
+            None => (0, Err(FabricStatus::InvalidField)),
         };
-        self.served += 1;
-        let cid = capsule.cid;
-        let outcome: Result<(Response, Ns), NvmeError> = match capsule.opcode {
-            FabricOpcode::Read => self
-                .device
-                .submit(
-                    Command::Read {
-                        lba: capsule.lba,
-                        blocks: capsule.blocks,
-                    },
-                    now,
-                )
-                .map(|c| (c.response, c.done)),
-            FabricOpcode::Write => self
-                .device
-                .submit(
-                    Command::Write {
-                        lba: capsule.lba,
-                        data: capsule.data,
-                    },
-                    now,
-                )
-                .map(|c| (c.response, c.done)),
-            FabricOpcode::Flush => self
-                .device
-                .submit(Command::Flush, now)
-                .map(|c| (c.response, c.done)),
+        let (status, data, done) = match outcome {
+            Ok((data, done)) => (FabricStatus::Ok, data, done),
+            Err(status) => (status, Bytes::new(), now),
         };
-        let (resp, done) = match outcome {
-            Ok((Response::Data(data), done)) => (
-                ResponseCapsule {
-                    cid,
-                    status: FabricStatus::Ok,
-                    data,
-                },
-                done,
-            ),
-            Ok((_, done)) => (
-                ResponseCapsule {
-                    cid,
-                    status: FabricStatus::Ok,
-                    data: Bytes::new(),
-                },
-                done,
-            ),
-            Err(NvmeError::OutOfRange { .. }) => (
-                ResponseCapsule {
-                    cid,
-                    status: FabricStatus::LbaRange,
-                    data: Bytes::new(),
-                },
-                now,
-            ),
-            Err(NvmeError::MediaError { .. }) => (
-                ResponseCapsule {
-                    cid,
-                    status: FabricStatus::MediaError,
-                    data: Bytes::new(),
-                },
-                now,
-            ),
-            Err(_) => (
-                ResponseCapsule {
-                    cid,
-                    status: FabricStatus::InvalidField,
-                    data: Bytes::new(),
-                },
-                now,
-            ),
+        let resp = ResponseCapsule { cid, status, data };
+        (resp.encode(), resp.data, done)
+    }
+
+    /// Runs a decoded capsule on the device: the response data and
+    /// completion instant, or the failure status.
+    fn execute(&mut self, capsule: CommandCapsule, now: Ns) -> Result<(Bytes, Ns), FabricStatus> {
+        let cmd = match capsule.opcode {
+            FabricOpcode::Read => Command::Read {
+                lba: capsule.lba,
+                blocks: capsule.blocks,
+            },
+            FabricOpcode::Write => Command::Write {
+                lba: capsule.lba,
+                data: capsule.data,
+            },
+            FabricOpcode::Flush => Command::Flush,
         };
-        (resp.encode(), done)
+        match self.device.submit(cmd, now) {
+            Ok(c) => match c.response {
+                Response::Data(data) => Ok((data, c.done)),
+                _ => Ok((Bytes::new(), c.done)),
+            },
+            Err(NvmeError::OutOfRange { .. }) => Err(FabricStatus::LbaRange),
+            Err(NvmeError::MediaError { .. }) => Err(FabricStatus::MediaError),
+            Err(_) => Err(FabricStatus::InvalidField),
+        }
     }
 }
 
@@ -446,8 +416,9 @@ impl Initiator {
                 capsule.cid = self.alloc_cid();
             }
             let d = tr.send(net, client, target_ep, t, capsule.wire_len())?;
-            let (resp_wire, ready) = target.handle(&capsule.encode(), d.done);
-            let resp = ResponseCapsule::decode(&resp_wire).expect("target responses decode");
+            let (header, data, ready) =
+                target.handle(&capsule.encode(), capsule.data.clone(), d.done);
+            let resp = ResponseCapsule::decode(&header, data).expect("target responses decode");
             let back = tr.send(net, target_ep, client, ready, resp.wire_len())?;
             Ok((resp, back.done))
         };
@@ -487,6 +458,14 @@ mod tests {
     use hyperion_net::transport::{Endpoint, EndpointKind, Transport, TransportKind};
     use hyperion_net::Network;
 
+    /// Sends `c` to `target` as its header and data segment, and decodes
+    /// the answer.
+    fn serve(target: &mut NvmeOfTarget, c: &CommandCapsule, now: Ns) -> (ResponseCapsule, Ns) {
+        let (header, data, done) = target.handle(&c.encode(), c.data.clone(), now);
+        let resp = ResponseCapsule::decode(&header, data).expect("target responses decode");
+        (resp, done)
+    }
+
     #[test]
     fn capsules_round_trip_on_the_wire() {
         let c = CommandCapsule {
@@ -496,30 +475,71 @@ mod tests {
             blocks: 0,
             data: Bytes::from(vec![9u8; 4096]),
         };
-        let wire = c.encode();
-        assert_eq!(CommandCapsule::decode(&wire), Some(c));
+        let header = c.encode();
+        assert_eq!(header.len() as u64, c.wire_len() - 4096);
+        assert_eq!(CommandCapsule::decode(&header, c.data.clone()), Some(c));
         let r = ResponseCapsule {
             cid: 77,
             status: FabricStatus::Ok,
             data: Bytes::from_static(b"abc"),
         };
-        assert_eq!(ResponseCapsule::decode(&r.encode()), Some(r));
+        assert_eq!(
+            ResponseCapsule::decode(&r.encode(), r.data.clone()),
+            Some(r)
+        );
     }
 
     #[test]
     fn truncated_or_garbage_capsules_rejected() {
-        assert_eq!(
-            CommandCapsule::decode(&Bytes::from_static(&[1, 2, 3])),
-            None
-        );
-        let mut wire = Initiator::new().read(0, 1).encode().to_vec();
-        wire[0] ^= 0xFF; // break the magic
-        assert_eq!(CommandCapsule::decode(&Bytes::from(wire)), None);
-        // The target answers garbage with InvalidField, not silence.
+        let page = Bytes::from(vec![7u8; 4096]);
+        let w = Initiator::new().write(5, page.clone());
+        let header = w.encode();
+        assert!(CommandCapsule::decode(&header, page.clone()).is_some());
+        // A truncated header, a bad magic, a bad opcode, and data lengths
+        // that disagree with the segment beside the header.
+        let mut bad_magic = header;
+        bad_magic[0] ^= 0xFF;
+        let mut bad_opcode = header;
+        bad_opcode[4] = 0x7F;
+        let short = page.slice(..4095);
+        let read = Initiator::new().read(5, 1).encode();
+        let rejected: [(&[u8], Bytes); 6] = [
+            (&header[..23], page.clone()),
+            (&bad_magic, page.clone()),
+            (&bad_opcode, page.clone()),
+            (&header, short.clone()),
+            (&header, Bytes::new()),
+            (&read, page.clone()),
+        ];
         let mut target = NvmeOfTarget::new(1 << 16);
-        let (resp, _) = target.handle(&Bytes::from_static(&[0u8; 4]), Ns::ZERO);
-        let resp = ResponseCapsule::decode(&resp).expect("decodable");
-        assert_eq!(resp.status, FabricStatus::InvalidField);
+        for (header, data) in rejected {
+            assert_eq!(CommandCapsule::decode(header, data.clone()), None);
+            // The target answers garbage with InvalidField, not silence,
+            // and before any device work.
+            let (resp, data, done) = target.handle(header, data, Ns(100));
+            let resp = ResponseCapsule::decode(&resp, data).expect("decodable");
+            assert_eq!(resp.status, FabricStatus::InvalidField);
+            assert!(resp.data.is_empty());
+            assert_eq!(done, Ns(100));
+        }
+        assert_eq!(target.served(), 0);
+        assert_eq!(target.device().stored_block(5), None, "nothing written");
+        // Responses are held to the same rules.
+        let r = ResponseCapsule {
+            cid: 1,
+            status: FabricStatus::Ok,
+            data: page.clone(),
+        };
+        let mut bad_magic = r.encode();
+        bad_magic[1] ^= 0xFF;
+        assert_eq!(ResponseCapsule::decode(&bad_magic, page.clone()), None);
+        assert_eq!(ResponseCapsule::decode(&r.encode(), short), None);
+        let empty = ResponseCapsule {
+            data: Bytes::new(),
+            ..r.clone()
+        };
+        assert_eq!(ResponseCapsule::decode(&empty.encode(), page), None);
+        assert_eq!(ResponseCapsule::decode(&r.encode()[..11], r.data), None);
     }
 
     #[test]
@@ -528,14 +548,12 @@ mod tests {
         let mut ini = Initiator::new();
         let payload = Bytes::from(vec![0x5Au8; 4096]);
         let w = ini.write(50, payload.clone());
-        let (resp, t) = target.handle(&w.encode(), Ns::ZERO);
-        let resp = ResponseCapsule::decode(&resp).expect("decodable");
+        let (resp, t) = serve(&mut target, &w, Ns::ZERO);
         assert_eq!(resp.status, FabricStatus::Ok);
         assert_eq!(resp.cid, w.cid);
 
         let r = ini.read(50, 1);
-        let (resp, _) = target.handle(&r.encode(), t);
-        let resp = ResponseCapsule::decode(&resp).expect("decodable");
+        let (resp, _) = serve(&mut target, &r, t);
         assert_eq!(resp.status, FabricStatus::Ok);
         assert_eq!(resp.data, payload);
     }
@@ -545,8 +563,7 @@ mod tests {
         let mut target = NvmeOfTarget::new(1 << 16);
         let mut ini = Initiator::new();
         for lba in [0, 7] {
-            let (resp, now) = target.handle(&ini.read(lba, 0).encode(), Ns(100));
-            let resp = ResponseCapsule::decode(&resp).expect("decodable");
+            let (resp, now) = serve(&mut target, &ini.read(lba, 0), Ns(100));
             assert_eq!(resp.status, FabricStatus::InvalidField);
             assert!(resp.data.is_empty());
             assert_eq!(now, Ns(100), "rejected before any flash work");
@@ -556,27 +573,95 @@ mod tests {
     #[test]
     fn decoded_payloads_share_the_wire_buffer() {
         let w = Initiator::new().write(3, Bytes::from(vec![7u8; 4096]));
-        let wire = w.encode();
-        let c = CommandCapsule::decode(&wire).expect("decodable");
-        assert_eq!(c.data.as_ptr(), wire[24..].as_ptr());
+        let c = CommandCapsule::decode(&w.encode(), w.data.clone()).expect("decodable");
+        assert_eq!(c.data.as_ptr(), w.data.as_ptr());
         let r = ResponseCapsule {
             cid: 1,
             status: FabricStatus::Ok,
             data: c.data,
         };
-        let wire = r.encode();
-        let back = ResponseCapsule::decode(&wire).expect("decodable");
-        assert_eq!(back.data.as_ptr(), wire[12..].as_ptr());
+        let back = ResponseCapsule::decode(&r.encode(), r.data.clone()).expect("decodable");
+        assert_eq!(back.data.as_ptr(), w.data.as_ptr());
         assert_eq!(back, r);
+    }
+
+    #[test]
+    fn exchanged_blocks_stay_in_the_clients_page() {
+        let mut net = Network::new();
+        let client = Endpoint::new(net.add_node(), EndpointKind::Kernel);
+        let dpu = Endpoint::new(net.add_node(), EndpointKind::Hardware);
+        let tr = Transport::new(TransportKind::Udp);
+        let mut target = NvmeOfTarget::new(1 << 16);
+        let mut ini = Initiator::new();
+        let policy = RetryPolicy::DEFAULT;
+        let page = Bytes::from(vec![0xC3u8; 4096]);
+        let w = ini.write(11, page.clone());
+        let (resp, x) = ini
+            .exchange(
+                &mut net,
+                &tr,
+                client,
+                dpu,
+                &mut target,
+                w,
+                Ns::ZERO,
+                &policy,
+            )
+            .expect("clean fabric");
+        assert_eq!(resp.status, FabricStatus::Ok);
+        let stored = target.device().stored_block(11).expect("kept whole");
+        assert_eq!(
+            stored.as_ptr(),
+            page.as_ptr(),
+            "the device keeps the client's page"
+        );
+        let r = ini.read(11, 1);
+        let (resp, _) = ini
+            .exchange(&mut net, &tr, client, dpu, &mut target, r, x.done, &policy)
+            .expect("clean fabric");
+        assert_eq!(resp.status, FabricStatus::Ok);
+        assert_eq!(
+            resp.data.as_ptr(),
+            page.as_ptr(),
+            "reads return the client's page"
+        );
+        assert_eq!(resp.data, page);
     }
 
     #[test]
     fn out_of_range_reported_in_status() {
         let mut target = NvmeOfTarget::new(16);
         let mut ini = Initiator::new();
-        let (resp, _) = target.handle(&ini.read(20, 1).encode(), Ns::ZERO);
-        let resp = ResponseCapsule::decode(&resp).expect("decodable");
+        let (resp, _) = serve(&mut target, &ini.read(20, 1), Ns::ZERO);
         assert_eq!(resp.status, FabricStatus::LbaRange);
+    }
+
+    #[test]
+    fn ranges_that_wrap_past_u64_max_are_out_of_range() {
+        // The LBA comes straight off the wire: its end must not wrap.
+        let mut target = NvmeOfTarget::new(1 << 16);
+        let mut ini = Initiator::new();
+        let one = Bytes::from(vec![1u8; 4096]);
+        let two = Bytes::from(vec![2u8; 8192]);
+        let capsules = [
+            ini.read(u64::MAX, 1),
+            ini.write(u64::MAX, one),
+            ini.read(u64::MAX - 1, 2),
+            ini.write(u64::MAX - 1, two),
+        ];
+        for c in &capsules {
+            let (resp, done) = serve(&mut target, c, Ns(5));
+            assert_eq!(
+                resp.status,
+                FabricStatus::LbaRange,
+                "{:?} at {}",
+                c.opcode,
+                c.lba
+            );
+            assert!(resp.data.is_empty());
+            assert_eq!(done, Ns(5));
+        }
+        assert_eq!(target.device().flash_ops(), (0, 0, 0), "no flash work");
     }
 
     #[test]
@@ -587,17 +672,16 @@ mod tests {
         // Seed data, then make every media sense fail: the device's own
         // retry also fails and the target must answer MediaError.
         let w = ini.write(9, Bytes::from(vec![3u8; 4096]));
-        let (_, t) = target.handle(&w.encode(), Ns::ZERO);
+        let (_, t) = serve(&mut target, &w, Ns::ZERO);
         target.set_fault_plan(FaultPlan::seeded(1).window(
             FAULT_NVME_MEDIA_READ,
             Ns::ZERO,
             Ns(u64::MAX),
         ));
-        let (resp, _) = target.handle(&ini.read(9, 1).encode(), t);
-        let resp = ResponseCapsule::decode(&resp).expect("decodable");
+        let (resp, _) = serve(&mut target, &ini.read(9, 1), t);
         assert_eq!(resp.status, FabricStatus::MediaError);
-        // The status round-trips through the capsule encoding.
-        let again = ResponseCapsule::decode(&resp.encode()).expect("decodable");
+        // The status round-trips through the header encoding.
+        let again = ResponseCapsule::decode(&resp.encode(), Bytes::new()).expect("decodable");
         assert_eq!(again.status, FabricStatus::MediaError);
     }
 
@@ -748,8 +832,7 @@ mod tests {
         let d = tr
             .send(&mut net, client, dpu, Ns::ZERO, capsule.wire_len())
             .expect("send");
-        let (resp_wire, ready) = target.handle(&capsule.encode(), d.done);
-        let resp = ResponseCapsule::decode(&resp_wire).expect("decodable");
+        let (resp, ready) = serve(&mut target, &capsule, d.done);
         let back = tr
             .send(&mut net, dpu, client, ready, resp.wire_len())
             .expect("send");

@@ -14,8 +14,9 @@
 use std::cmp::Reverse;
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BinaryHeap};
+use std::sync::OnceLock;
 
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 use hyperion_sim::energy::{EnergyMeter, Pj};
 use hyperion_sim::fault::FaultPlan;
 use hyperion_sim::hash::{IntMap, IntSet};
@@ -670,11 +671,15 @@ impl NvmeDevice {
         }
     }
 
+    /// Rejects a range that ends past the namespace. The LBA can come
+    /// straight off the network (an NVMe-oF capsule), so the end must not
+    /// wrap around.
     fn check_range(&self, lba: u64, blocks: u64) -> Result<(), NvmeError> {
-        if lba + blocks > self.capacity_lbas {
-            Err(NvmeError::OutOfRange { lba: lba + blocks })
-        } else {
-            Ok(())
+        match lba.checked_add(blocks) {
+            Some(end) if end <= self.capacity_lbas => Ok(()),
+            _ => Err(NvmeError::OutOfRange {
+                lba: lba.saturating_add(blocks),
+            }),
         }
     }
 
@@ -733,26 +738,47 @@ impl NvmeDevice {
 
     /// The contents of `blocks` LBAs from `lba`, zeros where never
     /// written. A single full-length stored LBA is returned as the stored
-    /// buffer itself; anything else is assembled into one new buffer, with
+    /// buffer itself, and a single unwritten one as the shared
+    /// [`zero_block`]; anything else is assembled into one new buffer, with
     /// compacted and unwritten LBAs padded with zeros.
     fn gather(&self, lba: u64, blocks: u64) -> Bytes {
         let size = params::LBA_SIZE as usize;
         if blocks == 1 {
-            if let Some(Stored::Block(data)) = self.blocks.get(&lba) {
-                return data.clone();
+            match self.blocks.get(&lba) {
+                Some(Stored::Block(data)) => return data.clone(),
+                None => return zero_block(),
+                Some(Stored::Prefix(_)) => {}
             }
         }
-        let mut out = Vec::with_capacity(blocks as usize * size);
-        for b in 0..blocks {
-            match self.blocks.get(&(lba + b)) {
-                Some(Stored::Block(data)) => out.extend_from_slice(data),
-                Some(Stored::Prefix(p)) => out.extend_from_slice(self.prefixes.get(*p)),
-                None => {}
-            }
-            out.resize((b as usize + 1) * size, 0);
+        let mut out = BytesMut::zeroed(blocks as usize * size);
+        for (block, lba) in out.chunks_exact_mut(size).zip(lba..) {
+            let stored = match self.blocks.get(&lba) {
+                Some(Stored::Block(data)) => &data[..],
+                Some(Stored::Prefix(p)) => self.prefixes.get(*p),
+                None => continue,
+            };
+            block[..stored.len()].copy_from_slice(stored);
         }
-        Bytes::from(out)
+        out.freeze()
     }
+
+    /// The buffer the device keeps for `lba` when it holds the whole
+    /// block: a slice of the buffer the write brought. `None` for an
+    /// unwritten LBA and for one kept as a compacted prefix.
+    pub fn stored_block(&self, lba: u64) -> Option<&Bytes> {
+        match self.blocks.get(&lba)? {
+            Stored::Block(data) => Some(data),
+            Stored::Prefix(_) => None,
+        }
+    }
+}
+
+/// The block every one-LBA read of an unwritten LBA returns: one shared
+/// buffer of zeros, built once, rather than a fresh page per read.
+fn zero_block() -> Bytes {
+    static ZERO: OnceLock<Bytes> = OnceLock::new();
+    ZERO.get_or_init(|| BytesMut::zeroed(params::LBA_SIZE as usize).freeze())
+        .clone()
 }
 
 /// Device recovery counters mirrored into telemetry by
@@ -899,13 +925,18 @@ mod tests {
     #[test]
     fn unwritten_blocks_read_zero() {
         let mut d = NvmeDevice::new_block(1 << 20);
-        let c = d
-            .submit(Command::Read { lba: 5, blocks: 1 }, Ns::ZERO)
-            .unwrap();
-        match c.response {
-            Response::Data(data) => assert!(data.iter().all(|&b| b == 0)),
-            other => panic!("unexpected response {other:?}"),
+        let (a, b) = (read_one(&mut d, 5), read_one(&mut d, 6));
+        for zeros in [&a, &b] {
+            assert_eq!(zeros.len(), params::LBA_SIZE as usize);
+            assert!(zeros.iter().all(|&b| b == 0));
         }
+        assert_eq!(a.as_ptr(), b.as_ptr(), "one shared zero block");
+        // A later write to the LBA leaves the earlier result all zeros.
+        let data = lba_data(9, 1);
+        d.submit(Command::Write { lba: 5, data }, Ns::ZERO).unwrap();
+        assert!(a.iter().all(|&b| b == 0));
+        assert_eq!(read_one(&mut d, 5), lba_data(9, 1));
+        assert_eq!(read_one(&mut d, 6).as_ptr(), b.as_ptr());
     }
 
     #[test]

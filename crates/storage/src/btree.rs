@@ -16,6 +16,7 @@
 //! child did not split is written back unchanged as the very buffer it was
 //! read as, zero-copy. Only a split builds fresh pages.
 
+use bytes::BytesMut;
 use hyperion_sim::time::Ns;
 
 use crate::blockstore::{BlockError, BlockStore, BLOCK};
@@ -114,16 +115,18 @@ impl<'a> Page<'a> {
 }
 
 /// Builds a node page: the header, then `keys` and `rest` (values or
-/// children) back to back, zero-padded to one block.
-fn page(leaf: bool, next: u64, keys: &[[u8; 8]], rest: &[[u8; 8]]) -> Vec<u8> {
+/// children) back to back, zero-padded to one block. The page is built in
+/// the buffer the store keeps.
+fn page(leaf: bool, next: u64, keys: &[[u8; 8]], rest: &[[u8; 8]]) -> BytesMut {
     let tag = if leaf { TAG_LEAF } else { TAG_INTERNAL };
-    let mut out = Vec::with_capacity(BLOCK as usize);
-    out.extend_from_slice(&tag.to_le_bytes());
-    out.extend_from_slice(&(keys.len() as u32).to_le_bytes());
-    out.extend_from_slice(&next.to_le_bytes());
-    out.extend_from_slice(keys.as_flattened());
-    out.extend_from_slice(rest.as_flattened());
-    out.resize(BLOCK as usize, 0);
+    let mut out = BytesMut::zeroed(BLOCK as usize);
+    let buf = &mut out[..];
+    buf[0..4].copy_from_slice(&tag.to_le_bytes());
+    buf[4..8].copy_from_slice(&(keys.len() as u32).to_le_bytes());
+    buf[8..16].copy_from_slice(&next.to_le_bytes());
+    let (k, r) = (keys.len(), rest.len());
+    buf[at(0)..at(k)].copy_from_slice(keys.as_flattened());
+    buf[at(k)..at(k + r)].copy_from_slice(rest.as_flattened());
     out
 }
 
@@ -276,7 +279,7 @@ impl BTree {
         let (i, new_key, new_rest, t) = if leaf {
             match node.keys.binary_search_by_key(&key, word) {
                 Ok(i) => {
-                    let mut buf = data.to_vec();
+                    let mut buf = BytesMut::from(&data[..]);
                     buf[at(n + i)..at(n + i + 1)].copy_from_slice(&value.to_le_bytes());
                     return Ok((None, store.write(lba, buf, t)?));
                 }
@@ -294,7 +297,8 @@ impl BTree {
             };
             (i, sep, right, t)
         };
-        let mut buf = data.to_vec();
+        // The edited page, copied once into the buffer the store keeps.
+        let mut buf = BytesMut::from(&data[..]);
         insert_entry(&mut buf, leaf, n, i, new_key, new_rest);
         if n < MAX_KEYS {
             return Ok((None, store.write(lba, buf, t)?));

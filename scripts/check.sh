@@ -26,6 +26,13 @@ time cargo test --workspace -q
 echo "==> perfbench tests (own Cargo workspace, not covered by --workspace)"
 cargo test --offline --manifest-path perfbench/Cargo.toml -q
 
+echo "==> examples (release; each drives one subsystem end to end)"
+# distributed.rs is the one caller of the raw NVMe-oF handle/encode/decode
+# API outside the tests; an example that panics fails the gate.
+for example in examples/*.rs; do
+    cargo run --release -q --example "$(basename "$example" .rs)" > /dev/null
+done
+
 echo "==> fault-matrix smoke (e13: injected faults must recover deterministically)"
 # E13 is explicit-only and never in the gated snapshot below; run it twice
 # and require byte-identical output so fault injection stays deterministic.

@@ -3,29 +3,33 @@
 //! The Hyperion workspace builds in environments with no network access
 //! and no vendored registry, so the external `bytes` dependency is
 //! replaced by this path crate. It implements exactly the API surface the
-//! workspace uses — cheaply-cloneable immutable [`Bytes`] (backed by an
-//! `Arc<[u8]>`), an appendable [`BytesMut`], and the [`Buf`]/[`BufMut`]
-//! accessor traits — with the same observable semantics.
+//! workspace uses, with the same observable semantics: a cheaply
+//! cloneable immutable [`Bytes`] and a fixed-length, uniquely owned
+//! [`BytesMut`] to build one in.
 //!
-//! [`Bytes::slice`] and `clone` share storage; they never copy. Building a
-//! `Bytes` from a `Vec<u8>` (`From<Vec<u8>>`, [`BytesMut::freeze`]) copies
-//! the bytes once into a single `Arc<[u8]>`, on purpose. An `Arc<Vec<u8>>`
-//! that adopted the `Vec` without copying was measured with the
-//! `perfbench` host-clock benchmark and rejected: every buffer then costs
-//! two heap allocations, which kept glibc from trimming freed memory.
-//! That raised the peak RSS of the load-balancer Zipf workload by 5–8.7%,
-//! and the retained heap made later runs of the new-flow burst look 2x
-//! faster only because they skipped page faults.
+//! Every buffer is one `Arc<[u8]>`, one heap allocation that lives as
+//! long as the buffer. [`Bytes::slice`] and `clone` share that storage,
+//! and so does [`BytesMut::freeze`]: a page built in a [`BytesMut`] (from
+//! [`BytesMut::zeroed`] or a copied slice) becomes a [`Bytes`] without a
+//! copy. [`Bytes::new`] does not allocate.
+//!
+//! Building a `Bytes` from a `Vec<u8>` (`From<Vec<u8>>`) copies the bytes
+//! once into a new `Arc<[u8]>`, on purpose. An `Arc<Vec<u8>>` that adopted
+//! the `Vec` without copying was measured with the `perfbench` host-clock
+//! benchmark and rejected: every buffer then costs two heap allocations,
+//! which kept glibc from trimming freed memory. That raised the peak RSS
+//! of the load-balancer Zipf workload by 5–8.7%, and the retained heap
+//! made later runs of the new-flow burst look 2x faster only because they
+//! skipped page faults. Code that builds a page should build it in a
+//! [`BytesMut`] instead.
 //!
 //! [`bytes`]: https://docs.rs/bytes
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::borrow::Borrow;
 use std::fmt;
-use std::hash::{Hash, Hasher};
-use std::ops::Deref;
+use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
 /// A cheaply cloneable, immutable, contiguous slice of memory.
@@ -37,9 +41,9 @@ pub struct Bytes {
 }
 
 impl Bytes {
-    /// Creates an empty `Bytes`.
+    /// Creates an empty `Bytes` without allocating.
     pub fn new() -> Bytes {
-        Bytes::from_vec(Vec::new())
+        Bytes::default()
     }
 
     /// Creates `Bytes` from a static slice without copying semantics
@@ -50,16 +54,7 @@ impl Bytes {
 
     /// Copies `data` into a new `Bytes`.
     pub fn copy_from_slice(data: &[u8]) -> Bytes {
-        Bytes::from_vec(data.to_vec())
-    }
-
-    fn from_vec(v: Vec<u8>) -> Bytes {
-        let end = v.len();
-        Bytes {
-            data: v.into(),
-            start: 0,
-            end,
-        }
+        BytesMut::from(data).freeze()
     }
 
     /// Number of bytes.
@@ -97,74 +92,27 @@ impl Bytes {
             end: self.start + end,
         }
     }
-
-    /// The bytes as a plain slice.
-    pub fn as_slice(&self) -> &[u8] {
-        &self.data[self.start..self.end]
-    }
 }
 
 impl Deref for Bytes {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
-        self.as_slice()
-    }
-}
-
-impl AsRef<[u8]> for Bytes {
-    fn as_ref(&self) -> &[u8] {
-        self.as_slice()
-    }
-}
-
-impl Borrow<[u8]> for Bytes {
-    fn borrow(&self) -> &[u8] {
-        self.as_slice()
-    }
-}
-
-impl Hash for Bytes {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.as_slice().hash(state);
+        &self.data[self.start..self.end]
     }
 }
 
 impl PartialEq for Bytes {
     fn eq(&self, other: &Bytes) -> bool {
-        self.as_slice() == other.as_slice()
+        **self == **other
     }
 }
 
 impl Eq for Bytes {}
 
-impl PartialEq<[u8]> for Bytes {
-    fn eq(&self, other: &[u8]) -> bool {
-        self.as_slice() == other
-    }
-}
-
-impl PartialEq<&[u8]> for Bytes {
-    fn eq(&self, other: &&[u8]) -> bool {
-        self.as_slice() == *other
-    }
-}
-
-impl PartialOrd for Bytes {
-    fn partial_cmp(&self, other: &Bytes) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Bytes {
-    fn cmp(&self, other: &Bytes) -> std::cmp::Ordering {
-        self.as_slice().cmp(other.as_slice())
-    }
-}
-
 impl fmt::Debug for Bytes {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "b\"")?;
-        for &b in self.as_slice() {
+        for &b in &**self {
             for c in std::ascii::escape_default(b) {
                 write!(f, "{}", c as char)?;
             }
@@ -175,24 +123,12 @@ impl fmt::Debug for Bytes {
 
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Bytes {
-        Bytes::from_vec(v)
+        Bytes::copy_from_slice(&v)
     }
 }
 
 impl From<String> for Bytes {
     fn from(s: String) -> Bytes {
-        Bytes::from_vec(s.into_bytes())
-    }
-}
-
-impl From<&'static [u8]> for Bytes {
-    fn from(s: &'static [u8]) -> Bytes {
-        Bytes::copy_from_slice(s)
-    }
-}
-
-impl From<&'static str> for Bytes {
-    fn from(s: &'static str) -> Bytes {
         Bytes::copy_from_slice(s.as_bytes())
     }
 }
@@ -203,69 +139,44 @@ impl From<BytesMut> for Bytes {
     }
 }
 
-impl FromIterator<u8> for Bytes {
-    fn from_iter<I: IntoIterator<Item = u8>>(iter: I) -> Bytes {
-        Bytes::from_vec(iter.into_iter().collect())
-    }
-}
-
-impl IntoIterator for Bytes {
-    type Item = u8;
-    type IntoIter = std::vec::IntoIter<u8>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.as_slice().to_vec().into_iter()
-    }
-}
-
-/// A unique, growable byte buffer.
-#[derive(Clone, Default, PartialEq, Eq)]
+/// A fixed-length byte buffer owned by one writer, frozen into a
+/// [`Bytes`] in place once built.
 pub struct BytesMut {
-    data: Vec<u8>,
+    /// Never shared until [`BytesMut::freeze`], so always uniquely owned.
+    data: Arc<[u8]>,
 }
 
 impl BytesMut {
-    /// Creates an empty buffer.
-    pub fn new() -> BytesMut {
-        BytesMut { data: Vec::new() }
+    /// A buffer of `len` zero bytes: one allocation up to 4 KiB, plus a
+    /// transient zeroed `Vec` above that.
+    pub fn zeroed(len: usize) -> BytesMut {
+        // Both arms are a `memcpy` in any build. `Arc::from_iter` over
+        // `repeat_n` is as fast in release, but a debug build writes byte
+        // by byte, 30 µs per 4 KiB page, which more than doubled the debug
+        // test time.
+        static ZEROS: [u8; 4096] = [0; 4096];
+        let data = match ZEROS.get(..len) {
+            Some(zeros) => Arc::from(zeros),
+            None => Arc::from(vec![0; len]),
+        };
+        BytesMut { data }
     }
 
-    /// Creates an empty buffer with `cap` bytes pre-reserved.
-    pub fn with_capacity(cap: usize) -> BytesMut {
-        BytesMut {
-            data: Vec::with_capacity(cap),
-        }
-    }
-
-    /// Number of bytes written so far.
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// True when nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
-    /// Converts the buffer into an immutable [`Bytes`].
+    /// Converts the buffer into an immutable [`Bytes`] over the same
+    /// storage, without copying.
     pub fn freeze(self) -> Bytes {
-        Bytes::from_vec(self.data)
-    }
-
-    /// Appends a slice.
-    pub fn extend_from_slice(&mut self, extend: &[u8]) {
-        self.data.extend_from_slice(extend);
-    }
-
-    /// Splits off and returns the first `at` bytes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at > len`.
-    pub fn split_to(&mut self, at: usize) -> BytesMut {
-        let rest = self.data.split_off(at);
-        BytesMut {
-            data: std::mem::replace(&mut self.data, rest),
+        Bytes {
+            start: 0,
+            end: self.data.len(),
+            data: self.data,
         }
+    }
+}
+
+impl From<&[u8]> for BytesMut {
+    /// Copies `data` into a new buffer.
+    fn from(data: &[u8]) -> BytesMut {
+        BytesMut { data: data.into() }
     }
 }
 
@@ -276,122 +187,9 @@ impl Deref for BytesMut {
     }
 }
 
-impl AsRef<[u8]> for BytesMut {
-    fn as_ref(&self) -> &[u8] {
-        &self.data
-    }
-}
-
-impl fmt::Debug for BytesMut {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        Bytes::copy_from_slice(&self.data).fmt(f)
-    }
-}
-
-/// Read access to a cursor over a byte buffer.
-pub trait Buf {
-    /// Bytes remaining between the cursor and the end.
-    fn remaining(&self) -> usize;
-    /// The remaining bytes as a contiguous slice.
-    fn chunk(&self) -> &[u8];
-    /// Advances the cursor by `cnt` bytes.
-    fn advance(&mut self, cnt: usize);
-
-    /// Reads one byte and advances.
-    fn get_u8(&mut self) -> u8 {
-        let v = self.chunk()[0];
-        self.advance(1);
-        v
-    }
-
-    /// Reads a little-endian u16 and advances.
-    fn get_u16_le(&mut self) -> u16 {
-        let v = u16::from_le_bytes(self.chunk()[..2].try_into().expect("2 bytes"));
-        self.advance(2);
-        v
-    }
-
-    /// Reads a little-endian u32 and advances.
-    fn get_u32_le(&mut self) -> u32 {
-        let v = u32::from_le_bytes(self.chunk()[..4].try_into().expect("4 bytes"));
-        self.advance(4);
-        v
-    }
-
-    /// Reads a little-endian u64 and advances.
-    fn get_u64_le(&mut self) -> u64 {
-        let v = u64::from_le_bytes(self.chunk()[..8].try_into().expect("8 bytes"));
-        self.advance(8);
-        v
-    }
-
-    /// Copies `dst.len()` bytes into `dst` and advances.
-    fn copy_to_slice(&mut self, dst: &mut [u8]) {
-        dst.copy_from_slice(&self.chunk()[..dst.len()]);
-        self.advance(dst.len());
-    }
-}
-
-impl Buf for Bytes {
-    fn remaining(&self) -> usize {
-        self.len()
-    }
-    fn chunk(&self) -> &[u8] {
-        self.as_slice()
-    }
-    fn advance(&mut self, cnt: usize) {
-        assert!(cnt <= self.len(), "advance past end");
-        self.start += cnt;
-    }
-}
-
-impl Buf for &[u8] {
-    fn remaining(&self) -> usize {
-        self.len()
-    }
-    fn chunk(&self) -> &[u8] {
-        self
-    }
-    fn advance(&mut self, cnt: usize) {
-        *self = &self[cnt..];
-    }
-}
-
-/// Write access to an appendable byte buffer.
-pub trait BufMut {
-    /// Appends a slice.
-    fn put_slice(&mut self, src: &[u8]);
-
-    /// Appends one byte.
-    fn put_u8(&mut self, v: u8) {
-        self.put_slice(&[v]);
-    }
-
-    /// Appends a little-endian u16.
-    fn put_u16_le(&mut self, v: u16) {
-        self.put_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a little-endian u32.
-    fn put_u32_le(&mut self, v: u32) {
-        self.put_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a little-endian u64.
-    fn put_u64_le(&mut self, v: u64) {
-        self.put_slice(&v.to_le_bytes());
-    }
-}
-
-impl BufMut for BytesMut {
-    fn put_slice(&mut self, src: &[u8]) {
-        self.data.extend_from_slice(src);
-    }
-}
-
-impl BufMut for Vec<u8> {
-    fn put_slice(&mut self, src: &[u8]) {
-        self.extend_from_slice(src);
+impl DerefMut for BytesMut {
+    fn deref_mut(&mut self) -> &mut [u8] {
+        Arc::get_mut(&mut self.data).expect("a BytesMut is never shared")
     }
 }
 
@@ -420,26 +218,42 @@ mod tests {
         assert_eq!(inner.len(), 24);
         assert_eq!(b.clone().as_ptr() as usize, base);
         assert_eq!(s.clone().as_ptr() as usize, base + 16);
-        let mut cursor = s.clone();
-        cursor.advance(4);
-        assert_eq!(cursor.as_ptr() as usize, base + 20);
     }
 
     #[test]
-    fn bytesmut_builds_and_freezes() {
-        let mut m = BytesMut::with_capacity(16);
-        m.put_u16_le(0xBEEF);
-        m.put_u8(7);
-        m.put_slice(b"xy");
+    fn zeroed_builds_in_place_and_freeze_shares_storage() {
+        let mut m = BytesMut::zeroed(4096);
+        assert_eq!(m.len(), 4096);
+        assert!(m.iter().all(|&b| b == 0));
+        m[..2].copy_from_slice(&0xBEEFu16.to_le_bytes());
+        m[4095] = 7;
+        let base = m.as_ptr();
         let b = m.freeze();
-        assert_eq!(b.as_ref(), &[0xEF, 0xBE, 7, b'x', b'y']);
+        assert_eq!(b.as_ptr(), base, "freeze must not copy");
+        assert_eq!(b.len(), 4096);
+        assert_eq!(&b[..3], &[0xEF, 0xBE, 0]);
+        assert_eq!(b[4095], 7);
+        assert!(BytesMut::zeroed(0).freeze().is_empty());
+        let mut big = BytesMut::zeroed(3 * 4096 + 1);
+        assert!(big.iter().all(|&b| b == 0));
+        big[3 * 4096] = 1;
+        let base = big.as_ptr();
+        let big = big.freeze();
+        assert_eq!(
+            (big.len(), big.as_ptr(), big[3 * 4096]),
+            (3 * 4096 + 1, base, 1)
+        );
     }
 
     #[test]
-    fn buf_cursor_reads() {
-        let mut b = Bytes::from(vec![0xEF, 0xBE, 9]);
-        assert_eq!(b.get_u16_le(), 0xBEEF);
-        assert_eq!(b.get_u8(), 9);
-        assert_eq!(b.remaining(), 0);
+    fn copied_buffers_edit_without_touching_the_source() {
+        let src = Bytes::from(vec![5u8; 16]);
+        let mut m = BytesMut::from(&src[..]);
+        m[0] = 9;
+        let base = m.as_ptr();
+        let b = m.freeze();
+        assert_eq!(b.as_ptr(), base);
+        assert_eq!(b.len(), 16);
+        assert_eq!((b[0], b[1], src[0]), (9, 5, 5));
     }
 }
