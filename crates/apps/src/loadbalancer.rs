@@ -31,7 +31,7 @@ pub struct BackendId(pub u32);
 /// Spill records per flash page (16-byte records into a 4 KiB page).
 pub const SPILL_BATCH: usize = 256;
 
-/// Where a flow's state lives.
+/// Where a flow's state lives: the decoded view of a [`TableEntry`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Residence {
     /// In fabric DRAM, at `slot` of the [`Lru`] list.
@@ -43,6 +43,103 @@ enum Residence {
     Flash {
         lba: u64,
     },
+}
+
+/// Bits a [`TableEntry`] has for a DRAM slot or spill LBA.
+const PLACE_BITS: u32 = 30;
+
+/// Exclusive bound on a DRAM slot or spill LBA.
+const PLACE_LIMIT: u64 = 1 << PLACE_BITS;
+
+/// One flow-table value packed into a word: the backend in the low 32
+/// bits, then the [`Residence`] tag in two bits above the DRAM slot or
+/// spill LBA in [`PLACE_BITS`]. With the key, a table entry is 16 bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct TableEntry(u64);
+
+impl TableEntry {
+    fn new(backend: BackendId, residence: Residence) -> TableEntry {
+        let (tag, place) = match residence {
+            Residence::Dram { slot } => (0, u64::from(slot)),
+            Residence::Staged => (1, 0),
+            Residence::Flash { lba } => (2, lba),
+        };
+        debug_assert!(place < PLACE_LIMIT, "{residence:?} does not fit");
+        TableEntry(u64::from(backend.0) | (((tag << PLACE_BITS) | place) << 32))
+    }
+
+    fn backend(self) -> BackendId {
+        BackendId(self.0 as u32)
+    }
+
+    fn residence(self) -> Residence {
+        let high = self.0 >> 32;
+        let place = high & (PLACE_LIMIT - 1);
+        match high >> PLACE_BITS {
+            0 => Residence::Dram { slot: place as u32 },
+            1 => Residence::Staged,
+            _ => Residence::Flash { lba: place },
+        }
+    }
+
+    /// This flow's entry with its state moved to `residence`.
+    fn moved(self, residence: Residence) -> TableEntry {
+        TableEntry::new(self.backend(), residence)
+    }
+}
+
+/// Shards of the [`FlowTable`].
+const SHARDS: usize = 256;
+
+// A shard is picked by the top bits of a multiply.
+const _: () = assert!(SHARDS.is_power_of_two());
+
+/// flow hash -> [`TableEntry`], split by flow into [`SHARDS`] hash maps.
+///
+/// One map of every tracked flow grew by doubling into a fresh contiguous
+/// buffer (4.3 MiB at 200k flows), and the steer that crossed a doubling
+/// rehashed the whole table. Across balancers built and dropped in one
+/// process, other allocations split the multi-megabyte holes those
+/// buffers left, so whether the next doubling found a hole or grew the
+/// heap depended on the order of earlier set-ups: `lb_zipf_spill`'s peak
+/// RSS read 24.9 or 27.6 MiB at random. A shard holds 1/256 of the
+/// flows, so it grows in steps of at most 17 KiB at 200k flows, and the
+/// heap reuses those small holes the same way every time (23.5–23.8 MiB
+/// over ten runs).
+#[derive(Debug)]
+struct FlowTable {
+    shards: Box<[IntMap<u64, TableEntry>]>,
+}
+
+impl FlowTable {
+    fn new() -> FlowTable {
+        FlowTable {
+            shards: (0..SHARDS).map(|_| IntMap::default()).collect(),
+        }
+    }
+
+    /// The shard `flow` lives in: the top bits of a multiply that differs
+    /// from [`IntMap`]'s hasher, so that the flows of one shard still
+    /// spread over its buckets and control tags.
+    fn shard(flow: u64) -> usize {
+        (flow.wrapping_mul(0x94D0_49BB_1331_11EB) >> (64 - SHARDS.ilog2())) as usize
+    }
+
+    fn get(&self, flow: u64) -> Option<TableEntry> {
+        self.shards[Self::shard(flow)].get(&flow).copied()
+    }
+
+    fn get_mut(&mut self, flow: u64) -> Option<&mut TableEntry> {
+        self.shards[Self::shard(flow)].get_mut(&flow)
+    }
+
+    fn insert(&mut self, flow: u64, entry: TableEntry) {
+        self.shards[Self::shard(flow)].insert(flow, entry);
+    }
+
+    fn len(&self) -> usize {
+        self.shards.iter().map(IntMap::len).sum()
+    }
 }
 
 /// The end-of-list marker for [`Lru`] links.
@@ -151,14 +248,15 @@ impl Lru {
 pub struct LoadBalancer {
     backends: u32,
     dram_capacity: usize,
-    /// flow hash -> (backend, residence).
-    table: IntMap<u64, (BackendId, Residence)>,
+    /// flow hash -> backend and residence.
+    table: FlowTable,
     /// LRU order for spill decisions.
     lru: Lru,
     spill: NvmeDevice,
     spill_cursor: u64,
-    /// Flows evicted into the current (unflushed) spill page.
-    staging: Vec<u64>,
+    /// Flows evicted into the current (unflushed) spill page, with their
+    /// backends (the page's records).
+    staging: Vec<(u64, BackendId)>,
     /// Records per flushed spill page.
     spill_batch: usize,
     /// `hits_dram`, `hits_flash`, `hits_staged`, `spills`, `promotions`,
@@ -168,11 +266,13 @@ pub struct LoadBalancer {
 
 impl LoadBalancer {
     /// Creates a balancer over `backends` servers with room for
-    /// `dram_capacity` flows in fabric DRAM and a spill SSD.
+    /// `dram_capacity` flows in fabric DRAM and a spill SSD of
+    /// `spill_lbas` LBAs.
     ///
     /// # Panics
     ///
-    /// Panics if `backends` is zero.
+    /// Panics if `backends` or `spill_lbas` is zero, if `dram_capacity`
+    /// is 2^30 or more, or if `spill_lbas` is more than 2^30.
     pub fn new(backends: u32, dram_capacity: usize, spill_lbas: u64) -> LoadBalancer {
         Self::with_spill_batch(backends, dram_capacity, spill_lbas, SPILL_BATCH)
     }
@@ -183,7 +283,7 @@ impl LoadBalancer {
     ///
     /// # Panics
     ///
-    /// Panics if `backends` or `spill_batch` is zero.
+    /// As [`LoadBalancer::new`], and if `spill_batch` is zero.
     pub fn with_spill_batch(
         backends: u32,
         dram_capacity: usize,
@@ -192,10 +292,20 @@ impl LoadBalancer {
     ) -> LoadBalancer {
         assert!(backends > 0, "need at least one backend");
         assert!(spill_batch > 0, "spill batch must be non-zero");
+        assert!(spill_lbas > 0, "spill SSD must be non-empty");
+        // Every DRAM slot and spill LBA fits in a table entry.
+        assert!(
+            (dram_capacity as u64) < PLACE_LIMIT,
+            "DRAM capacity of {dram_capacity} flows is 2^{PLACE_BITS} or more"
+        );
+        assert!(
+            spill_lbas <= PLACE_LIMIT,
+            "spill SSD of {spill_lbas} LBAs is more than 2^{PLACE_BITS}"
+        );
         LoadBalancer {
             backends,
             dram_capacity,
-            table: IntMap::default(),
+            table: FlowTable::new(),
             lru: Lru::new(),
             spill: NvmeDevice::new_block(spill_lbas),
             spill_cursor: 0,
@@ -241,9 +351,9 @@ impl LoadBalancer {
             return now;
         };
         self.counters.bump("spills");
-        let entry = self.table.get_mut(&victim).expect("victim is tracked");
-        entry.1 = Residence::Staged;
-        self.staging.push(victim);
+        let entry = self.table.get_mut(victim).expect("victim is tracked");
+        *entry = entry.moved(Residence::Staged);
+        self.staging.push((victim, entry.backend()));
         if self.staging.len() >= self.spill_batch.min(SPILL_BATCH) {
             self.flush_staging(now);
         }
@@ -259,7 +369,8 @@ impl LoadBalancer {
             now
         };
         let slot = self.lru.push_back(flow);
-        self.table.insert(flow, (backend, Residence::Dram { slot }));
+        self.table
+            .insert(flow, TableEntry::new(backend, Residence::Dram { slot }));
         t
     }
 
@@ -274,8 +385,7 @@ impl LoadBalancer {
         self.spill_cursor += 1;
         // Built in the buffer the device keeps (or compacts), not copied.
         let mut image = BytesMut::zeroed(LBA_SIZE as usize);
-        for (flow, record) in self.staging.iter().zip(image.chunks_exact_mut(16)) {
-            let backend = self.table[flow].0;
+        for (&(flow, backend), record) in self.staging.iter().zip(image.chunks_exact_mut(16)) {
             record[..8].copy_from_slice(&flow.to_le_bytes());
             record[8..12].copy_from_slice(&backend.0.to_le_bytes());
         }
@@ -288,10 +398,10 @@ impl LoadBalancer {
                 now,
             )
             .expect("spill write");
-        for flow in self.staging.drain(..) {
-            if let Some(entry) = self.table.get_mut(&flow) {
-                if entry.1 == Residence::Staged {
-                    entry.1 = Residence::Flash { lba };
+        for (flow, _) in self.staging.drain(..) {
+            if let Some(entry) = self.table.get_mut(flow) {
+                if entry.residence() == Residence::Staged {
+                    *entry = entry.moved(Residence::Flash { lba });
                 }
             }
         }
@@ -302,7 +412,8 @@ impl LoadBalancer {
     /// whose state spilled to flash pay a flash read to re-promote.
     pub fn steer(&mut self, flow: u64, now: Ns) -> (BackendId, Ns) {
         let t = now + PIPELINE_WORK;
-        match self.table.get(&flow).copied() {
+        let entry = self.table.get(flow).map(|e| (e.backend(), e.residence()));
+        match entry {
             Some((backend, Residence::Dram { slot })) => {
                 self.counters.bump("hits_dram");
                 self.lru.move_to_back(slot);
@@ -311,7 +422,7 @@ impl LoadBalancer {
             Some((backend, Residence::Staged)) => {
                 // Still in the write buffer: promote back at DRAM speed.
                 self.counters.bump("hits_staged");
-                if let Some(pos) = self.staging.iter().position(|&f| f == flow) {
+                if let Some(pos) = self.staging.iter().position(|&(f, _)| f == flow) {
                     self.staging.remove(pos);
                 }
                 (backend, self.install_dram(flow, backend, t + DRAM_LOOKUP))
@@ -399,7 +510,7 @@ mod tests {
         use hyperion_sim::rng::Rng;
         use std::collections::VecDeque;
         // Table values keep the slot inline, with no second index.
-        assert_eq!(std::mem::size_of::<(BackendId, Residence)>(), 24);
+        assert_eq!(std::mem::size_of::<TableEntry>(), 8);
         for seed in 0..8 {
             let mut rng = Rng::seeded(seed);
             let mut lru = Lru::new();
@@ -439,6 +550,71 @@ mod tests {
                 assert_eq!(lru.pop_front(), Some(flow), "seed {seed}");
             }
             assert_eq!((lru.pop_front(), lru.len()), (None, 0));
+        }
+    }
+
+    #[test]
+    fn table_entries_round_trip_every_residence_at_both_ends() {
+        let last = PLACE_LIMIT - 1;
+        for backend in [0, 1, u32::MAX].map(BackendId) {
+            for residence in [
+                Residence::Dram { slot: 0 },
+                Residence::Dram { slot: last as u32 },
+                Residence::Staged,
+                Residence::Flash { lba: 0 },
+                Residence::Flash { lba: last },
+            ] {
+                let entry = TableEntry::new(backend, residence);
+                assert_eq!((entry.backend(), entry.residence()), (backend, residence));
+                for moved in [Residence::Staged, Residence::Flash { lba: last }] {
+                    assert_eq!(entry.moved(moved), TableEntry::new(backend, moved));
+                }
+            }
+        }
+        // The largest balancer whose slots and LBAs still fit is accepted.
+        LoadBalancer::new(1, last as usize, PLACE_LIMIT);
+    }
+
+    #[test]
+    #[should_panic(expected = "DRAM capacity of 1073741824 flows")]
+    fn a_dram_capacity_of_2_pow_30_is_rejected() {
+        LoadBalancer::new(4, 1 << 30, 1 << 16);
+    }
+
+    #[test]
+    #[should_panic(expected = "spill SSD of 1073741825 LBAs")]
+    fn a_spill_ssd_over_2_pow_30_lbas_is_rejected() {
+        LoadBalancer::new(4, 100, (1 << 30) + 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "spill SSD must be non-empty")]
+    fn a_zero_lba_spill_ssd_is_rejected() {
+        // Used to panic on the first spill, dividing the cursor by zero.
+        LoadBalancer::with_spill_batch(4, 2, 0, 1);
+    }
+
+    #[test]
+    fn flow_table_spreads_flows_over_every_shard() {
+        // Sequential flow ids (as E7b installs them) and random hashes.
+        let mut rng = hyperion_sim::rng::Rng::seeded(3);
+        let random: Vec<u64> = (0..1 << 16).map(|_| rng.next_u64()).collect();
+        for flows in [(0..1 << 16).collect::<Vec<u64>>(), random] {
+            let mut table = FlowTable::new();
+            for &flow in &flows {
+                table.insert(flow, TableEntry::new(BackendId(0), Residence::Staged));
+            }
+            assert_eq!(table.len(), flows.len());
+            let mean = flows.len() / SHARDS;
+            for shard in table.shards.iter() {
+                assert!(
+                    (mean / 2..mean * 3 / 2).contains(&shard.len()),
+                    "a shard holds {} of {} flows",
+                    shard.len(),
+                    flows.len()
+                );
+            }
+            assert!(flows.iter().all(|&flow| table.get(flow).is_some()));
         }
     }
 

@@ -85,11 +85,20 @@ pub struct VerifiedProgram {
     /// Upper bound on executed instructions for any input (from the DAG
     /// longest path), used by engines as a hard budget.
     pub max_insns: u64,
+    /// The verifier's work on this program: abstract-interpretation
+    /// transfers (one per reachable instruction) plus state joins (one
+    /// per edge into an instruction that already had a state). A
+    /// deterministic measure of its cost.
+    pub work: u64,
 }
 
 impl VerifiedProgram {
-    pub(crate) fn new(program: Program, max_insns: u64) -> VerifiedProgram {
-        VerifiedProgram { program, max_insns }
+    pub(crate) fn new(program: Program, max_insns: u64, work: u64) -> VerifiedProgram {
+        VerifiedProgram {
+            program,
+            max_insns,
+            work,
+        }
     }
 
     /// The underlying program.

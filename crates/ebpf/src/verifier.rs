@@ -268,8 +268,8 @@ pub fn verify(program: &Program) -> Result<VerifiedProgram, VerifyError> {
     let succs = build_cfg(insns, &lddw_tail)?;
     let order = topo_order(insns.len(), &succs, &lddw_tail)?;
     let max_insns = longest_path(insns.len(), &succs, &order, &lddw_tail);
-    abstract_interpret(program, &succs, &order, &lddw_tail)?;
-    Ok(VerifiedProgram::new(program.clone(), max_insns))
+    let work = abstract_interpret(program, &succs, &order, &lddw_tail)?;
+    Ok(VerifiedProgram::new(program.clone(), max_insns, work))
 }
 
 /// Marks the second slots of lddw pairs and checks opcode/register/helper
@@ -533,16 +533,18 @@ struct Ai<'a> {
     program: &'a Program,
 }
 
-/// Runs the abstract interpretation over the topologically ordered DAG.
+/// Runs the abstract interpretation over the topologically ordered DAG;
+/// returns its work, the transfers plus the state joins it made.
 fn abstract_interpret(
     program: &Program,
     succs: &[Vec<usize>],
     order: &[usize],
     lddw_tail: &[bool],
-) -> Result<(), VerifyError> {
+) -> Result<u64, VerifyError> {
     let ai = Ai { program };
     let mut in_states: HashMap<usize, State> = HashMap::new();
     in_states.insert(0, State::entry(program.ctx_min_len));
+    let mut work = 0;
     for &pc in order {
         if lddw_tail[pc] {
             continue;
@@ -553,6 +555,7 @@ fn abstract_interpret(
             None => continue,
         };
         let outs = ai.transfer(pc, &state)?;
+        work += 1;
         for (succ, out_state) in outs {
             debug_assert!(
                 succs[pc].contains(&succ),
@@ -561,6 +564,7 @@ fn abstract_interpret(
             match in_states.get_mut(&succ) {
                 Some(existing) => {
                     existing.join_into(&out_state);
+                    work += 1;
                 }
                 None => {
                     in_states.insert(succ, out_state);
@@ -568,7 +572,7 @@ fn abstract_interpret(
             }
         }
     }
-    Ok(())
+    Ok(work)
 }
 
 impl<'a> Ai<'a> {
@@ -1341,6 +1345,8 @@ mod tests {
         let [lo, hi] = lddw(0, u64::MAX);
         let v = ok(vec![lo, hi, exit()], 0);
         assert_eq!(v.max_insns, 3);
+        // The tail slot is no transfer of its own.
+        assert_eq!(v.work, 2);
     }
 
     #[test]
@@ -1365,5 +1371,7 @@ mod tests {
         let v = ok(insns, 0);
         // Longest: 0,1,2,3,4,5 = 6.
         assert_eq!(v.max_insns, 6);
+        // Six transfers, and one join where the arms meet at 5.
+        assert_eq!(v.work, 7);
     }
 }

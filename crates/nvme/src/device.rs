@@ -12,21 +12,21 @@
 //! faithful latency/queueing profile.
 
 use std::cmp::Reverse;
-use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BinaryHeap};
 use std::sync::OnceLock;
 
 use bytes::{Bytes, BytesMut};
 use hyperion_sim::energy::{EnergyMeter, Pj};
 use hyperion_sim::fault::FaultPlan;
-use hyperion_sim::hash::{IntMap, IntSet};
+use hyperion_sim::hash::IntSet;
 use hyperion_sim::stats::Counters;
 use hyperion_sim::time::Ns;
 use hyperion_telemetry::{Component, Recorder};
 
+use crate::blocks::{BlockTable, Stored};
 use crate::flash::{FlashArray, FlashOp};
 use crate::params;
-use crate::prefixes::{Prefix, Prefixes};
+use crate::prefixes::Prefixes;
 
 /// What a namespace is specialized as.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -191,16 +191,6 @@ struct Zone {
     cond: ZoneCond,
 }
 
-/// One written LBA as the device holds it.
-#[derive(Debug)]
-enum Stored {
-    /// The whole block, usually a slice of the buffer it arrived in.
-    Block(Bytes),
-    /// The written prefix of a block that was fresh and mostly zero; the
-    /// rest of the block is zeros.
-    Prefix(Prefix),
-}
-
 /// One NVMe SSD.
 #[derive(Debug)]
 pub struct NvmeDevice {
@@ -208,7 +198,7 @@ pub struct NvmeDevice {
     capacity_lbas: u64,
     flash: FlashArray,
     /// Written LBAs; see [`NvmeDevice::store_blocks`].
-    blocks: IntMap<u64, Stored>,
+    blocks: BlockTable,
     /// The prefixes [`Stored::Prefix`] entries refer to.
     prefixes: Prefixes,
     zones: Vec<Zone>,
@@ -269,7 +259,7 @@ impl NvmeDevice {
             kind,
             capacity_lbas,
             flash: FlashArray::new(),
-            blocks: IntMap::default(),
+            blocks: BlockTable::default(),
             prefixes: Prefixes::default(),
             zones: Vec::new(),
             kv: BTreeMap::new(),
@@ -549,12 +539,10 @@ impl NvmeDevice {
                 }
                 let base = zone * params::ZONE_LBAS;
                 let (prefixes, mut repack) = (&mut self.prefixes, false);
-                self.blocks.retain(|&lba, stored| {
-                    let keep = lba < base || lba >= base + params::ZONE_LBAS;
-                    if let (false, Stored::Prefix(p)) = (keep, stored) {
-                        repack |= prefixes.release(*p);
+                self.blocks.erase(base..base + params::ZONE_LBAS, |stored| {
+                    if let Stored::Prefix(p) = stored {
+                        repack |= prefixes.release(p);
                     }
-                    keep
                 });
                 if repack {
                     self.repack_prefixes();
@@ -705,15 +693,16 @@ impl NvmeDevice {
         let mut repack = false;
         for (i, block) in data.chunks_exact(size).enumerate() {
             let shared = || Stored::Block(data.slice(i * size..(i + 1) * size));
-            match self.blocks.entry(lba + i as u64) {
-                Entry::Occupied(mut stored) => {
-                    if let Stored::Prefix(p) = stored.insert(shared()) {
+            let slot = self.blocks.slot(lba + i as u64);
+            match slot {
+                Some(stored) => {
+                    if let Stored::Prefix(p) = std::mem::replace(stored, shared()) {
                         repack |= self.prefixes.release(p);
                     }
                 }
-                Entry::Vacant(fresh) => {
+                None => {
                     let prefix = written_prefix(block);
-                    fresh.insert(if prefix <= size / 2 {
+                    *slot = Some(if prefix <= size / 2 {
                         Stored::Prefix(self.prefixes.push(&block[..prefix]))
                     } else {
                         shared()
@@ -730,7 +719,7 @@ impl NvmeDevice {
     /// overwritten and erased ones.
     fn repack_prefixes(&mut self) {
         self.prefixes
-            .repack(self.blocks.values_mut().filter_map(|stored| match stored {
+            .repack(self.blocks.iter_mut().filter_map(|stored| match stored {
                 Stored::Prefix(p) => Some(p),
                 Stored::Block(_) => None,
             }));
@@ -744,7 +733,7 @@ impl NvmeDevice {
     fn gather(&self, lba: u64, blocks: u64) -> Bytes {
         let size = params::LBA_SIZE as usize;
         if blocks == 1 {
-            match self.blocks.get(&lba) {
+            match self.blocks.get(lba) {
                 Some(Stored::Block(data)) => return data.clone(),
                 None => return zero_block(),
                 Some(Stored::Prefix(_)) => {}
@@ -752,7 +741,7 @@ impl NvmeDevice {
         }
         let mut out = BytesMut::zeroed(blocks as usize * size);
         for (block, lba) in out.chunks_exact_mut(size).zip(lba..) {
-            let stored = match self.blocks.get(&lba) {
+            let stored = match self.blocks.get(lba) {
                 Some(Stored::Block(data)) => &data[..],
                 Some(Stored::Prefix(p)) => self.prefixes.get(*p),
                 None => continue,
@@ -766,7 +755,7 @@ impl NvmeDevice {
     /// block: a slice of the buffer the write brought. `None` for an
     /// unwritten LBA and for one kept as a compacted prefix.
     pub fn stored_block(&self, lba: u64) -> Option<&Bytes> {
-        match self.blocks.get(&lba)? {
+        match self.blocks.get(lba)? {
             Stored::Block(data) => Some(data),
             Stored::Prefix(_) => None,
         }
@@ -891,6 +880,73 @@ mod tests {
         let lba = params::ZONE_LBAS + 2;
         let data = read_one(&mut d, lba);
         assert!(data[..64].iter().all(|&b| b == 1) && data[64..].iter().all(|&b| b == 0));
+    }
+
+    #[test]
+    fn zone_reset_drops_whole_chunks_and_repacks_the_survivors() {
+        const ZONE: u64 = params::ZONE_LBAS;
+        let mut d = NvmeDevice::new_zoned(3 * ZONE);
+        let append = |d: &mut NvmeDevice, zone: u64, data: Bytes| {
+            d.submit(Command::ZoneAppend { zone, data }, Ns::ZERO)
+                .unwrap();
+        };
+        // Survivors on both sides of zone 0: two 64-byte prefixes in zone
+        // 1's first chunk, three 1 KiB ones in zone 2.
+        append(&mut d, 1, sparse_data(1, 64, 2));
+        append(&mut d, 2, sparse_data(2, 1024, 3));
+        // Zone 0, every chunk written: dense blocks, then 40 2 KiB prefixes
+        // across the first chunk boundary (LBAs 250..290), dense blocks
+        // from one shared buffer, and 64-byte prefixes in its last four LBAs.
+        append(&mut d, 0, lba_data(3, 250));
+        append(&mut d, 0, sparse_data(4, 2048, 40));
+        let dense = lba_data(5, 1024);
+        while let Some(left) = d.zone_write_pointer(0).map(|wp| ZONE - 4 - wp) {
+            if left == 0 {
+                break;
+            }
+            let n = left.min(1024) as usize * params::LBA_SIZE as usize;
+            append(&mut d, 0, dense.slice(..n));
+        }
+        append(&mut d, 0, sparse_data(6, 64, 4));
+        assert_eq!(d.zone_write_pointer(0), Some(ZONE));
+        assert_eq!(
+            d.blocks.chunks(),
+            (ZONE / crate::blocks::CHUNK) as usize + 2
+        );
+        // 80 KiB of prefixes in zone 0: two slabs.
+        assert_eq!(d.prefixes.slabs(), 2);
+        for (lba, fill) in [
+            (249, 3),
+            (255, 4),
+            (256, 4),
+            (289, 4),
+            (290, 5),
+            (ZONE - 1, 6),
+        ] {
+            assert_eq!(read_one(&mut d, lba)[0], fill, "lba {lba}");
+        }
+
+        d.submit(Command::ZoneReset { zone: 0 }, Ns::ZERO).unwrap();
+        // Its chunks are gone; the dead prefixes outweighed the live
+        // ones, so the survivors were repacked into one slab.
+        assert_eq!(d.blocks.chunks(), 2);
+        assert_eq!(d.prefixes.slabs(), 1);
+        for lba in [0, 249, 255, 256, 289, 290, ZONE - 4, ZONE - 1] {
+            assert!(d.blocks.get(lba).is_none(), "lba {lba}");
+            assert!(read_one(&mut d, lba).iter().all(|&b| b == 0), "lba {lba}");
+        }
+        let survivors = [(ZONE, 1, 64), (ZONE + 1, 1, 64)]
+            .into_iter()
+            .chain((0..3).map(|i| (2 * ZONE + i, 2, 1024)));
+        for (lba, fill, len) in survivors {
+            let data = read_one(&mut d, lba);
+            assert!(data[..len].iter().all(|&b| b == fill), "lba {lba}");
+            assert!(data[len..].iter().all(|&b| b == 0), "lba {lba}");
+        }
+        // The zone takes appends again from its start.
+        append(&mut d, 0, sparse_data(7, 64, 300));
+        assert_eq!(read_one(&mut d, 299)[..64], [7; 64]);
+        assert_eq!(d.blocks.chunks(), 4);
     }
 
     #[test]
@@ -1336,7 +1392,12 @@ mod tests {
         use hyperion_sim::rng::Rng;
         use std::collections::HashMap;
         const LBA: usize = params::LBA_SIZE as usize;
-        const CAPACITY: u64 = 96;
+        const CAPACITY: u64 = 1 << 20;
+        /// Most commands land in 96 LBAs around the first chunk boundary.
+        const NEAR: std::ops::Range<u64> = 208..304;
+        /// The rest land in four-LBA spans far out, each across a chunk
+        /// boundary, and at the end of the namespace.
+        const FAR: [u64; 3] = [40 * 256 - 2, 3_000 * 256 - 2, CAPACITY - 4];
         /// How the device must hold an LBA after a write.
         #[derive(Debug, Clone, Copy, PartialEq)]
         enum Held {
@@ -1384,13 +1445,20 @@ mod tests {
             let mut kept: Vec<(Bytes, Vec<u8>)> = Vec::new();
             let (mut shared, mut unwritten, mut compact_reads, mut mixed) = (0, 0, 0, 0);
             let (mut compacted, mut to_dense, mut to_sparse) = (0, 0, 0);
+            let (mut straddling, mut far) = (0, 0);
             for step in 0..1_200 {
                 let blocks = 1 + rng.next_below(4);
-                let lba = rng.next_below(CAPACITY - blocks + 1);
+                let lba = if rng.chance(0.1) {
+                    FAR[rng.next_below(3) as usize] + rng.next_below(4 - blocks + 1)
+                } else {
+                    NEAR.start + rng.next_below(NEAR.end - NEAR.start - blocks + 1)
+                };
+                straddling += usize::from(lba / 256 != (lba + blocks - 1) / 256);
+                far += usize::from(!NEAR.contains(&lba));
                 let now = Ns(step * 1_000);
                 if rng.chance(0.5) {
-                    // Multi-LBA writes over a small namespace: most of
-                    // them partially overwrite an earlier write.
+                    // Multi-LBA writes over a few LBAs: most of them
+                    // partially overwrite an earlier write.
                     let image: Vec<[u8; LBA]> = (0..blocks).map(|_| gen_block(&mut rng)).collect();
                     let data = Bytes::from(image.concat());
                     let base = data.as_ptr() as usize;
@@ -1412,7 +1480,7 @@ mod tests {
                     }
                     d.submit(Command::Write { lba, data }, now).unwrap();
                     for b in lba..lba + blocks {
-                        match (model[&b].1, &d.blocks[&b]) {
+                        match (model[&b].1, d.blocks.get(b).expect("written")) {
                             (Held::Shared(at), Stored::Block(stored)) => {
                                 assert_eq!(stored.len(), LBA, "seed {seed} step {step}");
                                 assert_eq!(stored.as_ptr() as usize, at, "seed {seed} step {step}");
@@ -1463,7 +1531,11 @@ mod tests {
                     }
                 }
             }
-            assert!(model.len() > 80, "seed {seed}: namespace mostly written");
+            assert!(model.len() > 100, "seed {seed}: LBAs mostly written");
+            assert!(
+                straddling > 40 && far > 80,
+                "seed {seed}: {straddling} across a chunk boundary, {far} far out"
+            );
             assert!(
                 kept.len() > 40 && shared > 100 && unwritten > 20,
                 "seed {seed}"

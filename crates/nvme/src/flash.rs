@@ -11,6 +11,9 @@ use hyperion_sim::time::{serialization_delay, Ns};
 
 use crate::params;
 
+/// Time one page takes on the channel bus.
+const BUS: Ns = serialization_delay(params::PAGE_SIZE, params::CHANNEL_BPS);
+
 /// Which flash operation a die performs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlashOp {
@@ -116,13 +119,12 @@ impl FlashArray {
     /// arriving at `now`; returns the completion instant.
     pub fn access(&mut self, op: FlashOp, page: u64, now: Ns) -> Ns {
         let (ch, die) = self.locate(page);
-        let bus = serialization_delay(params::PAGE_SIZE, params::CHANNEL_BPS);
         match op {
             FlashOp::Read => {
                 self.reads += 1;
                 // Sense in the die, then move the page over the channel.
                 let (ds, de) = self.dies[die].access_interval(now, params::READ_LATENCY);
-                let (cs, ce) = self.channels[ch].access_interval(de, bus);
+                let (cs, ce) = self.channels[ch].access_interval(de, BUS);
                 self.log_claim(false, die, ds, de);
                 self.log_claim(true, ch, cs, ce);
                 ce
@@ -131,7 +133,7 @@ impl FlashArray {
                 self.programs += 1;
                 // Move data over the channel into the die's page register,
                 // then program.
-                let (cs, ce) = self.channels[ch].access_interval(now, bus);
+                let (cs, ce) = self.channels[ch].access_interval(now, BUS);
                 let (ds, de) = self.dies[die].access_interval(ce, params::PROGRAM_LATENCY);
                 self.log_claim(true, ch, cs, ce);
                 self.log_claim(false, die, ds, de);

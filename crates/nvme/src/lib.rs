@@ -19,6 +19,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod blocks;
 pub mod device;
 pub mod flash;
 pub mod params;

@@ -4,8 +4,8 @@
 //!
 //! A batch-1 load-balancer spill writes 50k such blocks (a 64-byte prefix
 //! each) in one run. As separate allocations they would be 50k small
-//! chunks threaded through the holes the growing block map leaves behind,
-//! and the process's peak resident memory would depend on how the
+//! chunks threaded through the holes the device's growing tables leave
+//! behind, and the process's peak resident memory would depend on how the
 //! allocator happened to lay them out. Slabs of one size are reused whole.
 
 /// Bytes per slab. A prefix is at most half a block, so it never

@@ -188,12 +188,25 @@ impl fmt::Display for Ns {
 /// // 1500 bytes at 100 Gbps = 120 ns.
 /// assert_eq!(serialization_delay(1500, 100_000_000_000), Ns(120));
 /// ```
-pub fn serialization_delay(bytes: u64, bits_per_sec: u64) -> Ns {
+pub const fn serialization_delay(bytes: u64, bits_per_sec: u64) -> Ns {
     assert!(bits_per_sec != 0, "bandwidth must be non-zero");
-    let bits = bytes as u128 * 8;
-    let ns = (bits * 1_000_000_000).div_ceil(bits_per_sec as u128);
-    Ns(u64::try_from(ns).unwrap_or(u64::MAX))
+    // Exact in `u64` while `bytes * 8e9` fits (up to about 2.3 GB): every
+    // link transmit and flash access takes this path. Larger counts take
+    // the `u128` one, whose division is a library call several times
+    // slower, and saturate.
+    if bytes <= u64::MAX / BIT_NS_PER_BYTE {
+        return Ns((bytes * BIT_NS_PER_BYTE).div_ceil(bits_per_sec));
+    }
+    let ns = (bytes as u128 * BIT_NS_PER_BYTE as u128).div_ceil(bits_per_sec as u128);
+    Ns(if ns > u64::MAX as u128 {
+        u64::MAX
+    } else {
+        ns as u64
+    })
 }
+
+/// Bits per byte times nanoseconds per second.
+const BIT_NS_PER_BYTE: u64 = 8 * 1_000_000_000;
 
 #[cfg(test)]
 mod tests {
@@ -236,6 +249,36 @@ mod tests {
         assert_eq!(serialization_delay(64, 100_000_000_000), Ns(6));
         // 4 KiB at 10 Gbps: 3276.8 ns, rounded up.
         assert_eq!(serialization_delay(4096, 10_000_000_000), Ns(3_277));
+    }
+
+    #[test]
+    fn serialization_delay_matches_the_u128_formula() {
+        fn reference(bytes: u64, bits_per_sec: u64) -> Ns {
+            let ns = (bytes as u128 * 8 * 1_000_000_000).div_ceil(bits_per_sec as u128);
+            Ns(u64::try_from(ns).unwrap_or(u64::MAX))
+        }
+        // The largest count whose bit-nanoseconds fit in a u64.
+        let edge = u64::MAX / 8_000_000_000;
+        for bytes in [0, 1, edge - 1, edge, edge + 1, u64::MAX] {
+            for bits_per_sec in [1, 100_000_000_000, u64::MAX] {
+                assert_eq!(
+                    serialization_delay(bytes, bits_per_sec),
+                    reference(bytes, bits_per_sec),
+                    "{bytes} bytes at {bits_per_sec} bps"
+                );
+            }
+        }
+        let mut rng = crate::rng::Rng::seeded(7);
+        for _ in 0..10_000 {
+            // Counts on both sides of the edge, and bandwidths of any width.
+            let bytes = rng.next_u64() >> rng.next_below(64);
+            let bits_per_sec = (rng.next_u64() >> rng.next_below(64)).max(1);
+            assert_eq!(
+                serialization_delay(bytes, bits_per_sec),
+                reference(bytes, bits_per_sec),
+                "{bytes} bytes at {bits_per_sec} bps"
+            );
+        }
     }
 
     #[test]

@@ -79,11 +79,16 @@ trap 'rm -f "$SNAPSHOT" "$FAULTS_A" "$FAULTS_B"' EXIT
 cargo run --release -q -p hyperion-bench --bin report -- --json > "$SNAPSHOT"
 ./scripts/bench_gate.sh "$SNAPSHOT"
 
-echo "==> full report wall time (host clock; printed, not gated)"
-# The simulator's own speed is noisy across machines, so this only makes
-# it visible in the log. The binary is already built by the steps above;
-# the time includes cargo's up-to-date check.
+echo "==> full report: byte-identical across two runs, and its wall time"
+# Every table is a function of fixed seeds, so two runs must agree to the
+# byte: neither host timing nor a hash map's iteration order may reach
+# the output. The wall time is printed, not gated: the simulator's own
+# speed is noisy across machines, so this only makes it visible in the
+# log. The binary is already built by the steps above; the time includes
+# cargo's up-to-date check.
 TIMEFORMAT='full report: %R s wall'
-time cargo run --release -q -p hyperion-bench --bin report > /dev/null
+time cargo run --release -q -p hyperion-bench --bin report > "$FAULTS_A"
+cargo run --release -q -p hyperion-bench --bin report > "$FAULTS_B"
+diff -u "$FAULTS_A" "$FAULTS_B"
 
 echo "All checks passed."
