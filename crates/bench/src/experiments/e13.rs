@@ -9,10 +9,10 @@
 //! read-retry + grown-bad-block remap). Everything is deterministic per
 //! seed, so the tables reproduce byte-for-byte.
 //!
-//! E13 is *excluded* from the default `report --json` selection: the
-//! committed `BENCH_report.json` baseline is the no-fault datapath, and
-//! the perf gate must not see fault-profile tails. Select it explicitly
-//! (`report e13`, `report --json e13`).
+//! E13 is *excluded* from the default `report` selection, which is the
+//! no-fault datapath; fault-profile tails must not mix into it. Select it
+//! explicitly (`report e13`, `report --json e13`); its own golden file
+//! pins it.
 
 use bytes::Bytes;
 use hyperion::nvmeof::{FabricStatus, Initiator, NvmeOfTarget};

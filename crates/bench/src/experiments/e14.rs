@@ -22,9 +22,9 @@
 //! The table reports the unavailability window (failure instant →
 //! repair drained), failed/shed/retried/fenced request counts, and the
 //! client-observed p99 before, during, and after the failover. Like
-//! E13, E14 is *excluded* from the default `report --json` selection:
-//! the committed `BENCH_report.json` baseline is the fault-free
-//! datapath. Select it explicitly (`report e14`, `report --json e14`).
+//! E13, E14 is *excluded* from the default `report` selection, which is
+//! the fault-free datapath. Select it explicitly (`report e14`,
+//! `report --json e14`); its own golden file pins it.
 
 use bytes::Bytes;
 use hyperion::{

@@ -20,8 +20,8 @@
 //! no RNG), so the table reproduces byte-for-byte.
 //!
 //! Like E13/E14, E15 is *excluded* from the default `report` selection:
-//! it exists for `report e15`, `report --util e15`, and the CI
-//! byte-identity smoke.
+//! it exists for `report e15` and `report --util e15`, each pinned by its
+//! own golden file.
 
 use hyperion_net::transport::{Endpoint, EndpointKind, Transport, TransportKind};
 use hyperion_net::Network;

@@ -9,7 +9,6 @@
 
 pub mod breakdown;
 pub mod experiments;
-pub mod gate;
 pub mod observe;
 pub mod slo;
 pub mod table;

@@ -28,8 +28,6 @@
 //! of any execution; the bound is recorded in the returned
 //! [`VerifiedProgram`] and doubles as the E10 cost metric.
 
-use std::collections::HashMap;
-
 use crate::insn::{atomic, class, mode, op, size, src, Insn, FP, STACK_SIZE};
 use crate::program::{Program, VerifiedProgram};
 use crate::vm::helper;
@@ -542,33 +540,33 @@ fn abstract_interpret(
     lddw_tail: &[bool],
 ) -> Result<u64, VerifyError> {
     let ai = Ai { program };
-    let mut in_states: HashMap<usize, State> = HashMap::new();
-    in_states.insert(0, State::entry(program.ctx_min_len));
+    // In-state per pc. Back edges are rejected, so every predecessor of a
+    // pc comes before it in `order` and its state is final when read:
+    // take it, and free it as soon as it is consumed.
+    let mut in_states: Vec<Option<State>> = vec![None; program.insns.len()];
+    in_states[0] = Some(State::entry(program.ctx_min_len));
     let mut work = 0;
     for &pc in order {
         if lddw_tail[pc] {
             continue;
         }
-        let state = match in_states.get(&pc) {
-            Some(s) => s.clone(),
-            // Unreachable in a validated topo order.
-            None => continue,
+        // Unreachable in a validated topo order.
+        let Some(state) = in_states[pc].take() else {
+            continue;
         };
-        let outs = ai.transfer(pc, &state)?;
+        let outs = ai.transfer(pc, state)?;
         work += 1;
         for (succ, out_state) in outs {
             debug_assert!(
                 succs[pc].contains(&succ),
                 "transfer produced a non-CFG edge"
             );
-            match in_states.get_mut(&succ) {
+            match &mut in_states[succ] {
                 Some(existing) => {
                     existing.join_into(&out_state);
                     work += 1;
                 }
-                None => {
-                    in_states.insert(succ, out_state);
-                }
+                empty => *empty = Some(out_state),
             }
         }
     }
@@ -584,10 +582,9 @@ impl<'a> Ai<'a> {
     }
 
     /// Computes the out-states for each successor of `pc`.
-    fn transfer(&self, pc: usize, state: &State) -> Result<Vec<(usize, State)>, VerifyError> {
+    fn transfer(&self, pc: usize, mut st: State) -> Result<Vec<(usize, State)>, VerifyError> {
         let insns = &self.program.insns;
         let insn = insns[pc];
-        let mut st = state.clone();
         match insn.class() {
             class::ALU64 | class::ALU32 => {
                 self.alu(pc, insn, &mut st)?;
@@ -1355,6 +1352,47 @@ mod tests {
         let insns = vec![ja(1), lo, hi, exit()];
         // ja(1) from 0 lands at 2 = the lddw tail.
         assert!(matches!(bad(insns, 0), VerifyError::SplitLddw { .. }));
+    }
+
+    /// A branch on a context byte (undecided), `then` and `other` as its
+    /// two arms, and `read` after they merge. `then` comes first in
+    /// program order.
+    fn two_arms(then: Insn, other: Insn, read: Insn) -> Vec<Insn> {
+        vec![
+            ldx(size::B, 3, 1, 0),     // 0: r3 = ctx[0]
+            jmp_imm(op::JEQ, 3, 0, 2), // 1: if r3 == 0 -> 4
+            then,                      // 2
+            ja(1),                     // 3: -> 5
+            other,                     // 4
+            read,                      // 5: the arms merge here
+            exit(),                    // 6
+        ]
+    }
+
+    #[test]
+    fn merge_keeps_only_what_both_arms_initialize() {
+        let skip = mov64_imm(5, 0);
+        let init_reg = mov64_imm(4, 1);
+        let read_reg = mov64_reg(0, 4);
+        let init_stack = stx(size::B, FP, 3, -1);
+        let read_stack = ldx(size::B, 0, FP, -1);
+        // The initializing arm first and second in program order: a join
+        // that kept whichever state arrived first would admit one of them.
+        for (then, other) in [(init_reg, skip), (skip, init_reg)] {
+            assert_eq!(
+                bad(two_arms(then, other, read_reg), 64),
+                VerifyError::UninitRegister { pc: 5, reg: 4 }
+            );
+        }
+        for (then, other) in [(init_stack, skip), (skip, init_stack)] {
+            assert_eq!(
+                bad(two_arms(then, other, read_stack), 64),
+                VerifyError::UninitStack { pc: 5 }
+            );
+        }
+        // Initialized on both arms, the same reads verify.
+        ok(two_arms(init_reg, init_reg, read_reg), 64);
+        ok(two_arms(init_stack, init_stack, read_stack), 64);
     }
 
     #[test]

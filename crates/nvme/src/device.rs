@@ -1102,18 +1102,20 @@ mod tests {
     #[test]
     fn zone_full_is_reported() {
         let mut d = NvmeDevice::new_zoned(params::ZONE_LBAS);
-        // Fill the zone in two large appends, then overflow.
-        let half = params::ZONE_LBAS / 2;
-        for _ in 0..2 {
+        // Fill the zone with appends of one shared 4 MiB buffer, then
+        // overflow.
+        let data = lba_data(7, 1024);
+        for _ in 0..params::ZONE_LBAS / 1024 {
             d.submit(
                 Command::ZoneAppend {
                     zone: 0,
-                    data: lba_data(7, half as usize),
+                    data: data.clone(),
                 },
                 Ns::ZERO,
             )
             .unwrap();
         }
+        assert_eq!(d.zone_write_pointer(0), Some(params::ZONE_LBAS));
         assert!(matches!(
             d.submit(
                 Command::ZoneAppend {

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Pre-merge gate: formatting, lints, rustdoc, and the full test suite.
+# Pre-merge gate: formatting, lints, rustdoc, the full test suite, the
+# examples, and the golden report files.
 #
 # Run from the repository root:
 #   ./scripts/check.sh
@@ -19,7 +20,7 @@ echo "==> cargo doc (deny warnings: broken intra-doc links fail)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "==> cargo test"
-# Tier-1 host time is printed, not gated, like the full-report time below.
+# Tier-1 host time is printed, not gated, like the goldens time below.
 TIMEFORMAT='workspace tests: %R s wall'
 time cargo test --workspace -q
 
@@ -33,62 +34,19 @@ for example in examples/*.rs; do
     cargo run --release -q --example "$(basename "$example" .rs)" > /dev/null
 done
 
-echo "==> fault-matrix smoke (e13: injected faults must recover deterministically)"
-# E13 is explicit-only and never in the gated snapshot below; run it twice
-# and require byte-identical output so fault injection stays deterministic.
-FAULTS_A="$(mktemp)"
-FAULTS_B="$(mktemp)"
-trap 'rm -f "$FAULTS_A" "$FAULTS_B"' EXIT
-cargo run --release -q -p hyperion-bench --bin report -- e13 > "$FAULTS_A"
-cargo run --release -q -p hyperion-bench --bin report -- e13 > "$FAULTS_B"
-diff -u "$FAULTS_A" "$FAULTS_B"
-grep -q "gave up" "$FAULTS_A"
-
-echo "==> availability smoke (e14: failover must replay byte-identically)"
-# Same contract for the cluster-failover experiment: detection, epoch
-# bumps, repair, and shedding are all on the virtual clock, so two runs
-# must agree to the byte.
-cargo run --release -q -p hyperion-bench --bin report -- e14 > "$FAULTS_A"
-cargo run --release -q -p hyperion-bench --bin report -- e14 > "$FAULTS_B"
-diff -u "$FAULTS_A" "$FAULTS_B"
-grep -q "unavail" "$FAULTS_A"
-
-echo "==> bottleneck smoke (e15: blame attribution must replay byte-identically)"
-# The utilization plane and blame pass are pure functions of the virtual
-# clock; two sweeps must agree to the byte, and the sweep table must
-# actually attribute (a "top blamed" resource per load shape).
-cargo run --release -q -p hyperion-bench --bin report -- --util e15 > "$FAULTS_A"
-cargo run --release -q -p hyperion-bench --bin report -- --util e15 > "$FAULTS_B"
-diff -u "$FAULTS_A" "$FAULTS_B"
-grep -q "bottleneck attribution" "$FAULTS_A"
-cargo run --release -q -p hyperion-bench --bin report -- e15 > "$FAULTS_A"
-grep -q "top blamed" "$FAULTS_A"
-
-echo "==> observability smoke (report --util / --profile render)"
-# --util must be safe on a recorder that never enabled the plane, and
-# --profile must rank blocks for both reference eBPF programs.
-cargo run --release -q -p hyperion-bench --bin report -- --util e1 > "$FAULTS_A"
-grep -q "resource utilization" "$FAULTS_A"
-cargo run --release -q -p hyperion-bench --bin report -- --profile > "$FAULTS_A"
-grep -q "profile: fail2ban" "$FAULTS_A"
-grep -q "profile: pointer-chase" "$FAULTS_A"
-
-echo "==> report --json -> BENCH_report.json + bench gate"
-SNAPSHOT="$(mktemp)"
-trap 'rm -f "$SNAPSHOT" "$FAULTS_A" "$FAULTS_B"' EXIT
-cargo run --release -q -p hyperion-bench --bin report -- --json > "$SNAPSHOT"
-./scripts/bench_gate.sh "$SNAPSHOT"
-
-echo "==> full report: byte-identical across two runs, and its wall time"
-# Every table is a function of fixed seeds, so two runs must agree to the
-# byte: neither host timing nor a hash map's iteration order may reach
-# the output. The wall time is printed, not gated: the simulator's own
-# speed is noisy across machines, so this only makes it visible in the
-# log. The binary is already built by the steps above; the time includes
-# cargo's up-to-date check.
-TIMEFORMAT='full report: %R s wall'
-time cargo run --release -q -p hyperion-bench --bin report > "$FAULTS_A"
-cargo run --release -q -p hyperion-bench --bin report > "$FAULTS_B"
-diff -u "$FAULTS_A" "$FAULTS_B"
+echo "==> goldens: every report surface equals goldens/ byte for byte"
+# The simulator is deterministic, so any diff is a code change: every
+# experiment table (E13-E15 included), per-hop and critical-path
+# breakdown, SLO digest, utilization, blame and profile table, plus the
+# hashes of the full report, --json and the e6/e7 traces. A host-timed
+# value or a hash map's iteration order reaching the output shows up as a
+# diff too. After an intentional model change, rerun ./scripts/goldens.sh
+# and say in CHANGES.md why the numbers moved. The wall time is printed,
+# not gated, like the test time above.
+GOLDENS="$(mktemp -d)"
+trap 'rm -rf "$GOLDENS"' EXIT
+TIMEFORMAT='goldens: %R s wall'
+time ./scripts/goldens.sh "$GOLDENS"
+diff -ru goldens/ "$GOLDENS"
 
 echo "All checks passed."
