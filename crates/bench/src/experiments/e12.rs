@@ -2,9 +2,10 @@
 //! §4 Q3). Client-driven partitioned KV over 1–4 DPUs and the
 //! cluster-wide shared log over 1–4 sites.
 
-use hyperion::cluster::{ClusterLog, DpuCluster};
-use hyperion::services::{ServiceRequest, ServiceResponse};
+use hyperion::cluster::DpuCluster;
+use hyperion::services::{KvOp, ServiceResponse};
 use hyperion_sim::time::Ns;
+use hyperion_storage::corfu::CorfuLog;
 
 use crate::table::{fmt_rate, Table};
 
@@ -33,11 +34,7 @@ fn kv_table() -> Table {
             let owner = cluster.owner_of(k);
             hit[owner] = true;
             let (_, _, done) = cluster
-                .serve_partitioned(
-                    k,
-                    ServiceRequest::KvPut { key: k, value: k },
-                    member_time[owner],
-                )
+                .serve_partitioned(k, KvOp::Put { key: k, value: k }, member_time[owner])
                 .expect("put");
             member_time[owner] = done;
             // Amortized flush every 128 puts so the put rate includes the
@@ -67,7 +64,7 @@ fn kv_table() -> Table {
         for k in 0..OPS {
             let owner = cluster.owner_of(k);
             let (_, resp, done) = cluster
-                .serve_partitioned(k, ServiceRequest::KvGet { key: k }, member_time[owner])
+                .serve_partitioned(k, KvOp::Get { key: k }, member_time[owner])
                 .expect("get");
             member_time[owner] = done;
             let ServiceResponse::Value(v) = resp else {
@@ -96,7 +93,7 @@ fn log_table() -> Table {
         &["sites", "appends/s", "tail"],
     );
     for &sites in &[1usize, 2, 4] {
-        let mut log = ClusterLog::new(sites, 1 << 16);
+        let mut log = CorfuLog::new(sites, 1 << 16);
         let mut client_time = vec![Ns::ZERO; sites];
         for i in 0..OPS {
             let c = (i as usize) % sites;

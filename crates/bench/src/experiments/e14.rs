@@ -28,8 +28,8 @@
 
 use bytes::Bytes;
 use hyperion::{
-    crash_site, Admission, AdmissionConfig, ClusterError, ClusterSupervisor, DpuCluster,
-    ServiceError, ServiceRequest,
+    crash_site, Admission, AdmissionConfig, ClusterError, ClusterSupervisor, DpuCluster, KvOp,
+    ServiceError,
 };
 use hyperion_net::{partition_site, NodeId};
 use hyperion_sim::fault::FaultPlan;
@@ -199,7 +199,7 @@ fn run_profile(p: &Profile, mut rec: Option<&mut Recorder>) -> Outcome {
         // backlog with the epoch it last saw. Every attempt must bounce
         // off the fence — this is the invariant that makes failover safe.
         if !down && sup.is_suspected(VICTIM) {
-            match cluster.serve_fenced(&sup, 0, round, ServiceRequest::KvGet { key: round }, now) {
+            match cluster.serve_fenced(&sup, 0, round, KvOp::Get { key: round }, now) {
                 Err(ClusterError::StaleEpoch { .. }) => out.fenced += 1,
                 other => panic!("zombie must be fenced, got {other:?}"),
             }
@@ -211,7 +211,7 @@ fn run_profile(p: &Profile, mut rec: Option<&mut Recorder>) -> Outcome {
         for i in 0..p.reqs_per_round {
             let key = round * p.reqs_per_round + i;
             out.requests += 1;
-            let req = ServiceRequest::KvSsdPut {
+            let req = KvOp::SsdPut {
                 key: key.to_le_bytes().to_vec(),
                 value: Bytes::from_static(&[7u8; 64]),
             };

@@ -10,7 +10,7 @@
 //!   partition map and sends each request straight to the owning DPU —
 //!   shared-nothing, no coordinator on the data path;
 //! * a **cluster-wide shared log** (CORFU over network-attached SSDs,
-//!   refs 20 and 165): a global sequencer plus one write-once log unit per DPU,
+//!   refs 20 and 165): a [`CorfuLog`] with one write-once log unit per DPU,
 //!   striped by position, sealed collectively on reconfiguration.
 //!
 //! On top of those sits the **cluster availability layer** (§2.4/§4: a
@@ -29,11 +29,11 @@ use hyperion_net::transport::{Delivery, Endpoint, Transport};
 use hyperion_net::{NetError, Network, NodeId};
 use hyperion_sim::fault::FaultPlan;
 use hyperion_sim::time::Ns;
-use hyperion_storage::corfu::{CorfuError, CorfuLog, FailoverReport, LogEntry, LogUnit, Sequencer};
+use hyperion_storage::corfu::{CorfuError, CorfuLog, FailoverReport};
 use hyperion_telemetry::{Component, Recorder};
 
 use crate::dpu::{DpuBuilder, HyperionDpu};
-use crate::services::{ServiceError, ServiceRequest, ServiceResponse, TableRegistry};
+use crate::services::{ServiceError, ServiceOp, ServiceResponse};
 
 /// Fault site *family*: `node:crash:<member>` — a scheduled window (use
 /// [`hyperion_sim::fault::FaultPlan::from_instant`] for fail-stop)
@@ -52,7 +52,6 @@ pub fn crash_site(member: usize) -> String {
 #[derive(Debug)]
 pub struct DpuCluster {
     dpus: Vec<HyperionDpu>,
-    registries: Vec<TableRegistry>,
 }
 
 /// Cluster errors.
@@ -127,8 +126,7 @@ impl DpuCluster {
             ready = ready.max(r);
             dpus.push(dpu);
         }
-        let registries = (0..n).map(|_| TableRegistry::default()).collect();
-        (DpuCluster { dpus, registries }, ready)
+        (DpuCluster { dpus }, ready)
     }
 
     /// Number of members.
@@ -152,17 +150,17 @@ impl DpuCluster {
         &mut self.dpus[i]
     }
 
-    /// Serves `request` on the DPU owning `key` (local invocation; remote
+    /// Dispatches `op` on the DPU owning `key` (local invocation; remote
     /// clients wrap this with [`DpuCluster::remote_call`]).
     pub fn serve_partitioned(
         &mut self,
         key: u64,
-        request: ServiceRequest,
+        op: impl Into<ServiceOp>,
         now: Ns,
     ) -> Result<(usize, ServiceResponse, Ns), ClusterError> {
         let owner = self.owner_of(key);
         let (resp, done) = self.dpus[owner]
-            .serve(&self.registries[owner], request, now)
+            .dispatch(now, op)
             .map_err(ClusterError::Service)?;
         Ok((owner, resp, done))
     }
@@ -180,7 +178,7 @@ impl DpuCluster {
         client: Endpoint,
         endpoints: &[Endpoint],
         key: u64,
-        request: ServiceRequest,
+        op: impl Into<ServiceOp>,
         req_bytes: u64,
         resp_bytes: u64,
         now: Ns,
@@ -189,12 +187,9 @@ impl DpuCluster {
         // Compute the server work by running the request locally at the
         // (future) arrival time; the channel then prices the wire.
         let mut ch = RpcChannel::new(client, endpoints[owner], transport);
-        let (resp, served) = {
-            let (r, done) = self.dpus[owner]
-                .serve(&self.registries[owner], request, now)
-                .map_err(ClusterError::Service)?;
-            (r, done)
-        };
+        let (resp, served) = self.dpus[owner]
+            .dispatch(now, op)
+            .map_err(ClusterError::Service)?;
         let work = served - now;
         let d = ch
             .call(net, MethodId(10), now, req_bytes, resp_bytes, work)
@@ -433,7 +428,7 @@ impl DpuCluster {
         sup: &ClusterSupervisor,
         client_epoch: u64,
         key: u64,
-        request: ServiceRequest,
+        op: impl Into<ServiceOp>,
         now: Ns,
     ) -> Result<(usize, ServiceResponse, Ns), ClusterError> {
         sup.check_epoch(client_epoch)?;
@@ -441,10 +436,10 @@ impl DpuCluster {
         if sup.is_suspected(owner) {
             return Err(ClusterError::Suspected { member: owner });
         }
-        self.serve_partitioned(key, request, now)
+        self.serve_partitioned(key, op, now)
     }
 
-    /// Serves `request` on an explicit member (the re-route path a client
+    /// Dispatches `op` on an explicit member (the re-route path a client
     /// takes after [`ClusterError::Suspected`]), under the same epoch
     /// fence.
     pub fn serve_fenced_on(
@@ -452,7 +447,7 @@ impl DpuCluster {
         sup: &ClusterSupervisor,
         client_epoch: u64,
         member: usize,
-        request: ServiceRequest,
+        op: impl Into<ServiceOp>,
         now: Ns,
     ) -> Result<(ServiceResponse, Ns), ClusterError> {
         sup.check_epoch(client_epoch)?;
@@ -460,79 +455,15 @@ impl DpuCluster {
             return Err(ClusterError::Suspected { member });
         }
         self.dpus[member]
-            .serve(&self.registries[member], request, now)
+            .dispatch(now, op)
             .map_err(ClusterError::Service)
-    }
-}
-
-/// The cluster-wide shared log: a global sequencer striping positions
-/// over one write-once log unit per DPU site.
-#[derive(Debug)]
-pub struct ClusterLog {
-    sequencer: Sequencer,
-    units: Vec<LogUnit>,
-    epoch: u64,
-}
-
-impl ClusterLog {
-    /// Creates a log striped over `sites` units of `unit_lbas` each.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sites` is zero.
-    pub fn new(sites: usize, unit_lbas: u64) -> ClusterLog {
-        assert!(sites > 0, "a cluster log needs at least one site");
-        ClusterLog {
-            sequencer: Sequencer::new(),
-            units: (0..sites).map(|_| LogUnit::new(unit_lbas)).collect(),
-            epoch: 0,
-        }
-    }
-
-    /// Number of sites.
-    pub fn sites(&self) -> usize {
-        self.units.len()
-    }
-
-    /// Appends `data`: token from the global sequencer, then a direct
-    /// client write to the owning site's unit.
-    pub fn append(&mut self, data: &[u8], now: Ns) -> Result<(u64, Ns), CorfuError> {
-        let pos = self.sequencer.next_token();
-        let site = (pos % self.units.len() as u64) as usize;
-        let done = self.units[site].write(self.epoch, pos, data, now)?;
-        Ok((pos, done))
-    }
-
-    /// Reads a position from its owning site.
-    pub fn read(&mut self, pos: u64, now: Ns) -> Result<(LogEntry, Ns), CorfuError> {
-        let site = (pos % self.units.len() as u64) as usize;
-        self.units[site].read(self.epoch, pos, now)
-    }
-
-    /// Seals every site into a new epoch and rebuilds the tail — the
-    /// CORFU reconfiguration protocol run across the cluster.
-    pub fn reconfigure(&mut self) -> u64 {
-        self.epoch += 1;
-        let epoch = self.epoch;
-        let tail = self
-            .units
-            .iter_mut()
-            .map(|u| u.seal(epoch))
-            .max()
-            .unwrap_or(0);
-        self.sequencer.reset_to(tail);
-        self.epoch
-    }
-
-    /// The next position to be assigned.
-    pub fn tail(&self) -> u64 {
-        self.sequencer.tail()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::services::KvOp;
     use hyperion_net::transport::{EndpointKind, TransportKind};
 
     const KEY: u64 = 0xC0FFEE;
@@ -569,7 +500,7 @@ mod tests {
             let (owner, _, done) = cluster
                 .serve_partitioned(
                     k,
-                    ServiceRequest::KvPut {
+                    KvOp::Put {
                         key: k,
                         value: k * 2,
                     },
@@ -582,7 +513,7 @@ mod tests {
         assert_eq!(owners_seen.len(), 3, "keys must spread over all members");
         for k in 0..60u64 {
             let (_, resp, done) = cluster
-                .serve_partitioned(k, ServiceRequest::KvGet { key: k }, now)
+                .serve_partitioned(k, KvOp::Get { key: k }, now)
                 .expect("get");
             now = done;
             let ServiceResponse::Value(v) = resp else {
@@ -608,32 +539,13 @@ mod tests {
                 client,
                 &endpoints,
                 42,
-                ServiceRequest::KvPut { key: 42, value: 1 },
+                KvOp::Put { key: 42, value: 1 },
                 32,
                 8,
                 t,
             )
             .expect("call");
         assert_eq!(d.wire_rounds, 1, "client-driven routing: exactly one RTT");
-    }
-
-    #[test]
-    fn cluster_log_stripes_and_survives_reconfiguration() {
-        let mut log = ClusterLog::new(3, 1 << 14);
-        let mut t = Ns::ZERO;
-        for i in 0..9u64 {
-            let (pos, done) = log.append(format!("e{i}").as_bytes(), t).expect("append");
-            assert_eq!(pos, i);
-            t = done;
-        }
-        // Sequencer crash: tail rebuilt from sealed sites.
-        log.reconfigure();
-        assert_eq!(log.tail(), 9);
-        let (pos, _) = log.append(b"post", t).expect("append");
-        assert_eq!(pos, 9);
-        // Old entries still readable at the new epoch.
-        let (e, _) = log.read(4, t).expect("read");
-        assert_eq!(e, LogEntry::Data(bytes::Bytes::from_static(b"e4")));
     }
 
     #[test]
@@ -727,7 +639,7 @@ mod tests {
         let mut sup = ClusterSupervisor::new(nodes, Ns(1_000_000), DEFAULT_PHI_THRESHOLD);
         // Current epoch (0): served.
         cluster
-            .serve_fenced(&sup, 0, 7, ServiceRequest::KvPut { key: 7, value: 1 }, t)
+            .serve_fenced(&sup, 0, 7, KvOp::Put { key: 7, value: 1 }, t)
             .unwrap();
         // Simulate a reconfiguration bumping the cluster epoch.
         let mut log = CorfuLog::new_replicated(3, 1 << 12, 2);
@@ -735,14 +647,14 @@ mod tests {
         sup.fail_over(&mut log, 0, t, None).unwrap();
         assert_eq!(sup.epoch(), 1);
         // The zombie still sends epoch-0 requests: typed rejection.
-        let stale = cluster.serve_fenced(&sup, 0, 7, ServiceRequest::KvGet { key: 7 }, t);
+        let stale = cluster.serve_fenced(&sup, 0, 7, KvOp::Get { key: 7 }, t);
         assert!(
             matches!(stale, Err(ClusterError::StaleEpoch { have: 0, need: 1 })),
             "stale client must be fenced: {stale:?}"
         );
         // A refreshed client (epoch 1) is served.
         cluster
-            .serve_fenced(&sup, 1, 7, ServiceRequest::KvGet { key: 7 }, t)
+            .serve_fenced(&sup, 1, 7, KvOp::Get { key: 7 }, t)
             .unwrap();
     }
 
@@ -761,11 +673,11 @@ mod tests {
         assert!(sup.is_suspected(0));
         // Find a key owned by member 0.
         let key = (0..).find(|&k| cluster.owner_of(k) == 0).unwrap();
-        let r = cluster.serve_fenced(&sup, 0, key, ServiceRequest::KvGet { key }, t);
+        let r = cluster.serve_fenced(&sup, 0, key, KvOp::Get { key }, t);
         assert!(matches!(r, Err(ClusterError::Suspected { member: 0 })));
         // The re-route path serves the same request on a survivor.
         cluster
-            .serve_fenced_on(&sup, 0, 1, ServiceRequest::KvGet { key }, t)
+            .serve_fenced_on(&sup, 0, 1, KvOp::Get { key }, t)
             .unwrap();
     }
 
@@ -811,25 +723,5 @@ mod tests {
         }
         assert_eq!(sup.suspicions(), 0);
         assert!(faults.is_empty(), "no sites were ever materialized");
-    }
-
-    #[test]
-    fn cluster_log_appends_scale_with_sites() {
-        let run = |sites: usize| -> Ns {
-            let mut log = ClusterLog::new(sites, 1 << 14);
-            let mut client_time = vec![Ns::ZERO; sites];
-            for i in 0..60u64 {
-                let c = (i as usize) % sites;
-                let (_, done) = log.append(&[1u8; 256], client_time[c]).expect("append");
-                client_time[c] = done;
-            }
-            client_time.into_iter().max().unwrap_or(Ns::ZERO)
-        };
-        let one = run(1);
-        let four = run(4);
-        assert!(
-            four.0 * 3 < one.0,
-            "4 sites should be ~4x faster: {one} vs {four}"
-        );
     }
 }

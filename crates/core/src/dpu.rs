@@ -11,6 +11,8 @@
 //! Boot (paper §2): power on → JTAG self-tests → standalone, no host. The
 //! segment translation table is recovered from SSD0's boot area.
 
+use std::collections::BTreeMap;
+
 use hyperion_fabric::{Fabric, PortId};
 use hyperion_mem::seglevel::SingleLevelStore;
 use hyperion_nvme::device::NvmeDevice;
@@ -19,6 +21,7 @@ use hyperion_sim::stats::Counters;
 use hyperion_sim::time::Ns;
 use hyperion_storage::blockstore::BlockStore;
 use hyperion_storage::btree::BTree;
+use hyperion_storage::columnar::FileMeta;
 use hyperion_storage::corfu::CorfuLog;
 use hyperion_storage::fs::FileSystem;
 use hyperion_storage::lsm::LsmTree;
@@ -101,9 +104,9 @@ pub struct HyperionDpu {
     /// Admission control (overload shedding); `None` — the default —
     /// admits everything, leaving the fault-free baseline untouched.
     pub admission: Option<crate::admission::Admission>,
-    /// Columnar tables published on this DPU (what the typed dispatch
-    /// path resolves against).
-    pub(crate) tables: crate::services::TableRegistry,
+    /// Columnar tables published on this DPU, by name (what `ColumnarOp`
+    /// dispatch resolves table names against).
+    pub(crate) tables: BTreeMap<String, FileMeta>,
     booted_at: Ns,
 }
 
@@ -220,7 +223,7 @@ impl DpuBuilder {
             },
             counters: Counters::new(),
             admission: self.admission.map(crate::admission::Admission::new),
-            tables: crate::services::TableRegistry::default(),
+            tables: BTreeMap::new(),
             booted_at: Ns::ZERO,
         }
     }

@@ -33,7 +33,7 @@ pub mod tenancy;
 
 pub use admission::{Admission, AdmissionConfig, Overload};
 pub use cluster::{
-    crash_site, ClusterError, ClusterLog, ClusterSupervisor, DpuCluster, FailureDetector,
+    crash_site, ClusterError, ClusterSupervisor, DpuCluster, FailureDetector,
     DEFAULT_PHI_THRESHOLD, FAULT_NODE_CRASH,
 };
 pub use control::{ControlError, ControlPlane, ControlRequest, ControlResponse, DeployedKernel};
@@ -43,7 +43,6 @@ pub use nvmeof::{
 };
 pub use platform::{PlatformSpec, HYPERION, SERVER_1U};
 pub use services::{
-    ColumnarOp, FileOp, KvOp, LogOp, ServiceError, ServiceOp, ServiceRequest, ServiceResponse,
-    TableRegistry, TreeOp,
+    ColumnarOp, FileOp, KvOp, LogOp, ServiceError, ServiceOp, ServiceResponse, TreeOp,
 };
 pub use tenancy::{run_with_co_tenants, TenancyReport};

@@ -460,7 +460,11 @@ mod tests {
 
     /// Sends `c` to `target` as its header and data segment, and decodes
     /// the answer.
-    fn serve(target: &mut NvmeOfTarget, c: &CommandCapsule, now: Ns) -> (ResponseCapsule, Ns) {
+    fn handle_capsule(
+        target: &mut NvmeOfTarget,
+        c: &CommandCapsule,
+        now: Ns,
+    ) -> (ResponseCapsule, Ns) {
         let (header, data, done) = target.handle(&c.encode(), c.data.clone(), now);
         let resp = ResponseCapsule::decode(&header, data).expect("target responses decode");
         (resp, done)
@@ -548,12 +552,12 @@ mod tests {
         let mut ini = Initiator::new();
         let payload = Bytes::from(vec![0x5Au8; 4096]);
         let w = ini.write(50, payload.clone());
-        let (resp, t) = serve(&mut target, &w, Ns::ZERO);
+        let (resp, t) = handle_capsule(&mut target, &w, Ns::ZERO);
         assert_eq!(resp.status, FabricStatus::Ok);
         assert_eq!(resp.cid, w.cid);
 
         let r = ini.read(50, 1);
-        let (resp, _) = serve(&mut target, &r, t);
+        let (resp, _) = handle_capsule(&mut target, &r, t);
         assert_eq!(resp.status, FabricStatus::Ok);
         assert_eq!(resp.data, payload);
     }
@@ -563,7 +567,7 @@ mod tests {
         let mut target = NvmeOfTarget::new(1 << 16);
         let mut ini = Initiator::new();
         for lba in [0, 7] {
-            let (resp, now) = serve(&mut target, &ini.read(lba, 0), Ns(100));
+            let (resp, now) = handle_capsule(&mut target, &ini.read(lba, 0), Ns(100));
             assert_eq!(resp.status, FabricStatus::InvalidField);
             assert!(resp.data.is_empty());
             assert_eq!(now, Ns(100), "rejected before any flash work");
@@ -632,7 +636,7 @@ mod tests {
     fn out_of_range_reported_in_status() {
         let mut target = NvmeOfTarget::new(16);
         let mut ini = Initiator::new();
-        let (resp, _) = serve(&mut target, &ini.read(20, 1), Ns::ZERO);
+        let (resp, _) = handle_capsule(&mut target, &ini.read(20, 1), Ns::ZERO);
         assert_eq!(resp.status, FabricStatus::LbaRange);
     }
 
@@ -650,7 +654,7 @@ mod tests {
             ini.write(u64::MAX - 1, two),
         ];
         for c in &capsules {
-            let (resp, done) = serve(&mut target, c, Ns(5));
+            let (resp, done) = handle_capsule(&mut target, c, Ns(5));
             assert_eq!(
                 resp.status,
                 FabricStatus::LbaRange,
@@ -672,13 +676,13 @@ mod tests {
         // Seed data, then make every media sense fail: the device's own
         // retry also fails and the target must answer MediaError.
         let w = ini.write(9, Bytes::from(vec![3u8; 4096]));
-        let (_, t) = serve(&mut target, &w, Ns::ZERO);
+        let (_, t) = handle_capsule(&mut target, &w, Ns::ZERO);
         target.set_fault_plan(FaultPlan::seeded(1).window(
             FAULT_NVME_MEDIA_READ,
             Ns::ZERO,
             Ns(u64::MAX),
         ));
-        let (resp, _) = serve(&mut target, &ini.read(9, 1), t);
+        let (resp, _) = handle_capsule(&mut target, &ini.read(9, 1), t);
         assert_eq!(resp.status, FabricStatus::MediaError);
         // The status round-trips through the header encoding.
         let again = ResponseCapsule::decode(&resp.encode(), Bytes::new()).expect("decodable");
@@ -832,7 +836,7 @@ mod tests {
         let d = tr
             .send(&mut net, client, dpu, Ns::ZERO, capsule.wire_len())
             .expect("send");
-        let (resp, ready) = serve(&mut target, &capsule, d.done);
+        let (resp, ready) = handle_capsule(&mut target, &capsule, d.done);
         let back = tr
             .send(&mut net, dpu, client, ready, resp.wire_len())
             .expect("send");

@@ -14,9 +14,7 @@
 //! ServiceError>`; [`KvOp`]'s `dispatch_traced` also takes the optional
 //! recorder its KV-SSD device spans nest under. [`ServiceOp`] is the
 //! umbrella a transport endpoint routes on, through
-//! [`HyperionDpu::dispatch_traced`]. The flat [`ServiceRequest`] enum and
-//! [`HyperionDpu::serve`] remain as a thin compatibility wrapper over the
-//! same dispatch path.
+//! [`HyperionDpu::dispatch_traced`], the one path every caller takes.
 //!
 //! `TreeOp::NodeRead` exists for the baseline side of experiment E6: a
 //! client-driven pointer chase fetches one node per RPC, while
@@ -24,95 +22,11 @@
 
 use bytes::Bytes;
 use hyperion_sim::time::Ns;
-use hyperion_storage::columnar::{self, ColumnBatch, FileMeta, Predicate, ScanStats};
+use hyperion_storage::columnar::{self, ColumnBatch, Predicate, ScanStats};
 use hyperion_storage::corfu::LogEntry;
 use hyperion_telemetry::{Component, Recorder};
 
 use crate::dpu::{DpuError, HyperionDpu};
-
-/// A service request (flat compatibility surface; new code should prefer
-/// the typed op groups and [`HyperionDpu::dispatch`]).
-#[derive(Debug, Clone)]
-#[non_exhaustive]
-pub enum ServiceRequest {
-    /// KV put (LSM-backed).
-    KvPut {
-        /// Key.
-        key: u64,
-        /// Value.
-        value: u64,
-    },
-    /// KV get.
-    KvGet {
-        /// Key.
-        key: u64,
-    },
-    /// Insert into the exported B+ tree.
-    TreeInsert {
-        /// Key.
-        key: u64,
-        /// Value.
-        value: u64,
-    },
-    /// Full on-DPU B+ tree traversal (one RPC total).
-    TreeLookup {
-        /// Key.
-        key: u64,
-    },
-    /// Fetch one raw tree node (client-driven traversal building block).
-    TreeNodeRead {
-        /// Node LBA.
-        lba: u64,
-    },
-    /// Append to the shared log.
-    LogAppend {
-        /// Entry payload.
-        data: Bytes,
-    },
-    /// Read a log position.
-    LogRead {
-        /// Position.
-        position: u64,
-    },
-    /// Read a whole file by path through the on-DPU file system.
-    FileRead {
-        /// Absolute path.
-        path: String,
-    },
-    /// Scan a published columnar table.
-    ColumnarScan {
-        /// Table name (from [`HyperionDpu::publish_table`]).
-        table: String,
-        /// Projected columns.
-        projection: Vec<String>,
-        /// Optional pushed-down predicate.
-        predicate: Option<Predicate>,
-    },
-    /// Scan + aggregate in one request: only the scalar leaves the DPU
-    /// (the §2.3 processing pipeline).
-    ColumnarAggregate {
-        /// Table name.
-        table: String,
-        /// Column to aggregate.
-        column: String,
-        /// Aggregate function.
-        agg: hyperion_storage::compute::Agg,
-        /// Optional pushed-down predicate.
-        predicate: Option<Predicate>,
-    },
-    /// Store a key/value pair on the KV-SSD namespace (device-native KV).
-    KvSsdPut {
-        /// Key bytes.
-        key: Vec<u8>,
-        /// Value bytes.
-        value: Bytes,
-    },
-    /// Look up a key on the KV-SSD namespace.
-    KvSsdGet {
-        /// Key bytes.
-        key: Vec<u8>,
-    },
-}
 
 /// A service response.
 #[derive(Debug, Clone)]
@@ -230,22 +144,6 @@ impl std::error::Error for ServiceError {
             ServiceError::Block(e) => Some(e),
             _ => None,
         }
-    }
-}
-
-/// Published columnar tables (name → footer metadata).
-#[derive(Debug, Default)]
-pub struct TableRegistry {
-    tables: Vec<(String, FileMeta)>,
-}
-
-impl TableRegistry {
-    fn get(&self, name: &str) -> Option<&FileMeta> {
-        self.tables.iter().find(|(n, _)| n == name).map(|(_, m)| m)
-    }
-
-    fn insert(&mut self, name: String, meta: FileMeta) {
-        self.tables.push((name, meta));
     }
 }
 
@@ -403,45 +301,6 @@ impl From<FileOp> for ServiceOp {
 impl From<ColumnarOp> for ServiceOp {
     fn from(op: ColumnarOp) -> ServiceOp {
         ServiceOp::Columnar(op)
-    }
-}
-
-impl From<ServiceRequest> for ServiceOp {
-    fn from(req: ServiceRequest) -> ServiceOp {
-        match req {
-            ServiceRequest::KvPut { key, value } => ServiceOp::Kv(KvOp::Put { key, value }),
-            ServiceRequest::KvGet { key } => ServiceOp::Kv(KvOp::Get { key }),
-            ServiceRequest::KvSsdPut { key, value } => ServiceOp::Kv(KvOp::SsdPut { key, value }),
-            ServiceRequest::KvSsdGet { key } => ServiceOp::Kv(KvOp::SsdGet { key }),
-            ServiceRequest::TreeInsert { key, value } => {
-                ServiceOp::Tree(TreeOp::Insert { key, value })
-            }
-            ServiceRequest::TreeLookup { key } => ServiceOp::Tree(TreeOp::Lookup { key }),
-            ServiceRequest::TreeNodeRead { lba } => ServiceOp::Tree(TreeOp::NodeRead { lba }),
-            ServiceRequest::LogAppend { data } => ServiceOp::Log(LogOp::Append { data }),
-            ServiceRequest::LogRead { position } => ServiceOp::Log(LogOp::Read { position }),
-            ServiceRequest::FileRead { path } => ServiceOp::File(FileOp::Read { path }),
-            ServiceRequest::ColumnarScan {
-                table,
-                projection,
-                predicate,
-            } => ServiceOp::Columnar(ColumnarOp::Scan {
-                table,
-                projection,
-                predicate,
-            }),
-            ServiceRequest::ColumnarAggregate {
-                table,
-                column,
-                agg,
-                predicate,
-            } => ServiceOp::Columnar(ColumnarOp::Aggregate {
-                table,
-                column,
-                agg,
-                predicate,
-            }),
-        }
     }
 }
 
@@ -713,26 +572,19 @@ impl ServiceOp {
 }
 
 impl HyperionDpu {
-    /// Publishes a columnar table on the structure volume; it becomes
-    /// scannable via [`ColumnarOp::Scan`].
-    ///
-    /// The metadata is recorded both on the DPU itself (what
-    /// [`HyperionDpu::dispatch`] resolves against) and in the caller's
-    /// `registry` (the older lookup surface that [`HyperionDpu::serve`]
-    /// accepts).
+    /// Publishes a columnar table on the structure volume under `name`;
+    /// [`ColumnarOp`]s dispatched to this DPU resolve the name to it. A
+    /// table published again under the same name replaces the old one.
     pub fn publish_table(
         &mut self,
-        registry: &mut TableRegistry,
         name: impl Into<String>,
         batch: &ColumnBatch,
         rows_per_group: usize,
         now: Ns,
     ) -> Result<Ns, ServiceError> {
-        let name = name.into();
         let (meta, t) = columnar::write_file(&mut self.blocks, batch, rows_per_group, now)
             .map_err(ServiceError::Columnar)?;
-        self.tables.insert(name.clone(), meta.clone());
-        registry.insert(name, meta);
+        self.tables.insert(name.into(), meta);
         Ok(t)
     }
 
@@ -747,8 +599,8 @@ impl HyperionDpu {
 
     /// Runs one typed op at `now`; returns the response and the instant
     /// the DPU finishes the work. [`HyperionDpu::dispatch`] accepts any op
-    /// group (or a legacy [`ServiceRequest`]) via `Into<ServiceOp>`; this
-    /// body takes the converted op, so it is compiled once.
+    /// group via `Into<ServiceOp>`; this body takes the converted op, so
+    /// it is compiled once.
     ///
     /// With a recorder: a [`Component::Service`] span over the op, a
     /// per-op latency sample under the op's label, a fabric
@@ -808,35 +660,6 @@ impl HyperionDpu {
         }
         result
     }
-
-    /// Serves one request at `now`; returns the response and the instant
-    /// the DPU finishes the work.
-    ///
-    /// Compatibility wrapper over [`HyperionDpu::dispatch`]: columnar
-    /// table names are resolved against the DPU's published set, with
-    /// `registry` consulted as a fallback for tables published through an
-    /// external registry only.
-    pub fn serve(
-        &mut self,
-        registry: &TableRegistry,
-        request: ServiceRequest,
-        now: Ns,
-    ) -> Result<(ServiceResponse, Ns), ServiceError> {
-        // Mirror externally-registered metadata so the typed path sees it.
-        let table = match &request {
-            ServiceRequest::ColumnarScan { table, .. } => Some(table),
-            ServiceRequest::ColumnarAggregate { table, .. } => Some(table),
-            _ => None,
-        };
-        if let Some(table) = table {
-            if self.tables.get(table).is_none() {
-                if let Some(meta) = registry.get(table) {
-                    self.tables.insert(table.clone(), meta.clone());
-                }
-            }
-        }
-        self.dispatch(now, request)
-    }
 }
 
 #[cfg(test)]
@@ -852,30 +675,13 @@ mod tests {
     #[test]
     fn kv_service_round_trip() {
         let mut dpu = booted();
-        let reg = TableRegistry::default();
         let t = dpu.booted_at();
-        let (_, t) = dpu
-            .serve(&reg, ServiceRequest::KvPut { key: 5, value: 50 }, t)
-            .unwrap();
-        let (resp, _) = dpu
-            .serve(&reg, ServiceRequest::KvGet { key: 5 }, t)
-            .unwrap();
+        let (_, t) = dpu.dispatch(t, KvOp::Put { key: 5, value: 50 }).unwrap();
+        let (resp, _) = dpu.dispatch(t, KvOp::Get { key: 5 }).unwrap();
         let ServiceResponse::Value(v) = resp else {
             panic!("expected value");
         };
         assert_eq!(v, Some(50));
-    }
-
-    #[test]
-    fn typed_dispatch_matches_serve() {
-        let mut dpu = booted();
-        let t = dpu.booted_at();
-        let (_, t) = dpu.dispatch(t, KvOp::Put { key: 9, value: 90 }).unwrap();
-        let (resp, _) = dpu.dispatch(t, KvOp::Get { key: 9 }).unwrap();
-        let ServiceResponse::Value(v) = resp else {
-            panic!("expected value");
-        };
-        assert_eq!(v, Some(90));
     }
 
     #[test]
@@ -991,33 +797,27 @@ mod tests {
     #[test]
     fn tree_lookup_and_node_read_agree() {
         let mut dpu = booted();
-        let reg = TableRegistry::default();
         let mut t = dpu.booted_at();
         for k in 0..500u64 {
             let (_, t2) = dpu
-                .serve(
-                    &reg,
-                    ServiceRequest::TreeInsert {
+                .dispatch(
+                    t,
+                    TreeOp::Insert {
                         key: k,
                         value: k * 3,
                     },
-                    t,
                 )
                 .unwrap();
             t = t2;
         }
-        let (resp, _) = dpu
-            .serve(&reg, ServiceRequest::TreeLookup { key: 123 }, t)
-            .unwrap();
+        let (resp, _) = dpu.dispatch(t, TreeOp::Lookup { key: 123 }).unwrap();
         let ServiceResponse::Value(v) = resp else {
             panic!("expected value");
         };
         assert_eq!(v, Some(369));
         // Client-driven path: fetch the root node raw.
         let root = dpu.btree.as_ref().unwrap().root_lba();
-        let (resp, _) = dpu
-            .serve(&reg, ServiceRequest::TreeNodeRead { lba: root }, t)
-            .unwrap();
+        let (resp, _) = dpu.dispatch(t, TreeOp::NodeRead { lba: root }).unwrap();
         let ServiceResponse::Node(data) = resp else {
             panic!("expected node");
         };
@@ -1027,23 +827,19 @@ mod tests {
     #[test]
     fn log_service_appends_and_reads() {
         let mut dpu = booted();
-        let reg = TableRegistry::default();
         let t = dpu.booted_at();
         let (resp, t) = dpu
-            .serve(
-                &reg,
-                ServiceRequest::LogAppend {
+            .dispatch(
+                t,
+                LogOp::Append {
                     data: Bytes::from_static(b"entry"),
                 },
-                t,
             )
             .unwrap();
         let ServiceResponse::Appended { position } = resp else {
             panic!("expected position");
         };
-        let (resp, _) = dpu
-            .serve(&reg, ServiceRequest::LogRead { position }, t)
-            .unwrap();
+        let (resp, _) = dpu.dispatch(t, LogOp::Read { position }).unwrap();
         let ServiceResponse::Entry(LogEntry::Data(d)) = resp else {
             panic!("expected entry");
         };
@@ -1053,7 +849,6 @@ mod tests {
     #[test]
     fn file_service_reads_fs_files() {
         let mut dpu = booted();
-        let reg = TableRegistry::default();
         let mut t = dpu.booted_at();
         {
             let fs = dpu.fs.as_mut().unwrap();
@@ -1063,12 +858,11 @@ mod tests {
             t = t2;
         }
         let (resp, _) = dpu
-            .serve(
-                &reg,
-                ServiceRequest::FileRead {
+            .dispatch(
+                t,
+                FileOp::Read {
                     path: "/hello".into(),
                 },
-                t,
             )
             .unwrap();
         let ServiceResponse::File(data) = resp else {
@@ -1080,25 +874,22 @@ mod tests {
     #[test]
     fn kvssd_service_round_trips() {
         let mut dpu = booted();
-        let reg = TableRegistry::default();
         let t = dpu.booted_at();
         let (_, t) = dpu
-            .serve(
-                &reg,
-                ServiceRequest::KvSsdPut {
+            .dispatch(
+                t,
+                KvOp::SsdPut {
                     key: b"user:7".to_vec(),
                     value: Bytes::from_static(b"profile-bytes"),
                 },
-                t,
             )
             .unwrap();
         let (resp, _) = dpu
-            .serve(
-                &reg,
-                ServiceRequest::KvSsdGet {
+            .dispatch(
+                t,
+                KvOp::SsdGet {
                     key: b"user:7".to_vec(),
                 },
-                t,
             )
             .unwrap();
         let ServiceResponse::KvValue(v) = resp else {
@@ -1106,12 +897,11 @@ mod tests {
         };
         assert_eq!(v, Some(Bytes::from_static(b"profile-bytes")));
         let (resp, _) = dpu
-            .serve(
-                &reg,
-                ServiceRequest::KvSsdGet {
+            .dispatch(
+                t,
+                KvOp::SsdGet {
                     key: b"missing".to_vec(),
                 },
-                t,
             )
             .unwrap();
         let ServiceResponse::KvValue(v) = resp else {
@@ -1123,25 +913,23 @@ mod tests {
     #[test]
     fn columnar_aggregate_returns_only_a_scalar() {
         let mut dpu = booted();
-        let mut reg = TableRegistry::default();
         let batch = ColumnBatch::new(
             vec!["k".into(), "v".into()],
             vec![(0..1000u64).collect(), (0..1000u64).collect()],
         )
         .unwrap();
         let t = dpu
-            .publish_table(&mut reg, "agg", &batch, 250, dpu.booted_at())
+            .publish_table("agg", &batch, 250, dpu.booted_at())
             .unwrap();
         let (resp, _) = dpu
-            .serve(
-                &reg,
-                ServiceRequest::ColumnarAggregate {
+            .dispatch(
+                t,
+                ColumnarOp::Aggregate {
                     table: "agg".into(),
                     column: "v".into(),
                     agg: hyperion_storage::compute::Agg::Sum,
                     predicate: Some(Predicate::between("v", 0, 99)),
                 },
-                t,
             )
             .unwrap();
         let ServiceResponse::Aggregate { result, stats } = resp else {
@@ -1151,10 +939,10 @@ mod tests {
         assert_eq!(stats.groups_skipped, 3);
     }
 
+    /// Scans resolve against the tables published on the DPU itself.
     #[test]
     fn columnar_service_scans_published_tables() {
         let mut dpu = booted();
-        let mut reg = TableRegistry::default();
         let batch = ColumnBatch::new(
             vec!["k".into(), "v".into()],
             vec![
@@ -1164,17 +952,16 @@ mod tests {
         )
         .unwrap();
         let t = dpu
-            .publish_table(&mut reg, "sales", &batch, 250, dpu.booted_at())
+            .publish_table("sales", &batch, 250, dpu.booted_at())
             .unwrap();
         let (resp, _) = dpu
-            .serve(
-                &reg,
-                ServiceRequest::ColumnarScan {
+            .dispatch(
+                t,
+                ColumnarOp::Scan {
                     table: "sales".into(),
                     projection: vec!["v".into()],
                     predicate: Some(Predicate::between("k", 100, 199)),
                 },
-                t,
             )
             .unwrap();
         let ServiceResponse::Scan { batch, stats } = resp else {
@@ -1182,32 +969,30 @@ mod tests {
         };
         assert_eq!(batch.num_rows(), 100);
         assert!(stats.groups_skipped >= 2);
-        let unknown = dpu.serve(
-            &reg,
-            ServiceRequest::ColumnarScan {
+        let unknown = dpu.dispatch(
+            t,
+            ColumnarOp::Scan {
                 table: "missing".into(),
                 projection: vec![],
                 predicate: None,
             },
-            t,
         );
         assert!(matches!(unknown, Err(ServiceError::NoSuchTable(_))));
     }
 
     #[test]
-    fn typed_columnar_dispatch_uses_dpu_tables() {
+    fn republished_table_serves_the_new_contents() {
         let mut dpu = booted();
-        let mut reg = TableRegistry::default();
-        let batch = ColumnBatch::new(vec!["k".into()], vec![(0..100u64).collect()]).unwrap();
+        let rows = |n: u64| ColumnBatch::new(vec!["k".into()], vec![(0..n).collect()]).unwrap();
         let t = dpu
-            .publish_table(&mut reg, "typed", &batch, 50, dpu.booted_at())
+            .publish_table("t", &rows(100), 50, dpu.booted_at())
             .unwrap();
-        // No registry in sight: the DPU resolves its own published set.
+        let t = dpu.publish_table("t", &rows(10), 50, t).unwrap();
         let (resp, _) = dpu
             .dispatch(
                 t,
                 ColumnarOp::Scan {
-                    table: "typed".into(),
+                    table: "t".into(),
                     projection: vec!["k".into()],
                     predicate: None,
                 },
@@ -1216,6 +1001,6 @@ mod tests {
         let ServiceResponse::Scan { batch, .. } = resp else {
             panic!("expected scan");
         };
-        assert_eq!(batch.num_rows(), 100);
+        assert_eq!(batch.num_rows(), 10);
     }
 }

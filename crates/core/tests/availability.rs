@@ -17,7 +17,7 @@
 use bytes::Bytes;
 use hyperion::{
     crash_site, AdmissionConfig, ClusterError, ClusterSupervisor, DpuBuilder, DpuCluster,
-    HyperionDpu, KvOp, ServiceError, ServiceRequest, DEFAULT_PHI_THRESHOLD,
+    HyperionDpu, KvOp, ServiceError, DEFAULT_PHI_THRESHOLD,
 };
 use hyperion_net::NodeId;
 use hyperion_sim::fault::FaultPlan;
@@ -184,13 +184,7 @@ fn zombie_writes_after_failover_are_fenced_everywhere() {
 
     // Fence 1 — the RPC layer: the zombie's requests carry the sealed
     // epoch and are refused before touching any state.
-    let r = cluster.serve_fenced(
-        &sup,
-        old_epoch,
-        42,
-        ServiceRequest::KvPut { key: 42, value: 1 },
-        t,
-    );
+    let r = cluster.serve_fenced(&sup, old_epoch, 42, KvOp::Put { key: 42, value: 1 }, t);
     assert!(
         matches!(r, Err(ClusterError::StaleEpoch { need, .. }) if need == old_epoch + 1),
         "zombie RPC must be fenced: {r:?}"
@@ -206,13 +200,7 @@ fn zombie_writes_after_failover_are_fenced_everywhere() {
 
     // A refreshed client at the new epoch is served normally.
     cluster
-        .serve_fenced(
-            &sup,
-            old_epoch + 1,
-            42,
-            ServiceRequest::KvPut { key: 42, value: 1 },
-            t,
-        )
+        .serve_fenced(&sup, old_epoch + 1, 42, KvOp::Put { key: 42, value: 1 }, t)
         .expect("current-epoch client must be served");
     log.append(b"post-failover", t)
         .expect("the log must stay available after failover");

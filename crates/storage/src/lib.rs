@@ -8,10 +8,6 @@
 //! * [`btree`] — an on-device B+ tree with traced root→leaf lookups (the
 //!   pointer-chasing workload of experiment E6);
 //! * [`lsm`] — memtable + SSTables + Bloom filters + compaction;
-//! * [`hashtable`] — a bucketed on-device hash table with overflow
-//!   chaining (§2.4's "lookup-tables": one block read per lookup);
-//! * [`wal`] — redo logging and Boxwood-style atomic multi-block
-//!   transactions with crash recovery;
 //! * [`corfu`] — the CORFU shared log: sequencer, write-once striped log
 //!   units, hole filling, seal/epoch reconfiguration (experiment E9);
 //! * [`fs`] — an extent file system plus Spiffy-style layout annotations
@@ -20,6 +16,9 @@
 //!   formats with projection and predicate pushdown (experiment E5);
 //! * [`compute`] — vectorized aggregation/filter/group-by kernels over
 //!   column batches (the processing half of §2.3).
+//!
+//! §2.4 also names lookup tables and atomic writes with transactional
+//! interfaces. They are not modelled here: no experiment measures them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,9 +29,7 @@ pub mod columnar;
 pub mod compute;
 pub mod corfu;
 pub mod fs;
-pub mod hashtable;
 pub mod lsm;
-pub mod wal;
 
 pub use blockstore::{BlockError, BlockStore, BLOCK};
 pub use btree::{BTree, TracedLookup, TreeError};
@@ -42,6 +39,4 @@ pub use columnar::{
 pub use compute::{aggregate, filter_between, group_by, Agg, AggResult};
 pub use corfu::{CorfuError, CorfuLog, LogEntry, LogUnit, Sequencer};
 pub use fs::{annotated_resolve, Extent, FileSystem, FsAnnotation, FsError};
-pub use hashtable::{HashError, HashTable, SLOTS_PER_BUCKET};
 pub use lsm::{LsmError, LsmTree};
-pub use wal::{Txn, TxnEngine, Wal, WalError, WalRecord};

@@ -1,98 +1,13 @@
-//! Crash-injection property tests: atomicity and durability of the
-//! transaction engine, and single-level-store recovery, under crashes at
-//! every point of the commit protocol.
+//! Crash-injection property tests: single-level-store recovery after a
+//! crash under random segment workloads.
 
 use hyperion_mem::seglevel::{AllocHint, SegmentId, SingleLevelStore};
 use hyperion_nvme::device::NvmeDevice;
 use hyperion_sim::time::Ns;
-use hyperion_storage::blockstore::{BlockStore, BLOCK};
-use hyperion_storage::wal::TxnEngine;
 use proptest::prelude::*;
-
-/// One generated transaction: up to 3 writes of tagged blocks.
-#[derive(Debug, Clone)]
-struct GenTxn {
-    writes: Vec<(u64, u8)>, // (slot index, fill byte)
-}
-
-fn txns_strategy() -> impl Strategy<Value = Vec<GenTxn>> {
-    proptest::collection::vec(
-        proptest::collection::vec((0u64..16, 1u8..=255), 1..4).prop_map(|writes| GenTxn { writes }),
-        1..8,
-    )
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
-
-    /// Crash anywhere in the commit protocol: after recovery, every
-    /// transaction whose commit record reached the WAL is fully applied,
-    /// and no transaction without one has any effect.
-    #[test]
-    fn atomicity_under_crash(
-        txns in txns_strategy(),
-        crash_step in 0usize..32,
-    ) {
-        let mut store = BlockStore::with_capacity(1 << 16);
-        let data0 = store.alloc(16).expect("data region");
-        let mut eng = TxnEngine::create(&mut store, 256).expect("engine");
-        let wal_lba = eng.wal().first_lba();
-
-        // Expected state: slot -> fill byte, for committed txns only.
-        let mut expected: Vec<Option<u8>> = vec![None; 16];
-        // Protocol steps: each txn is (log_data, log_commit, apply) = 3.
-        let mut step = 0usize;
-        let mut t = Ns::ZERO;
-        'outer: for g in &txns {
-            let mut txn = eng.begin();
-            for &(slot, fill) in &g.writes {
-                txn.write(data0 + slot, vec![fill; BLOCK as usize]);
-            }
-            // Step 1: data records.
-            if step == crash_step { break 'outer; }
-            step += 1;
-            t = eng.log_data(&mut store, &txn, t).expect("log data");
-            // Step 2: commit record (durability point).
-            if step == crash_step { break 'outer; }
-            step += 1;
-            t = eng.log_commit(&mut store, &txn, t).expect("log commit");
-            // Committed: the writes must survive whatever happens next.
-            for &(slot, fill) in &g.writes {
-                expected[slot as usize] = Some(fill);
-            }
-            // Step 3: in-place apply (crash here loses nothing).
-            if step == crash_step { break 'outer; }
-            step += 1;
-            t = eng.apply(&mut store, txn, t).expect("apply");
-        }
-
-        // Crash: recover from the WAL on the surviving device state.
-        let (_, t) = TxnEngine::recover(wal_lba, 256, &mut store, t).expect("recover");
-
-        // Check every slot against the model.
-        let mut t = t;
-        for (slot, want) in expected.iter().enumerate() {
-            let (raw, done) = store.read(data0 + slot as u64, 1, t).expect("read");
-            t = done;
-            match want {
-                Some(fill) => {
-                    prop_assert!(
-                        raw.iter().all(|b| b == fill),
-                        "slot {slot}: committed fill {fill:#x} missing"
-                    );
-                }
-                None => {
-                    // Never committed: the slot must not contain any of
-                    // the fills from uncommitted transactions... it must
-                    // still be all zeroes (fresh device).
-                    prop_assert!(
-                        raw.iter().all(|&b| b == 0),
-                        "slot {slot}: uncommitted data leaked"
-                    );
-                }
-            }
-        }
-    }
 
     /// The single-level store: durable segments persisted before a crash
     /// are intact after recovery, volatile ones are gone, and the

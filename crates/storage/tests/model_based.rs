@@ -10,7 +10,6 @@ use hyperion_storage::blockstore::BlockStore;
 use hyperion_storage::btree::BTree;
 use hyperion_storage::columnar::{scan, write_file, ColumnBatch, Predicate};
 use hyperion_storage::corfu::{CorfuLog, LogEntry};
-use hyperion_storage::hashtable::HashTable;
 use hyperion_storage::lsm::LsmTree;
 use proptest::prelude::*;
 
@@ -149,40 +148,6 @@ proptest! {
             let (got, done) = lsm.get(&mut store, k, t).unwrap();
             t = done;
             prop_assert_eq!(got, model.get(&k).copied(), "key {}", k);
-        }
-    }
-
-    /// The on-device hash table agrees with a BTreeMap across puts,
-    /// gets, and deletes, at any bucket count (forcing overflow chains).
-    #[test]
-    fn hashtable_matches_model(ops in kv_ops(), buckets in 1u64..8) {
-        let mut store = BlockStore::with_capacity(1 << 20);
-        let (mut ht, mut t) = HashTable::create(&mut store, buckets, Ns::ZERO).unwrap();
-        let mut model: BTreeMap<u64, u64> = BTreeMap::new();
-        for op in ops {
-            match op {
-                KvOp::Put(k, v) => {
-                    t = ht.put(&mut store, k, v, t).unwrap();
-                    model.insert(k, v);
-                }
-                KvOp::Get(k) => {
-                    let (got, done) = ht.get(&mut store, k, t).unwrap();
-                    t = done;
-                    prop_assert_eq!(got, model.get(&k).copied());
-                }
-                KvOp::Delete(k) => {
-                    let (removed, done) = ht.delete(&mut store, k, t).unwrap();
-                    t = done;
-                    prop_assert_eq!(removed, model.remove(&k).is_some());
-                }
-                KvOp::Flush => {}
-            }
-            prop_assert_eq!(ht.len(), model.len() as u64);
-        }
-        for (&k, &v) in &model {
-            let (got, done) = ht.get(&mut store, k, t).unwrap();
-            t = done;
-            prop_assert_eq!(got, Some(v));
         }
     }
 

@@ -5,12 +5,13 @@
 //!
 //! Run with: `cargo run --example distributed`
 
-use hyperion_repro::core::cluster::{ClusterLog, DpuCluster};
+use hyperion_repro::core::cluster::DpuCluster;
 use hyperion_repro::core::nvmeof::{Initiator, NvmeOfTarget, ResponseCapsule};
-use hyperion_repro::core::services::{ServiceRequest, ServiceResponse};
+use hyperion_repro::core::services::{KvOp, ServiceResponse};
 use hyperion_repro::net::transport::{Endpoint, EndpointKind, Transport, TransportKind};
 use hyperion_repro::net::Network;
 use hyperion_repro::sim::time::Ns;
+use hyperion_repro::storage::corfu::CorfuLog;
 
 const KEY: u64 = 0xC0FFEE;
 
@@ -26,7 +27,7 @@ fn main() {
         let (owner, _, done) = cluster
             .serve_partitioned(
                 k,
-                ServiceRequest::KvPut {
+                KvOp::Put {
                     key: k,
                     value: k * k,
                 },
@@ -37,7 +38,7 @@ fn main() {
         println!("  key {k:>2} -> DPU {owner}");
     }
     let (_, resp, done) = cluster
-        .serve_partitioned(7, ServiceRequest::KvGet { key: 7 }, now)
+        .serve_partitioned(7, KvOp::Get { key: 7 }, now)
         .expect("get");
     if let ServiceResponse::Value(v) = resp {
         println!("kv[7] = {v:?} (from DPU {})", cluster.owner_of(7));
@@ -57,7 +58,7 @@ fn main() {
             client,
             &endpoints,
             7,
-            ServiceRequest::KvGet { key: 7 },
+            KvOp::Get { key: 7 },
             16,
             16,
             now,
@@ -71,7 +72,7 @@ fn main() {
 
     // 4. A cluster-wide shared log: global sequencer, one write-once unit
     //    per site, collective sealing on reconfiguration.
-    let mut log = ClusterLog::new(4, 1 << 16);
+    let mut log = CorfuLog::new(4, 1 << 16);
     let mut t = now;
     for i in 0..8u64 {
         let (pos, done) = log

@@ -6,7 +6,7 @@
 
 use hyperion_repro::core::control::{ControlPlane, ControlRequest, ControlResponse};
 use hyperion_repro::core::dpu::DpuBuilder;
-use hyperion_repro::core::services::{ServiceRequest, ServiceResponse, TableRegistry};
+use hyperion_repro::core::services::{KvOp, LogOp, ServiceResponse};
 use hyperion_repro::mem::seglevel::{AllocHint, SegmentId};
 use hyperion_repro::sim::time::Ns;
 
@@ -87,23 +87,19 @@ fn main() {
     );
 
     // 5. The exported services: KV, shared log.
-    let reg = TableRegistry::default();
     let (_, t) = dpu
-        .serve(&reg, ServiceRequest::KvPut { key: 7, value: 42 }, t)
+        .dispatch(t, KvOp::Put { key: 7, value: 42 })
         .expect("put");
-    let (resp, t) = dpu
-        .serve(&reg, ServiceRequest::KvGet { key: 7 }, t)
-        .expect("get");
+    let (resp, t) = dpu.dispatch(t, KvOp::Get { key: 7 }).expect("get");
     if let ServiceResponse::Value(v) = resp {
         println!("kv[7] = {v:?}");
     }
     let (resp, _) = dpu
-        .serve(
-            &reg,
-            ServiceRequest::LogAppend {
+        .dispatch(
+            t,
+            LogOp::Append {
                 data: bytes::Bytes::from_static(b"first entry"),
             },
-            t,
         )
         .expect("append");
     if let ServiceResponse::Appended { position } = resp {

@@ -49,4 +49,7 @@ TIMEFORMAT='goldens: %R s wall'
 time ./scripts/goldens.sh "$GOLDENS"
 diff -ru goldens/ "$GOLDENS"
 
+echo "==> size: Rust lines under crates/ (printed, not gated)"
+echo "crates/ Rust lines: $(find crates -name '*.rs' | xargs cat | wc -l)"
+
 echo "All checks passed."

@@ -6,7 +6,7 @@ use hyperion_repro::apps::pointer_chase::{client_driven_lookup, offloaded_lookup
 use hyperion_repro::apps::trafficgen::TrafficGen;
 use hyperion_repro::core::control::ControlPlane;
 use hyperion_repro::core::dpu::DpuBuilder;
-use hyperion_repro::core::services::{ServiceRequest, ServiceResponse, TableRegistry};
+use hyperion_repro::core::services::{KvOp, LogOp, ServiceResponse, TreeOp};
 use hyperion_repro::net::rpc::RpcChannel;
 use hyperion_repro::net::transport::{Endpoint, EndpointKind, Transport, TransportKind};
 use hyperion_repro::net::Network;
@@ -28,23 +28,21 @@ fn middleware_and_storage_services_share_one_dpu() {
     assert_eq!(report.bans, report.logged);
 
     // 2. Meanwhile, the same DPU serves KV and tree lookups.
-    let reg = TableRegistry::default();
     let mut t = report.end;
     for k in 0..200u64 {
         let (_, t2) = dpu
-            .serve(
-                &reg,
-                ServiceRequest::TreeInsert {
+            .dispatch(
+                t,
+                TreeOp::Insert {
                     key: k,
                     value: k + 1,
                 },
-                t,
             )
             .expect("insert");
         t = t2;
     }
     let (resp, t) = dpu
-        .serve(&reg, ServiceRequest::TreeLookup { key: 150 }, t)
+        .dispatch(t, TreeOp::Lookup { key: 150 })
         .expect("lookup");
     let ServiceResponse::Value(v) = resp else {
         panic!("expected value");
@@ -53,7 +51,7 @@ fn middleware_and_storage_services_share_one_dpu() {
 
     // 3. The ban log and the tree coexist: read a ban entry back.
     let (resp, _) = dpu
-        .serve(&reg, ServiceRequest::LogRead { position: 0 }, t)
+        .dispatch(t, LogOp::Read { position: 0 })
         .expect("log read");
     assert!(matches!(resp, ServiceResponse::Entry(_)));
 }
@@ -96,13 +94,10 @@ fn tenancy_and_services_do_not_interfere() {
     assert_eq!(report.reconfigurations, 2);
     assert_eq!(report.resident_latency.count(), 500);
 
-    let reg = TableRegistry::default();
     let (_, t) = dpu
-        .serve(&reg, ServiceRequest::KvPut { key: 1, value: 2 }, report.end)
+        .dispatch(report.end, KvOp::Put { key: 1, value: 2 })
         .expect("put");
-    let (resp, _) = dpu
-        .serve(&reg, ServiceRequest::KvGet { key: 1 }, t)
-        .expect("get");
+    let (resp, _) = dpu.dispatch(t, KvOp::Get { key: 1 }).expect("get");
     let ServiceResponse::Value(v) = resp else {
         panic!("expected value");
     };

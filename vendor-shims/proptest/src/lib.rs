@@ -5,7 +5,7 @@
 //! subset of the API the workspace's property tests use — the
 //! [`proptest!`] macro, [`Strategy`] with `prop_map`, integer/float range
 //! strategies, [`prelude::Just`], `prop_oneof!`, `collection::vec`, `any`,
-//! and the `prop_assert*` macros — with a deliberately simpler engine:
+//! and `prop_assert!`/`prop_assert_eq!` — with a deliberately simpler engine:
 //!
 //! * case generation is driven by a fixed-seed SplitMix64 stream, so every
 //!   run of a test explores the same deterministic case sequence;
@@ -21,7 +21,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::ops::{Range, RangeInclusive};
+use std::ops::Range;
 
 /// Deterministic generator state handed to strategies (SplitMix64).
 #[derive(Debug, Clone)]
@@ -54,11 +54,6 @@ impl TestRng {
         // Modulo bias is irrelevant at test-generation quality.
         self.next_u64() % bound
     }
-
-    /// Uniform float in `[0, 1)`.
-    pub fn unit_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
 }
 
 /// A value generator: the shim's notion of a proptest strategy.
@@ -76,29 +71,6 @@ pub trait Strategy {
         F: Fn(Self::Value) -> O,
     {
         Map { inner: self, f }
-    }
-
-    /// Erases the strategy type.
-    fn boxed(self) -> BoxedStrategy<Self::Value>
-    where
-        Self: Sized + 'static,
-    {
-        BoxedStrategy {
-            inner: std::rc::Rc::new(move |rng: &mut TestRng| self.generate(rng)),
-        }
-    }
-}
-
-/// A type-erased strategy.
-#[derive(Clone)]
-pub struct BoxedStrategy<T> {
-    inner: std::rc::Rc<dyn Fn(&mut TestRng) -> T>,
-}
-
-impl<T> Strategy for BoxedStrategy<T> {
-    type Value = T;
-    fn generate(&self, rng: &mut TestRng) -> T {
-        (self.inner)(rng)
     }
 }
 
@@ -137,57 +109,27 @@ macro_rules! int_range_strategy {
                 (self.start as i128 + rng.below(span) as i128) as $t
             }
         }
-        impl Strategy for RangeInclusive<$t> {
-            type Value = $t;
-            fn generate(&self, rng: &mut TestRng) -> $t {
-                let (lo, hi) = (*self.start(), *self.end());
-                assert!(lo <= hi, "empty range");
-                let span = (hi as i128 - lo as i128) as u64;
-                if span == u64::MAX {
-                    return rng.next_u64() as $t;
-                }
-                (lo as i128 + rng.below(span + 1) as i128) as $t
-            }
-        }
     )*};
 }
 
-int_range_strategy!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
+int_range_strategy!(u8, u64, usize, i16, i32);
 
-macro_rules! wide_int_range_strategy {
-    ($($t:ty),*) => {$(
-        impl Strategy for Range<$t> {
-            type Value = $t;
-            fn generate(&self, rng: &mut TestRng) -> $t {
-                assert!(self.start < self.end, "empty range");
-                let span = self.end.wrapping_sub(self.start) as u128;
-                let r = ((rng.next_u64() as u128) << 64 | rng.next_u64() as u128) % span;
-                self.start.wrapping_add(r as $t)
-            }
-        }
-        impl Strategy for RangeInclusive<$t> {
-            type Value = $t;
-            fn generate(&self, rng: &mut TestRng) -> $t {
-                let (lo, hi) = (*self.start(), *self.end());
-                assert!(lo <= hi, "empty range");
-                let span = hi.wrapping_sub(lo) as u128;
-                if span == u128::MAX {
-                    return ((rng.next_u64() as u128) << 64 | rng.next_u64() as u128) as $t;
-                }
-                let r = ((rng.next_u64() as u128) << 64 | rng.next_u64() as u128) % (span + 1);
-                lo.wrapping_add(r as $t)
-            }
-        }
-    )*};
+impl Strategy for Range<u128> {
+    type Value = u128;
+    fn generate(&self, rng: &mut TestRng) -> u128 {
+        assert!(self.start < self.end, "empty range");
+        let span = self.end.wrapping_sub(self.start);
+        let r = ((rng.next_u64() as u128) << 64 | rng.next_u64() as u128) % span;
+        self.start.wrapping_add(r)
+    }
 }
-
-wide_int_range_strategy!(u128, i128);
 
 impl Strategy for Range<f64> {
     type Value = f64;
     fn generate(&self, rng: &mut TestRng) -> f64 {
         assert!(self.start < self.end, "empty range");
-        self.start + rng.unit_f64() * (self.end - self.start)
+        let unit = (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
+        self.start + unit * (self.end - self.start)
     }
 }
 
@@ -204,12 +146,10 @@ macro_rules! tuple_strategy {
     };
 }
 
-tuple_strategy!(A);
 tuple_strategy!(A, B);
 tuple_strategy!(A, B, C);
 tuple_strategy!(A, B, C, D);
 tuple_strategy!(A, B, C, D, E);
-tuple_strategy!(A, B, C, D, E, F);
 
 /// Types with a canonical "any value" strategy.
 pub trait Arbitrary: Sized {
@@ -227,7 +167,7 @@ macro_rules! int_arbitrary {
     )*};
 }
 
-int_arbitrary!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
+int_arbitrary!(u8, u32, u64, i32);
 
 impl Arbitrary for bool {
     fn arbitrary(rng: &mut TestRng) -> bool {
@@ -248,22 +188,23 @@ impl<T: Arbitrary> Strategy for Any<T> {
     }
 }
 
-/// A weighted choice among type-erased same-valued strategies
-/// (the target of `prop_oneof!`).
+/// A weighted choice among type-erased same-valued strategies (the
+/// target of `prop_oneof!`).
 pub struct OneOf<T> {
-    arms: Vec<(u32, BoxedStrategy<T>)>,
+    arms: Vec<(u32, Box<dyn Strategy<Value = T>>)>,
 }
 
 impl<T> OneOf<T> {
-    /// Builds a choice from weighted arms.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `arms` is empty or all weights are zero.
-    pub fn new(arms: Vec<(u32, BoxedStrategy<T>)>) -> OneOf<T> {
-        let total: u64 = arms.iter().map(|(w, _)| *w as u64).sum();
-        assert!(total > 0, "prop_oneof needs at least one weighted arm");
-        OneOf { arms }
+    /// A choice with `strategy` as its first arm, picked with odds
+    /// `weight` / total. Generating panics if every weight is zero.
+    pub fn new<S: Strategy<Value = T> + 'static>(weight: u32, strategy: S) -> OneOf<T> {
+        OneOf { arms: Vec::new() }.or(weight, strategy)
+    }
+
+    /// Adds `strategy` as an arm picked with odds `weight` / total.
+    pub fn or<S: Strategy<Value = T> + 'static>(mut self, weight: u32, strategy: S) -> OneOf<T> {
+        self.arms.push((weight, Box::new(strategy)));
+        self
     }
 }
 
@@ -278,7 +219,7 @@ impl<T> Strategy for OneOf<T> {
             }
             pick -= *w as u64;
         }
-        unreachable!("weights sum checked in new()")
+        unreachable!("pick is below the weight total")
     }
 }
 
@@ -338,12 +279,6 @@ impl TestCaseError {
     pub fn fail(reason: impl Into<String>) -> TestCaseError {
         TestCaseError(reason.into())
     }
-
-    /// Rejects the current case (treated the same as a failure here: the
-    /// shim has no retry budget, and the workspace never rejects).
-    pub fn reject(reason: impl Into<String>) -> TestCaseError {
-        TestCaseError(reason.into())
-    }
 }
 
 impl std::fmt::Display for TestCaseError {
@@ -357,13 +292,13 @@ impl std::error::Error for TestCaseError {}
 /// Everything the tests import.
 pub mod prelude {
     pub use crate::{
-        prop_assert, prop_assert_eq, prop_assert_ne, prop_oneof, proptest, Any, Arbitrary,
-        BoxedStrategy, Just, ProptestConfig, Strategy, TestCaseError, TestRng,
+        prop_assert, prop_assert_eq, prop_oneof, proptest, Just, ProptestConfig, Strategy,
+        TestCaseError,
     };
 
     /// The canonical strategy for "any value of `T`".
-    pub fn any<T: Arbitrary>() -> Any<T> {
-        Any {
+    pub fn any<T: crate::Arbitrary>() -> crate::Any<T> {
+        crate::Any {
             _marker: std::marker::PhantomData,
         }
     }
@@ -407,29 +342,14 @@ macro_rules! prop_assert_eq {
     };
 }
 
-/// Asserts inequality inside a property.
-#[macro_export]
-macro_rules! prop_assert_ne {
-    ($a:expr, $b:expr) => {
-        assert_ne!($a, $b)
-    };
-    ($a:expr, $b:expr, $($fmt:tt)*) => {
-        assert_ne!($a, $b, $($fmt)*)
-    };
-}
-
 /// Chooses among strategies with equal (or `weight =>`) odds.
 #[macro_export]
 macro_rules! prop_oneof {
-    ($($weight:expr => $strat:expr),+ $(,)?) => {
-        $crate::OneOf::new(vec![
-            $(($weight as u32, $crate::Strategy::boxed($strat))),+
-        ])
+    ($w0:expr => $s0:expr $(, $weight:expr => $strat:expr)* $(,)?) => {
+        $crate::OneOf::new($w0 as u32, $s0)$(.or($weight as u32, $strat))*
     };
-    ($($strat:expr),+ $(,)?) => {
-        $crate::OneOf::new(vec![
-            $((1u32, $crate::Strategy::boxed($strat))),+
-        ])
+    ($s0:expr $(, $strat:expr)* $(,)?) => {
+        $crate::OneOf::new(1, $s0)$(.or(1, $strat))*
     };
 }
 
@@ -483,6 +403,7 @@ macro_rules! proptest {
 #[cfg(test)]
 mod tests {
     use super::prelude::*;
+    use super::TestRng;
 
     #[test]
     fn ranges_stay_in_bounds() {
@@ -494,8 +415,6 @@ mod tests {
             assert!((0.0..1.0).contains(&f));
             let i = (-5i32..5).generate(&mut rng);
             assert!((-5..5).contains(&i));
-            let inc = (1u8..=255).generate(&mut rng);
-            assert!(inc >= 1);
         }
     }
 
