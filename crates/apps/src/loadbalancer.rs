@@ -28,8 +28,11 @@ const PIPELINE_WORK: Ns = Ns(40);
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BackendId(pub u32);
 
+/// Bytes per spill record: the flow hash, the backend, four zero bytes.
+const RECORD: usize = 16;
+
 /// Spill records per flash page (16-byte records into a 4 KiB page).
-pub const SPILL_BATCH: usize = 256;
+pub const SPILL_BATCH: usize = LBA_SIZE as usize / RECORD;
 
 /// Where a flow's state lives: the decoded view of a [`TableEntry`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -374,7 +377,7 @@ impl LoadBalancer {
         t
     }
 
-    /// Writes the staging buffer as one page and marks its flows
+    /// Writes the staging buffer's records as one page and marks its flows
     /// flash-resident.
     fn flush_staging(&mut self, now: Ns) {
         if self.staging.is_empty() {
@@ -383,17 +386,19 @@ impl LoadBalancer {
         self.counters.bump("spill_pages");
         let lba = self.spill_cursor % self.spill.capacity_lbas();
         self.spill_cursor += 1;
-        // Built in the buffer the device keeps (or compacts), not copied.
-        let mut image = BytesMut::zeroed(LBA_SIZE as usize);
-        for (&(flow, backend), record) in self.staging.iter().zip(image.chunks_exact_mut(16)) {
+        // Only the records are built; the device zero-fills the rest of
+        // the page. It keeps a full batch as this very buffer, and copies a
+        // batch of at most half a page to a fresh LBA into its prefix slabs.
+        let mut data = BytesMut::zeroed(RECORD * self.staging.len());
+        for (&(flow, backend), record) in self.staging.iter().zip(data.chunks_exact_mut(RECORD)) {
             record[..8].copy_from_slice(&flow.to_le_bytes());
             record[8..12].copy_from_slice(&backend.0.to_le_bytes());
         }
         self.spill
             .submit(
-                Command::Write {
+                Command::WritePrefix {
                     lba,
-                    data: image.freeze(),
+                    data: data.freeze(),
                 },
                 now,
             )
@@ -676,6 +681,11 @@ mod tests {
                     assert_eq!(record[12..], [0; 4]);
                 }
                 assert!(rest.iter().all(|&b| b == 0), "batch {batch} lba {lba}");
+                // A batch of one is a record the device compacts; a full
+                // batch is a whole page, held as written.
+                let held = lb.spill.stored_block(lba as u64).map(|b| b.len());
+                let whole = (batch == SPILL_BATCH).then_some(LBA_SIZE as usize);
+                assert_eq!(held, whole, "batch {batch} lba {lba}");
             }
         }
     }

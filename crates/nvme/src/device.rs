@@ -13,6 +13,7 @@
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
+use std::ops::Range;
 use std::sync::OnceLock;
 
 use bytes::{Bytes, BytesMut};
@@ -40,6 +41,12 @@ pub enum NamespaceKind {
 }
 
 /// An NVMe command.
+///
+/// Two commands write a block namespace: [`Command::Write`] for whole
+/// blocks, and [`Command::WritePrefix`] for one block of which the writer
+/// declares only the leading bytes. Both cost the same and read back the
+/// same; they differ only in what the device has to inspect to decide how
+/// to hold the block (see the crate's design notes on stored blocks).
 #[derive(Debug, Clone)]
 pub enum Command {
     /// Read `blocks` LBAs starting at `lba`.
@@ -54,6 +61,17 @@ pub enum Command {
         /// Starting logical block.
         lba: u64,
         /// Data; length must be a non-zero multiple of the LBA size.
+        data: Bytes,
+    },
+    /// Write one block at `lba`: its first `data.len()` bytes are `data`
+    /// and the rest are zeros. Timed, charged and counted exactly like a
+    /// one-block [`Command::Write`] of the zero-padded block; the writer
+    /// declares how much of the block it wrote, so the device need not
+    /// scan a padded block to find out.
+    WritePrefix {
+        /// Logical block.
+        lba: u64,
+        /// The block's leading bytes; at most the LBA size.
         data: Bytes,
     },
     /// Flush volatile state (modeled as a controller round trip).
@@ -94,7 +112,7 @@ impl Command {
     pub fn label(&self) -> &'static str {
         match self {
             Command::Read { .. } => "nvme:read",
-            Command::Write { .. } => "nvme:write",
+            Command::Write { .. } | Command::WritePrefix { .. } => "nvme:write",
             Command::Flush => "nvme:flush",
             Command::ZoneAppend { .. } => "nvme:zone_append",
             Command::ZoneReset { .. } => "nvme:zone_reset",
@@ -138,8 +156,8 @@ pub enum NvmeError {
         /// Offending LBA.
         lba: u64,
     },
-    /// Write data not a positive multiple of the LBA size, or a read of
-    /// zero blocks.
+    /// Write data not a positive multiple of the LBA size, prefix-write
+    /// data longer than a block, or a read of zero blocks.
     BadLength(usize),
     /// Zone index out of range.
     NoSuchZone(u64),
@@ -394,7 +412,10 @@ impl NvmeDevice {
             let span = rec.open(Component::Nvme, cmd.label(), now);
             // The command reaches the flash after controller overhead;
             // only LBA-addressed ops map to a die we can query up front.
-            if let Command::Read { lba, .. } | Command::Write { lba, .. } = &cmd {
+            if let Command::Read { lba, .. }
+            | Command::Write { lba, .. }
+            | Command::WritePrefix { lba, .. } = &cmd
+            {
                 let arrive = now + params::CONTROLLER_OVERHEAD;
                 let page = Self::page_of(*lba);
                 let wait = self.flash.queue_wait(page, arrive);
@@ -480,6 +501,22 @@ impl NvmeDevice {
                 self.counters.bump("writes");
                 let done = self.program_pages(lba, blocks, start);
                 self.store_blocks(lba, &data);
+                Ok(Completion {
+                    response: Response::Written { lba },
+                    done,
+                })
+            }
+            Command::WritePrefix { lba, data } => {
+                self.require(NamespaceKind::Block)?;
+                if data.len() > params::LBA_SIZE as usize {
+                    return Err(NvmeError::BadLength(data.len()));
+                }
+                self.check_range(lba, 1)?;
+                self.counters.bump("writes");
+                let done = self.program_pages(lba, 1, start);
+                if self.store_block(lba, &data, 0..data.len(), <[u8]>::len) {
+                    self.repack_prefixes();
+                }
                 Ok(Completion {
                     response: Response::Written { lba },
                     done,
@@ -680,38 +717,59 @@ impl NvmeDevice {
         }
     }
 
-    /// Keeps each LBA of `data` as a slice of the caller's buffer: the
-    /// payload is stored where it arrived, not copied. The one exception
-    /// is a fresh LBA (nothing stored yet) whose written prefix, up to its
-    /// last non-zero 64-byte line, is at most half a block: it keeps a
-    /// copy of just that prefix, packed into the device's prefix slabs,
-    /// which is never larger than the buffer it stops retaining.
-    /// Overwrites never compact, so a block rewritten in place (a B+ tree
-    /// root) is not copied and re-expanded on every write.
+    /// Stores each LBA of `data` with [`NvmeDevice::store_block`], finding
+    /// each fresh block's written prefix by scanning it
+    /// ([`written_prefix`]).
     fn store_blocks(&mut self, lba: u64, data: &Bytes) {
         let size = params::LBA_SIZE as usize;
         let mut repack = false;
-        for (i, block) in data.chunks_exact(size).enumerate() {
-            let shared = || Stored::Block(data.slice(i * size..(i + 1) * size));
-            let slot = self.blocks.slot(lba + i as u64);
-            match slot {
-                Some(stored) => {
-                    if let Stored::Prefix(p) = std::mem::replace(stored, shared()) {
-                        repack |= self.prefixes.release(p);
-                    }
-                }
-                None => {
-                    let prefix = written_prefix(block);
-                    *slot = Some(if prefix <= size / 2 {
-                        Stored::Prefix(self.prefixes.push(&block[..prefix]))
-                    } else {
-                        shared()
-                    });
-                }
-            }
+        for (i, at) in (0..data.len()).step_by(size).enumerate() {
+            repack |= self.store_block(lba + i as u64, data, at..at + size, written_prefix);
         }
         if repack {
             self.repack_prefixes();
+        }
+    }
+
+    /// Stores one LBA whose first bytes are `data[range]` and whose rest,
+    /// if the range is shorter than a block, is zeros. A full-length block
+    /// is kept as a slice of the caller's buffer: the payload is stored
+    /// where it arrived, not copied. The one exception is a fresh LBA
+    /// (nothing stored yet) whose written prefix, as `prefix` measures it,
+    /// is at most half a block: it keeps a copy of just that prefix,
+    /// packed into the device's prefix slabs, which is never larger than
+    /// the buffer it stops retaining. Anything else short is padded to a
+    /// whole block. Overwrites never compact, so a block rewritten in
+    /// place (a B+ tree root) is not copied and re-expanded on every
+    /// write. Returns whether a replaced prefix calls for
+    /// [`NvmeDevice::repack_prefixes`].
+    fn store_block(
+        &mut self,
+        lba: u64,
+        data: &Bytes,
+        range: Range<usize>,
+        prefix: impl FnOnce(&[u8]) -> usize,
+    ) -> bool {
+        let size = params::LBA_SIZE as usize;
+        let block = &data[range.clone()];
+        let slot = self.blocks.slot(lba);
+        if slot.is_none() {
+            let prefix = prefix(block);
+            if prefix <= size / 2 {
+                *slot = Some(Stored::Prefix(self.prefixes.push(&block[..prefix])));
+                return false;
+            }
+        }
+        let whole = if block.len() == size {
+            data.slice(range)
+        } else {
+            let mut padded = BytesMut::zeroed(size);
+            padded[..block.len()].copy_from_slice(block);
+            padded.freeze()
+        };
+        match slot.replace(Stored::Block(whole)) {
+            Some(Stored::Prefix(p)) => self.prefixes.release(p),
+            _ => false,
         }
     }
 
@@ -1035,6 +1093,14 @@ mod tests {
             d.submit(Command::Read { lba: 9, blocks: 2 }, Ns::ZERO),
             Err(NvmeError::OutOfRange { .. })
         ));
+        for lba in [d.capacity_lbas(), u64::MAX] {
+            let data = Bytes::from_static(&[1; 16]);
+            assert!(matches!(
+                d.submit(Command::WritePrefix { lba, data }, Ns::ZERO),
+                Err(NvmeError::OutOfRange { .. })
+            ));
+        }
+        assert_eq!(d.counters.get("writes"), 0);
     }
 
     #[test]
@@ -1050,6 +1116,19 @@ mod tests {
             ),
             Err(NvmeError::BadLength(3))
         ));
+    }
+
+    #[test]
+    fn oversized_prefix_write_rejected() {
+        let mut d = NvmeDevice::new_block(1 << 20);
+        let data = Bytes::from(vec![1; params::LBA_SIZE as usize + 1]);
+        assert_eq!(
+            d.submit(Command::WritePrefix { lba: 0, data }, Ns::ZERO)
+                .unwrap_err(),
+            NvmeError::BadLength(params::LBA_SIZE as usize + 1)
+        );
+        assert_eq!(d.counters.get("writes"), 0);
+        assert_eq!(d.flash_ops(), (0, 0, 0));
     }
 
     #[test]
@@ -1284,6 +1363,80 @@ mod tests {
     }
 
     #[test]
+    fn traced_prefix_write_matches_a_padded_write() {
+        let data = Bytes::from(vec![9u8; 40]);
+        let mut block = data.to_vec();
+        block.resize(params::LBA_SIZE as usize, 0);
+        let padded = Bytes::from(block);
+        let run = |cmd: &dyn Fn(u64) -> Command, plan: FaultPlan| {
+            let mut d = NvmeDevice::new_block(1 << 20);
+            d.set_fault_plan(plan);
+            let mut rec = Recorder::new("nvme-write");
+            rec.enable_util();
+            // The second write lands on the die the first still holds.
+            let done: Vec<Ns> = [0, 1]
+                .map(|lba| {
+                    let c = d.submit_traced(cmd(lba), Ns::ZERO, Some(&mut rec)).unwrap();
+                    assert_eq!(c.response, Response::Written { lba });
+                    c.done
+                })
+                .to_vec();
+            (d, rec, done)
+        };
+        let spans = |rec: &Recorder| -> Vec<(&'static str, Ns, Option<Ns>)> {
+            rec.spans()
+                .iter()
+                .map(|s| (s.name, s.start, s.end))
+                .collect()
+        };
+        let claims = |rec: &Recorder| -> Vec<(String, Vec<(u64, u64)>)> {
+            rec.util()
+                .resources()
+                .iter()
+                .map(|r| (r.id().to_string(), r.intervals().to_vec()))
+                .collect()
+        };
+        for spikes in [0.0, 1.0] {
+            let plan = || FaultPlan::seeded(5).bernoulli(FAULT_NVME_LATENCY_SPIKE, spikes);
+            let (prefix_dev, prefix, prefix_done) = run(
+                &|lba| Command::WritePrefix {
+                    lba,
+                    data: data.clone(),
+                },
+                plan(),
+            );
+            let (write_dev, write, write_done) = run(
+                &|lba| Command::Write {
+                    lba,
+                    data: padded.clone(),
+                },
+                plan(),
+            );
+            assert_eq!(prefix_done, write_done, "spikes {spikes}");
+            assert!(prefix_done[1] > prefix_done[0], "the second write queued");
+            assert_eq!(spans(&prefix), spans(&write), "spikes {spikes}");
+            assert!(spans(&prefix).iter().all(|s| s.0 == "nvme:write"));
+            assert_eq!(prefix.queue_edges(), write.queue_edges());
+            assert_eq!(prefix.queue_edges().len(), 1);
+            assert_eq!(prefix.edge_resources(), write.edge_resources());
+            assert!(!claims(&prefix).is_empty());
+            assert_eq!(claims(&prefix), claims(&write), "spikes {spikes}");
+            assert_eq!(
+                hyperion_telemetry::json::to_json(&prefix),
+                hyperion_telemetry::json::to_json(&write)
+            );
+            // The devices charged, counted and queued the same work.
+            for d in [&prefix_dev, &write_dev] {
+                assert_eq!(d.counters.get("writes"), 2);
+                assert_eq!(d.counters.get("latency_spikes"), 2 * spikes as u64);
+                assert_eq!(d.queue_depth_at(Ns::ZERO), 2);
+            }
+            assert_eq!(prefix_dev.energy.total(), write_dev.energy.total());
+            assert_eq!(prefix_dev.flash_ops(), write_dev.flash_ops());
+        }
+    }
+
+    #[test]
     fn traced_media_fault_leaves_instants() {
         let mut d = NvmeDevice::new_block(1 << 20);
         let clean = d
@@ -1373,6 +1526,13 @@ mod tests {
             ),
             Err(NvmeError::WrongNamespace { .. })
         ));
+        for mut d in [z, NvmeDevice::new_kv(1 << 20)] {
+            let data = Bytes::from_static(&[1; 16]);
+            assert!(matches!(
+                d.submit(Command::WritePrefix { lba: 0, data }, Ns::ZERO),
+                Err(NvmeError::WrongNamespace { .. })
+            ));
+        }
     }
 
     #[test]
@@ -1400,6 +1560,10 @@ mod tests {
         /// The rest land in four-LBA spans far out, each across a chunk
         /// boundary, and at the end of the namespace.
         const FAR: [u64; 3] = [40 * 256 - 2, 3_000 * 256 - 2, CAPACITY - 4];
+        /// Half the prefix writes go to fresh LBAs from here on, one after
+        /// the other, as load-balancer spill pages do, and a quarter
+        /// overwrite one of those; a quarter of the reads start here.
+        const SPILL: u64 = 2_000 * 256 - 8;
         /// How the device must hold an LBA after a write.
         #[derive(Debug, Clone, Copy, PartialEq)]
         enum Held {
@@ -1407,6 +1571,8 @@ mod tests {
             Shared(usize),
             /// A copy of just the first `len` bytes.
             Compact(usize),
+            /// A whole block the device padded with zeros.
+            Padded,
         }
         type Model = HashMap<u64, ([u8; LBA], Held)>;
         fn expected(model: &Model, lba: u64, blocks: u64) -> Vec<u8> {
@@ -1431,6 +1597,19 @@ mod tests {
             }
             block
         }
+        /// The lengths a prefix write draws from; a draw past the end is
+        /// uniform over `0..=LBA`.
+        const PREFIX_LENS: [usize; 7] = [0, 1, 16, LBA / 2, LBA / 2 + 1, LBA - 1, LBA];
+        /// Bytes the device must hold in its prefix slabs.
+        fn compact_bytes(model: &Model) -> usize {
+            model
+                .values()
+                .map(|m| match m.1 {
+                    Held::Compact(len) => len,
+                    _ => 0,
+                })
+                .sum()
+        }
         /// Byte-wise reference for the written prefix, rounded up to a line.
         fn prefix_of(block: &[u8]) -> usize {
             block
@@ -1448,7 +1627,12 @@ mod tests {
             let (mut shared, mut unwritten, mut compact_reads, mut mixed) = (0, 0, 0, 0);
             let (mut compacted, mut to_dense, mut to_sparse) = (0, 0, 0);
             let (mut straddling, mut far) = (0, 0);
-            for step in 0..1_200 {
+            // Prefix writes by how the device must hold them, and those
+            // that replaced a compacted prefix.
+            let (mut p_compact, mut p_shared, mut p_padded, mut p_released) = (0, 0, 0, 0);
+            let mut p_lens = [0; PREFIX_LENS.len() + 1];
+            let mut spilled = 0;
+            for step in 0..2_000 {
                 let blocks = 1 + rng.next_below(4);
                 let lba = if rng.chance(0.1) {
                     FAR[rng.next_below(3) as usize] + rng.next_below(4 - blocks + 1)
@@ -1474,7 +1658,7 @@ mod tests {
                         };
                         match before {
                             Some(Held::Compact(_)) if !sparse => to_dense += 1,
-                            Some(Held::Shared(_)) if sparse => to_sparse += 1,
+                            Some(Held::Shared(_) | Held::Padded) if sparse => to_sparse += 1,
                             _ => {}
                         }
                         compacted += usize::from(matches!(held, Held::Compact(_)));
@@ -1497,7 +1681,83 @@ mod tests {
                             }
                         }
                     }
+                    assert_eq!(
+                        d.prefixes.live(),
+                        compact_bytes(&model),
+                        "seed {seed} step {step}"
+                    );
+                } else if rng.chance(0.3) {
+                    // One block, of which the writer declares the first
+                    // `len` bytes.
+                    let lba = match rng.next_below(4) {
+                        0 | 1 => {
+                            spilled += 1;
+                            SPILL + spilled - 1
+                        }
+                        2 if spilled > 0 => SPILL + rng.next_below(spilled),
+                        _ => lba,
+                    };
+                    let pick = rng.next_below(PREFIX_LENS.len() as u64 + 1) as usize;
+                    p_lens[pick] += 1;
+                    let len = PREFIX_LENS
+                        .get(pick)
+                        .copied()
+                        .unwrap_or_else(|| rng.next_below(LBA as u64 + 1) as usize);
+                    let mut block = gen_block(&mut rng);
+                    block[len..].fill(0);
+                    let data = Bytes::copy_from_slice(&block[..len]);
+                    let before = model.get(&lba).map(|m| m.1);
+                    let held = match before {
+                        None if len <= LBA / 2 => Held::Compact(len),
+                        _ if len == LBA => Held::Shared(data.as_ptr() as usize),
+                        _ => Held::Padded,
+                    };
+                    p_released += usize::from(matches!(before, Some(Held::Compact(_))));
+                    model.insert(lba, (block, held));
+                    let c = d
+                        .submit(
+                            Command::WritePrefix {
+                                lba,
+                                data: data.clone(),
+                            },
+                            now,
+                        )
+                        .unwrap();
+                    assert_eq!(c.response, Response::Written { lba });
+                    match (held, d.stored_block(lba)) {
+                        (Held::Compact(len), None) => {
+                            let Some(Stored::Prefix(p)) = d.blocks.get(lba) else {
+                                panic!("seed {seed} step {step}: lba {lba} unwritten");
+                            };
+                            assert_eq!(d.prefixes.get(*p), &data[..len], "seed {seed} step {step}");
+                            p_compact += 1;
+                        }
+                        (Held::Shared(at), Some(stored)) => {
+                            assert_eq!(stored.as_ptr() as usize, at, "seed {seed} step {step}");
+                            p_shared += 1;
+                        }
+                        (Held::Padded, Some(stored)) => {
+                            assert_eq!(stored.len(), LBA, "seed {seed} step {step}");
+                            assert_ne!(stored.as_ptr(), data.as_ptr(), "seed {seed} step {step}");
+                            p_padded += 1;
+                        }
+                        (held, stored) => {
+                            panic!("seed {seed} step {step}: {held:?} held as {stored:?}")
+                        }
+                    }
+                    assert_eq!(
+                        d.prefixes.live(),
+                        compact_bytes(&model),
+                        "seed {seed} step {step}"
+                    );
                 } else {
+                    // A read in four starts in the spill LBAs, or just
+                    // past them.
+                    let lba = if rng.chance(0.25) {
+                        SPILL + rng.next_below(spilled + 1)
+                    } else {
+                        lba
+                    };
                     let c = d
                         .submit(
                             Command::Read {
@@ -1533,6 +1793,12 @@ mod tests {
                     }
                 }
             }
+            for (&lba, (block, _)) in &model {
+                assert!(
+                    read_one(&mut d, lba)[..] == block[..],
+                    "seed {seed}: lba {lba}"
+                );
+            }
             assert!(model.len() > 100, "seed {seed}: LBAs mostly written");
             assert!(
                 straddling > 40 && far > 80,
@@ -1549,6 +1815,15 @@ mod tests {
             assert!(
                 to_dense > 10 && to_sparse > 300,
                 "seed {seed}: {to_dense} compact->dense, {to_sparse} dense->near-empty"
+            );
+            assert!(
+                p_lens.iter().all(|&n| n > 15)
+                    && p_compact > 50
+                    && p_shared > 15
+                    && p_padded > 80
+                    && p_released > 10,
+                "seed {seed}: prefix writes by length {p_lens:?}, {p_compact} compacted, \
+                 {p_shared} shared, {p_padded} padded, {p_released} released a prefix"
             );
             for (data, want) in &kept {
                 assert!(data[..] == want[..], "seed {seed}: an old read changed");

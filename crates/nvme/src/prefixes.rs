@@ -2,8 +2,8 @@
 //! of fresh near-empty blocks: packed end to end in fixed-size slabs
 //! instead of one heap allocation per block.
 //!
-//! A batch-1 load-balancer spill writes 50k such blocks (a 64-byte prefix
-//! each) in one run. As separate allocations they would be 50k small
+//! A batch-1 load-balancer spill writes 50k such blocks (one 16-byte
+//! record each, declared with `Command::WritePrefix`) in one run. As separate allocations they would be 50k small
 //! chunks threaded through the holes the device's growing tables leave
 //! behind, and the process's peak resident memory would depend on how the
 //! allocator happened to lay them out. Slabs of one size are reused whole.
@@ -75,6 +75,12 @@ impl Prefixes {
         self.live -= p.len();
         self.dead += p.len();
         self.dead >= SLAB && self.dead > self.live
+    }
+
+    /// Bytes of the prefixes still referred to.
+    #[cfg(test)]
+    pub(crate) fn live(&self) -> usize {
+        self.live
     }
 
     /// Slabs allocated.

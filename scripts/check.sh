@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Pre-merge gate: formatting, lints, rustdoc, the full test suite, the
-# examples, and the golden report files.
+# Pre-merge gate: formatting, lints, rustdoc, the full test suite, and the
+# golden files of every report surface and example.
 #
 # Run from the repository root:
 #   ./scripts/check.sh
@@ -27,20 +27,16 @@ time cargo test --workspace -q
 echo "==> perfbench tests (own Cargo workspace, not covered by --workspace)"
 cargo test --offline --manifest-path perfbench/Cargo.toml -q
 
-echo "==> examples (release; each drives one subsystem end to end)"
-# distributed.rs is the one caller of the raw NVMe-oF handle/encode/decode
-# API outside the tests; an example that panics fails the gate.
-for example in examples/*.rs; do
-    cargo run --release -q --example "$(basename "$example" .rs)" > /dev/null
-done
-
-echo "==> goldens: every report surface equals goldens/ byte for byte"
+echo "==> goldens: every report surface and example equals goldens/ byte for byte"
 # The simulator is deterministic, so any diff is a code change: every
 # experiment table (E13-E15 included), per-hop and critical-path
-# breakdown, SLO digest, utilization, blame and profile table, plus the
-# hashes of the full report, --json and the e6/e7 traces. A host-timed
-# value or a hash map's iteration order reaching the output shows up as a
-# diff too. After an intentional model change, rerun ./scripts/goldens.sh
+# breakdown, SLO digest, utilization, blame and profile table, the
+# hashes of the full report, --json and the e6/e7 traces, and the stdout
+# of every examples/*.rs, each of which drives one subsystem end to end
+# (distributed.rs is the one caller of the raw NVMe-oF
+# handle/encode/decode API outside the tests; an example that panics
+# fails the gate). A host-timed value or a hash map's iteration order
+# reaching the output shows up as a diff too. After an intentional model change, rerun ./scripts/goldens.sh
 # and say in CHANGES.md why the numbers moved. The wall time is printed,
 # not gated, like the test time above.
 GOLDENS="$(mktemp -d)"

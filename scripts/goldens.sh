@@ -13,14 +13,22 @@
 # Each experiment's tables go to report-<id>.txt (E13-E15 are explicit-only
 # and not in the full report). Four outputs too large to review as text
 # are pinned by content hash in SHA256SUMS, one "<sha256>  report <args>"
-# line each.
+# line each. Each example's stdout goes to examples/<name>.txt; an example
+# that panics stops the script.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 dir="${1:-goldens}"
-mkdir -p "$dir"
+mkdir -p "$dir/examples"
 cargo build --release -q -p hyperion-bench --bin report
-report="${CARGO_TARGET_DIR:-target}/release/report"
+cargo build --release -q --examples
+target="${CARGO_TARGET_DIR:-target}/release"
+report="$target/report"
+
+for example in examples/*.rs; do
+    name="$(basename "$example" .rs)"
+    "$target/examples/$name" > "$dir/examples/$name.txt"
+done
 
 for id in e1 e2 e3 e4 e5 e6 e7 e8 e9 e10 e11 e12 e13 e14 e15 f2; do
     "$report" "$id" > "$dir/report-$id.txt"
