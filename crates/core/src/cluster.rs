@@ -24,7 +24,7 @@
 //! `node:partition`, see [`hyperion_net::partition_site`]); an empty
 //! plan performs zero draws and leaves the baseline bit-identical.
 
-use hyperion_net::rpc::{MethodId, RpcChannel};
+use hyperion_net::rpc::RPC_FRAMING;
 use hyperion_net::transport::{Delivery, Endpoint, Transport};
 use hyperion_net::{NetError, Network, NodeId};
 use hyperion_sim::fault::FaultPlan;
@@ -184,16 +184,24 @@ impl DpuCluster {
         now: Ns,
     ) -> Result<(ServiceResponse, Delivery), ClusterError> {
         let owner = self.owner_of(key);
-        // Compute the server work by running the request locally at the
-        // (future) arrival time; the channel then prices the wire.
-        let mut ch = RpcChannel::new(client, endpoints[owner], transport);
-        let (resp, served) = self.dpus[owner]
-            .dispatch(now, op)
-            .map_err(ClusterError::Service)?;
-        let work = served - now;
-        let d = ch
-            .call(net, MethodId(10), now, req_bytes, resp_bytes, work)
+        let server = endpoints[owner];
+        // The owner serves the request when it arrives, and the reply
+        // leaves when the owner is done.
+        let request = transport
+            .send(net, client, server, now, req_bytes + RPC_FRAMING)
             .map_err(ClusterError::Net)?;
+        let (resp, served) = self.dpus[owner]
+            .dispatch(request.done, op)
+            .map_err(ClusterError::Service)?;
+        let reply = transport
+            .send(net, server, client, served, resp_bytes + RPC_FRAMING)
+            .map_err(ClusterError::Net)?;
+        // One round trip plus each leg's extra rounds, as
+        // `Transport::request_traced` counts them.
+        let d = Delivery {
+            done: reply.done,
+            wire_rounds: 1 + request.wire_rounds + reply.wire_rounds,
+        };
         Ok((resp, d))
     }
 }
@@ -546,6 +554,53 @@ mod tests {
             )
             .expect("call");
         assert_eq!(d.wire_rounds, 1, "client-driven routing: exactly one RTT");
+    }
+
+    #[test]
+    fn remote_calls_are_served_when_the_request_arrives() {
+        let (mut cluster, t) = DpuCluster::boot(2, KEY, Ns::ZERO);
+        let mut net = Network::new();
+        let client = Endpoint::new(net.add_node(), EndpointKind::Kernel);
+        let endpoints: Vec<Endpoint> = (0..2)
+            .map(|_| Endpoint::new(net.add_node(), EndpointKind::Hardware))
+            .collect();
+        let tr = Transport::new(TransportKind::Udp);
+        let key = 42;
+        let put = || KvOp::SsdPut {
+            key: b"flow-42".to_vec(),
+            value: bytes::Bytes::from_static(b"backend-7"),
+        };
+        let owner = cluster.owner_of(key);
+        // The same request leg and op on a twin network and cluster.
+        let (mut twin, _) = DpuCluster::boot(2, KEY, Ns::ZERO);
+        let mut twin_net = Network::new();
+        for _ in 0..3 {
+            twin_net.add_node();
+        }
+        let arrival = tr
+            .send(&mut twin_net, client, endpoints[owner], t, 32 + RPC_FRAMING)
+            .expect("request leg")
+            .done;
+        assert!(arrival > t);
+        let (_, served) = twin.dpus[owner].dispatch(arrival, put()).expect("put");
+        let (_, d) = cluster
+            .remote_call(&mut net, tr, client, &endpoints, key, put(), 32, 8, t)
+            .expect("call");
+        // The owner's KV-SSD completes the put exactly when a put issued
+        // at the arrival instant does, and the reply leaves then.
+        let kvssd = &cluster.dpus[owner].kvssd;
+        assert_eq!(kvssd.queue_depth_at(served - Ns(1)), 1);
+        assert_eq!(kvssd.queue_depth_at(served), 0);
+        let reply = tr
+            .send(
+                &mut twin_net,
+                endpoints[owner],
+                client,
+                served,
+                8 + RPC_FRAMING,
+            )
+            .expect("reply leg");
+        assert_eq!(d.done, reply.done);
     }
 
     #[test]

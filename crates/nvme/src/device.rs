@@ -514,7 +514,7 @@ impl NvmeDevice {
                 self.check_range(lba, 1)?;
                 self.counters.bump("writes");
                 let done = self.program_pages(lba, 1, start);
-                if self.store_block(lba, &data, 0..data.len(), <[u8]>::len) {
+                if self.store_block(lba, &data, 0..data.len(), Extent::Declared) {
                     self.repack_prefixes();
                 }
                 Ok(Completion {
@@ -719,12 +719,12 @@ impl NvmeDevice {
 
     /// Stores each LBA of `data` with [`NvmeDevice::store_block`], finding
     /// each fresh block's written prefix by scanning it
-    /// ([`written_prefix`]).
+    /// ([`Extent::Scanned`]).
     fn store_blocks(&mut self, lba: u64, data: &Bytes) {
         let size = params::LBA_SIZE as usize;
         let mut repack = false;
         for (i, at) in (0..data.len()).step_by(size).enumerate() {
-            repack |= self.store_block(lba + i as u64, data, at..at + size, written_prefix);
+            repack |= self.store_block(lba + i as u64, data, at..at + size, Extent::Scanned);
         }
         if repack {
             self.repack_prefixes();
@@ -734,40 +734,33 @@ impl NvmeDevice {
     /// Stores one LBA whose first bytes are `data[range]` and whose rest,
     /// if the range is shorter than a block, is zeros. A full-length block
     /// is kept as a slice of the caller's buffer: the payload is stored
-    /// where it arrived, not copied. The one exception is a fresh LBA
-    /// (nothing stored yet) whose written prefix, as `prefix` measures it,
-    /// is at most half a block: it keeps a copy of just that prefix,
-    /// packed into the device's prefix slabs, which is never larger than
-    /// the buffer it stops retaining. Anything else short is padded to a
-    /// whole block. Overwrites never compact, so a block rewritten in
-    /// place (a B+ tree root) is not copied and re-expanded on every
-    /// write. Returns whether a replaced prefix calls for
-    /// [`NvmeDevice::repack_prefixes`].
-    fn store_block(
-        &mut self,
-        lba: u64,
-        data: &Bytes,
-        range: Range<usize>,
-        prefix: impl FnOnce(&[u8]) -> usize,
-    ) -> bool {
+    /// where it arrived, not copied. The exception is a block whose
+    /// written prefix, as `extent` finds it, is at most half a block: it
+    /// keeps a copy of just that prefix, packed into the device's prefix
+    /// slabs, which is never larger than the buffer it stops retaining.
+    /// Anything else short is padded to a whole block. Returns whether a
+    /// replaced prefix calls for [`NvmeDevice::repack_prefixes`].
+    fn store_block(&mut self, lba: u64, data: &Bytes, range: Range<usize>, extent: Extent) -> bool {
         let size = params::LBA_SIZE as usize;
         let block = &data[range.clone()];
         let slot = self.blocks.slot(lba);
-        if slot.is_none() {
-            let prefix = prefix(block);
-            if prefix <= size / 2 {
-                *slot = Some(Stored::Prefix(self.prefixes.push(&block[..prefix])));
-                return false;
-            }
-        }
-        let whole = if block.len() == size {
-            data.slice(range)
-        } else {
-            let mut padded = BytesMut::zeroed(size);
-            padded[..block.len()].copy_from_slice(block);
-            padded.freeze()
+        let prefix = match extent {
+            Extent::Declared => Some(block.len()),
+            Extent::Scanned if slot.is_none() => Some(written_prefix(block)),
+            Extent::Scanned => None,
         };
-        match slot.replace(Stored::Block(whole)) {
+        let stored = match prefix {
+            Some(prefix) if prefix <= size / 2 => {
+                Stored::Prefix(self.prefixes.push(&block[..prefix]))
+            }
+            _ if block.len() == size => Stored::Block(data.slice(range)),
+            _ => {
+                let mut padded = BytesMut::zeroed(size);
+                padded[..block.len()].copy_from_slice(block);
+                Stored::Block(padded.freeze())
+            }
+        };
+        match slot.replace(stored) {
             Some(Stored::Prefix(p)) => self.prefixes.release(p),
             _ => false,
         }
@@ -838,6 +831,19 @@ const RECOVERY_COUNTERS: [&str; 5] = [
     "nvme:latency_spikes",
     "nvme:media_failures",
 ];
+
+/// How [`NvmeDevice::store_block`] learns a block's written prefix.
+#[derive(Debug, Clone, Copy)]
+enum Extent {
+    /// By scanning for it ([`written_prefix`]), and only on a fresh LBA
+    /// ([`Command::Write`]). An overwrite is never compacted, so a block
+    /// rewritten in place (a B+ tree root) is not scanned, copied and
+    /// re-expanded on every write.
+    Scanned,
+    /// The data is the prefix ([`Command::WritePrefix`]): compacting costs
+    /// one copy of it, so overwrites compact too.
+    Declared,
+}
 
 /// Granularity of [`written_prefix`]'s scan, in bytes (a cache line).
 const PREFIX_LINE: usize = 64;
@@ -1630,6 +1636,7 @@ mod tests {
             // Prefix writes by how the device must hold them, and those
             // that replaced a compacted prefix.
             let (mut p_compact, mut p_shared, mut p_padded, mut p_released) = (0, 0, 0, 0);
+            let mut p_overwrites_compacted = 0;
             let mut p_lens = [0; PREFIX_LENS.len() + 1];
             let mut spilled = 0;
             for step in 0..2_000 {
@@ -1707,12 +1714,15 @@ mod tests {
                     block[len..].fill(0);
                     let data = Bytes::copy_from_slice(&block[..len]);
                     let before = model.get(&lba).map(|m| m.1);
-                    let held = match before {
-                        None if len <= LBA / 2 => Held::Compact(len),
-                        _ if len == LBA => Held::Shared(data.as_ptr() as usize),
+                    // The declared length decides, for an overwrite too.
+                    let held = match len {
+                        _ if len <= LBA / 2 => Held::Compact(len),
+                        LBA => Held::Shared(data.as_ptr() as usize),
                         _ => Held::Padded,
                     };
                     p_released += usize::from(matches!(before, Some(Held::Compact(_))));
+                    p_overwrites_compacted +=
+                        usize::from(before.is_some() && matches!(held, Held::Compact(_)));
                     model.insert(lba, (block, held));
                     let c = d
                         .submit(
@@ -1821,9 +1831,11 @@ mod tests {
                     && p_compact > 50
                     && p_shared > 15
                     && p_padded > 80
-                    && p_released > 10,
-                "seed {seed}: prefix writes by length {p_lens:?}, {p_compact} compacted, \
-                 {p_shared} shared, {p_padded} padded, {p_released} released a prefix"
+                    && p_released > 10
+                    && p_overwrites_compacted > 20,
+                "seed {seed}: prefix writes by length {p_lens:?}, {p_compact} compacted \
+                 ({p_overwrites_compacted} overwrites), {p_shared} shared, {p_padded} padded, \
+                 {p_released} released a prefix"
             );
             for (data, want) in &kept {
                 assert!(data[..] == want[..], "seed {seed}: an old read changed");
