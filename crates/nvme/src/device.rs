@@ -12,14 +12,13 @@
 //! faithful latency/queueing profile.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BinaryHeap;
 use std::ops::Range;
-use std::sync::OnceLock;
 
 use bytes::{Bytes, BytesMut};
 use hyperion_sim::energy::{EnergyMeter, Pj};
 use hyperion_sim::fault::FaultPlan;
-use hyperion_sim::hash::IntSet;
+use hyperion_sim::hash::{IntMap, IntSet};
 use hyperion_sim::stats::Counters;
 use hyperion_sim::time::Ns;
 use hyperion_telemetry::{Component, Recorder};
@@ -220,7 +219,12 @@ pub struct NvmeDevice {
     /// The prefixes [`Stored::Prefix`] entries refer to.
     prefixes: Prefixes,
     zones: Vec<Zone>,
-    kv: BTreeMap<Vec<u8>, Bytes>,
+    /// The KV namespace. Hashed with [`IntHasher`], whose order is not
+    /// the keys' order: only ever read, written and removed from, never
+    /// iterated, so nothing the device reports depends on that order.
+    ///
+    /// [`IntHasher`]: hyperion_sim::hash::IntHasher
+    kv: IntMap<Vec<u8>, Bytes>,
     /// Device energy meter (idle power plus per-byte flash energy).
     pub energy: EnergyMeter,
     /// `reads`/`writes`/`appends`/... structural counters.
@@ -280,7 +284,7 @@ impl NvmeDevice {
             blocks: BlockTable::default(),
             prefixes: Prefixes::default(),
             zones: Vec::new(),
-            kv: BTreeMap::new(),
+            kv: IntMap::default(),
             energy: EnergyMeter::new(params::SSD_IDLE_POWER),
             counters: Counters::new(),
             kv_page_cursor: 0,
@@ -814,11 +818,13 @@ impl NvmeDevice {
 }
 
 /// The block every one-LBA read of an unwritten LBA returns: one shared
-/// buffer of zeros, built once, rather than a fresh page per read.
+/// buffer of zeros, built once per thread (a [`Bytes`] is not `Send`),
+/// rather than a fresh page per read.
 fn zero_block() -> Bytes {
-    static ZERO: OnceLock<Bytes> = OnceLock::new();
-    ZERO.get_or_init(|| BytesMut::zeroed(params::LBA_SIZE as usize).freeze())
-        .clone()
+    thread_local! {
+        static ZERO: Bytes = BytesMut::zeroed(params::LBA_SIZE as usize).freeze();
+    }
+    ZERO.with(Bytes::clone)
 }
 
 /// Device recovery counters mirrored into telemetry by
@@ -1211,6 +1217,83 @@ mod tests {
             ),
             Err(NvmeError::ZoneFull(0))
         ));
+    }
+
+    /// Random `KvPut`/`KvGet`/`KvDelete` sequences against a `BTreeMap`
+    /// model: overwrites, deletes of absent keys, the empty key, and keys
+    /// longer than one 8-byte hash word, some equal but for trailing zero
+    /// bytes, which `IntHasher::write` pads alike.
+    #[test]
+    fn kv_namespace_matches_a_btreemap_model() {
+        use hyperion_sim::rng::Rng;
+        use std::collections::BTreeMap;
+        let keys: Vec<Vec<u8>> = [
+            &b""[..],
+            b"\0",
+            b"a",
+            b"a\0",
+            b"abcdefgh",
+            b"abcdefgh\0",
+            b"abcdefghi",
+            b"abcdefghijklmnop",
+            b"abcdefghijklmnopq",
+            b"the quick brown fox jumps over the lazy dog",
+        ]
+        .iter()
+        .map(|k| k.to_vec())
+        .chain((0u64..6).map(|i| (i << 40).to_le_bytes().to_vec()))
+        .collect();
+        for seed in 0..8 {
+            let mut rng = Rng::seeded(seed);
+            let mut d = NvmeDevice::new_kv(1 << 20);
+            let mut model: BTreeMap<Vec<u8>, Bytes> = BTreeMap::new();
+            let mut counts = BTreeMap::new();
+            let mut now = Ns::ZERO;
+            for step in 0..2_000 {
+                let key = keys[rng.next_below(keys.len() as u64) as usize].clone();
+                let (command, counter, want) = match rng.next_below(3) {
+                    0 => {
+                        let mut value = vec![0u8; rng.next_below(9_000) as usize];
+                        rng.fill_bytes(&mut value);
+                        let value = Bytes::from(value);
+                        model.insert(key.clone(), value.clone());
+                        (Command::KvPut { key, value }, "kv_puts", Response::Ok)
+                    }
+                    1 => {
+                        let want = match model.get(&key) {
+                            Some(value) => Response::Data(value.clone()),
+                            None => Response::NotFound,
+                        };
+                        (Command::KvGet { key }, "kv_gets", want)
+                    }
+                    _ => {
+                        let want = match model.remove(&key) {
+                            Some(_) => Response::Ok,
+                            None => Response::NotFound,
+                        };
+                        (Command::KvDelete { key }, "kv_deletes", want)
+                    }
+                };
+                *counts.entry(counter).or_insert(0) += 1;
+                let done = d.submit(command, now).unwrap();
+                assert_eq!(done.response, want, "seed {seed}, step {step}");
+                now = done.done;
+            }
+            let kv: BTreeMap<_, _> = d
+                .counters
+                .iter()
+                .filter(|(name, _)| name.starts_with("kv_"))
+                .collect();
+            assert_eq!(kv, counts, "seed {seed}");
+            // Every key reads back as the model holds it.
+            for key in &keys {
+                let want = model
+                    .get(key)
+                    .map_or(Response::NotFound, |v| Response::Data(v.clone()));
+                let got = d.submit(Command::KvGet { key: key.clone() }, now).unwrap();
+                assert_eq!(got.response, want, "seed {seed}, key {key:?}");
+            }
+        }
     }
 
     #[test]

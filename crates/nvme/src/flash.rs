@@ -53,24 +53,14 @@ pub struct FlashArray {
 }
 
 impl FlashArray {
-    /// Creates an array with the default geometry.
+    /// Creates an array of [`params::CHANNELS`] channels with
+    /// [`params::DIES_PER_CHANNEL`] dies each.
     pub fn new() -> FlashArray {
-        FlashArray::with_geometry(params::CHANNELS, params::DIES_PER_CHANNEL)
-    }
-
-    /// Creates an array with explicit channel/die counts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either count is zero.
-    pub fn with_geometry(channels: usize, dies_per_channel: usize) -> FlashArray {
-        assert!(
-            channels > 0 && dies_per_channel > 0,
-            "geometry must be non-empty"
-        );
         FlashArray {
-            channels: (0..channels).map(|_| Resource::new("nand-ch", 1)).collect(),
-            dies: (0..channels * dies_per_channel)
+            channels: (0..params::CHANNELS)
+                .map(|_| Resource::new("nand-ch", 1))
+                .collect(),
+            dies: (0..params::CHANNELS * params::DIES_PER_CHANNEL)
                 .map(|_| Resource::new("nand-die", 1))
                 .collect(),
             reads: 0,
@@ -109,10 +99,10 @@ impl FlashArray {
     }
 
     fn locate(&self, page: u64) -> (usize, usize) {
-        let ch = (page % self.channels.len() as u64) as usize;
-        let die_in_ch = ((page / self.channels.len() as u64)
-            % (self.dies.len() / self.channels.len()) as u64) as usize;
-        (ch, ch + die_in_ch * self.channels.len())
+        const CHANNELS: u64 = params::CHANNELS as u64;
+        let ch = (page % CHANNELS) as usize;
+        let die_in_ch = (page / CHANNELS % params::DIES_PER_CHANNEL as u64) as usize;
+        (ch, ch + die_in_ch * params::CHANNELS)
     }
 
     /// Executes one page-granular operation on the die holding `page`,

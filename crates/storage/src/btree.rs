@@ -114,6 +114,14 @@ impl<'a> Page<'a> {
     }
 }
 
+/// How many of the sorted, unique `keys` are at most `key`: the child an
+/// internal node descends into, and one past `key`'s slot in a leaf that
+/// holds it. Counts every key without branching, so the node's cache
+/// lines load in parallel rather than one per binary-search step.
+fn count_at_most(keys: &[[u8; 8]], key: u64) -> usize {
+    keys.iter().map(|k| usize::from(word(k) <= key)).sum()
+}
+
 /// Builds a node page: the header, then `keys` and `rest` (values or
 /// children) back to back, zero-padded to one block. The page is built in
 /// the buffer the store keeps.
@@ -199,6 +207,38 @@ impl BTree {
         self.root
     }
 
+    /// Walks from the root to the leaf that holds or would hold `key`,
+    /// reading one node per level from `now` on and passing each node's
+    /// LBA to `visit`, root first. Returns the leaf's LBA, the value
+    /// stored under `key`, and the instant the leaf's read completes.
+    fn walk(
+        &self,
+        store: &mut BlockStore,
+        key: u64,
+        now: Ns,
+        mut visit: impl FnMut(u64),
+    ) -> Result<(u64, Option<u64>, Ns), TreeError> {
+        let mut lba = self.root;
+        let mut t = now;
+        loop {
+            visit(lba);
+            let (data, done) = store.read(lba, 1, t)?;
+            t = done;
+            let page = Page::parse(&data, lba)?;
+            let i = count_at_most(page.keys, key);
+            if page.leaf {
+                // Keys are unique, so a stored `key` is the last one
+                // counted.
+                let value = i
+                    .checked_sub(1)
+                    .filter(|&j| word(&page.keys[j]) == key)
+                    .map(|j| word(&page.rest[j]));
+                return Ok((lba, value, t));
+            }
+            lba = word(&page.rest[i]);
+        }
+    }
+
     /// Looks up `key`, recording the root→leaf path.
     pub fn lookup_traced(
         &self,
@@ -206,28 +246,9 @@ impl BTree {
         key: u64,
         now: Ns,
     ) -> Result<TracedLookup, TreeError> {
-        let mut lba = self.root;
         let mut path = Vec::with_capacity(self.height as usize);
-        let mut t = now;
-        loop {
-            path.push(lba);
-            let (data, done) = store.read(lba, 1, t)?;
-            t = done;
-            let page = Page::parse(&data, lba)?;
-            if page.leaf {
-                let value = page
-                    .keys
-                    .binary_search_by_key(&key, word)
-                    .ok()
-                    .map(|i| word(&page.rest[i]));
-                return Ok(TracedLookup {
-                    value,
-                    path,
-                    done: t,
-                });
-            }
-            lba = word(&page.rest[page.keys.partition_point(|k| word(k) <= key)]);
-        }
+        let (_, value, done) = self.walk(store, key, now, |lba| path.push(lba))?;
+        Ok(TracedLookup { value, path, done })
     }
 
     /// Looks up `key`.
@@ -237,8 +258,8 @@ impl BTree {
         key: u64,
         now: Ns,
     ) -> Result<(Option<u64>, Ns), TreeError> {
-        let traced = self.lookup_traced(store, key, now)?;
-        Ok((traced.value, traced.done))
+        let (_, value, done) = self.walk(store, key, now, |_| {})?;
+        Ok((value, done))
     }
 
     /// Inserts (or overwrites) `key -> value`; returns the completion time.
@@ -276,6 +297,8 @@ impl BTree {
         let node = Page::parse(&data, lba)?;
         let (leaf, n) = (node.leaf, node.keys.len());
         // The key to add at index `i`, with its value or right child.
+        // Unlike lookups, inserts binary-search: the pages they visit are
+        // hot, and counting every key measured slower on set-up.
         let (i, new_key, new_rest, t) = if leaf {
             match node.keys.binary_search_by_key(&key, word) {
                 Ok(i) => {
@@ -334,10 +357,8 @@ impl BTree {
         hi: u64,
         now: Ns,
     ) -> Result<(Vec<(u64, u64)>, Ns), TreeError> {
-        let traced = self.lookup_traced(store, lo, now)?;
-        let mut t = traced.done;
+        let (mut lba, _, mut t) = self.walk(store, lo, now, |_| {})?;
         let mut out = Vec::new();
-        let mut lba = *traced.path.last().expect("path has the leaf");
         loop {
             let (data, done) = store.read(lba, 1, t)?;
             t = done;
@@ -453,33 +474,84 @@ mod tests {
         assert_eq!(all.len(), 1_000);
     }
 
+    /// The lookup walk this module had before lookups counted keys:
+    /// binary search in a leaf, `partition_point` in an internal node.
+    fn binary_search_lookup(
+        tree: &BTree,
+        store: &mut BlockStore,
+        key: u64,
+        now: Ns,
+    ) -> TracedLookup {
+        let (mut lba, mut t, mut path) = (tree.root, now, Vec::new());
+        loop {
+            path.push(lba);
+            let (data, done) = store.read(lba, 1, t).unwrap();
+            t = done;
+            let page = Page::parse(&data, lba).unwrap();
+            if page.leaf {
+                let value = page
+                    .keys
+                    .binary_search_by_key(&key, word)
+                    .ok()
+                    .map(|i| word(&page.rest[i]));
+                return TracedLookup {
+                    value,
+                    path,
+                    done: t,
+                };
+            }
+            lba = word(&page.rest[page.keys.partition_point(|k| word(k) <= key)]);
+        }
+    }
+
+    /// `get` and `lookup_traced` against the binary-search walk, on two
+    /// stores holding the same tree: each lookup goes to both stores at
+    /// the same instant, so their devices stay in step and the completion
+    /// instants must match exactly. Values must also match a `BTreeMap`.
     #[test]
-    fn in_place_lookup_matches_a_btreemap_model() {
+    fn lookups_agree_with_a_binary_search_walk() {
         use std::collections::BTreeMap;
-        for (n, height) in [(150u64, 1), (6_000, 2), (21_000, 3)] {
-            let mut store = BlockStore::with_capacity(1 << 20);
-            let (mut tree, mut t) = BTree::create(&mut store, Ns::ZERO).unwrap();
-            let mut model = BTreeMap::new();
-            // Keys 10, 13, 16, ...: every key has absent neighbours.
-            let mut keys: Vec<u64> = (0..n).map(|i| 10 + 3 * i).collect();
-            // Ascending inserts leave every node half full, which reaches
-            // height 3 with the fewest keys; the smaller trees shuffle.
-            if height < 3 {
+        // Ascending inserts leave nodes half full, so fewer keys reach
+        // height 3 than scrambled ones do.
+        let cases = [(150, 1), (6_000, 2), (21_000, 3)]
+            .map(|(n, height)| (n, false, height))
+            .into_iter()
+            .chain([(150, true, 1), (6_000, true, 2), (30_000, true, 3)]);
+        for (n, scrambled, height) in cases {
+            let mut keys = spaced_keys(n);
+            if scrambled {
                 Rng::seeded(n).shuffle(&mut keys);
             }
-            for &k in &keys {
-                let v = k.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                t = tree.insert(&mut store, k, v, t).unwrap();
-                model.insert(k, v);
-            }
-            assert_eq!(tree.height(), height, "{n} keys");
+            let mut stores = [1u64 << 20; 2].map(BlockStore::with_capacity);
+            let [tree, oracle] = stores.each_mut().map(|store| {
+                let (mut tree, mut t) = BTree::create(store, Ns::ZERO).unwrap();
+                for &k in &keys {
+                    t = tree.insert(store, k, k ^ 0xA5A5, t).unwrap();
+                }
+                tree
+            });
+            let model: BTreeMap<u64, u64> = keys.iter().map(|&k| (k, k ^ 0xA5A5)).collect();
+            let ctx = format!("{n} keys, scrambled {scrambled}");
+            assert_eq!(tree.height(), height, "{ctx}");
+            let [a, b] = &mut stores;
+            let mut t = Ns::ZERO;
             let max = 10 + 3 * (n - 1);
-            let below = 0..10;
-            let above = [max + 1, max + 2, max + 1_000, u64::MAX];
-            let around = model.keys().step_by(5).flat_map(|&k| [k, k + 1, k + 2]);
-            for key in below.chain(above).chain(around) {
-                let (v, _) = tree.get(&mut store, key, Ns::ZERO).unwrap();
-                assert_eq!(v, model.get(&key).copied(), "{n} keys, key {key}");
+            let absent = (0..10).chain([max + 1, max + 2, max + 1_000, u64::MAX]);
+            let around = spaced_keys(n).into_iter().flat_map(|k| [k, k + 1]);
+            for key in absent.chain(around) {
+                let want = binary_search_lookup(&oracle, b, key, t);
+                assert_eq!(want.value, model.get(&key).copied(), "{ctx}, key {key}");
+                let (value, done) = tree.get(a, key, t).unwrap();
+                assert_eq!((value, done), (want.value, want.done), "{ctx}, key {key}");
+                t = done;
+                let want = binary_search_lookup(&oracle, b, key, t);
+                assert_eq!(
+                    tree.lookup_traced(a, key, t).unwrap(),
+                    want,
+                    "{ctx}, key {key}"
+                );
+                assert_eq!(want.path.len(), height as usize, "{ctx}");
+                t = want.done;
             }
         }
     }
@@ -700,7 +772,7 @@ mod tests {
         tree.height()
     }
 
-    /// Keys 10, 13, 16, ... (`n` of them), as the lookup model test uses.
+    /// Keys 10, 13, 16, ... (`n` of them): every key has absent neighbours.
     fn spaced_keys(n: u64) -> Vec<u64> {
         (0..n).map(|i| 10 + 3 * i).collect()
     }

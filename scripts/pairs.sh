@@ -1,25 +1,28 @@
 #!/usr/bin/env bash
-# Alternating before/after runs of one perfbench workload.
+# Alternating before/after runs of perfbench workloads.
 #
 # Usage (from anywhere in the repository):
-#   ./scripts/pairs.sh <workload> <pairs> <seconds> [base-rev]
+#   ./scripts/pairs.sh <workload|all> <pairs> <seconds> [base-rev]
 #
 # Builds the BENCHMARK.json command twice: at <base-rev> (default HEAD),
 # extracted with `git archive` into a temporary directory, and in the
 # working tree. Then runs <pairs> pairs of <seconds>-second runs, one run
 # per side and one seed per pair (FIRST_SEED, FIRST_SEED+1, ...; FIRST_SEED
-# defaults to 1), swapping which side runs first from pair to pair. Prints
-# every run's end-to-end metrics, then for each metric of BENCHMARK.json's
-# `end_to_end` list: the median and quartiles of each side, and in how
-# many pairs the working tree did better. perfbench/ is only built and
-# run, never modified.
+# defaults to 1), swapping which side runs first from pair to pair. With
+# `all`, each pair runs every BENCHMARK.json workload in turn, all on the
+# pair's seed. Prints every run's end-to-end metrics, then per workload,
+# for each metric of BENCHMARK.json's `end_to_end` list: the median and
+# quartiles of each side, the change of the medians, the median of the
+# per-pair change/base ratios, and in how many pairs the working tree did
+# better. The per-pair ratio compares runs made back to back, so it is the
+# one to trust when the host's speed drifts during the runs. perfbench/
+# is only built and run, never modified.
 set -euo pipefail
 
 if [ $# -lt 3 ] || [ $# -gt 4 ]; then
-    echo "usage: $0 <workload> <pairs> <seconds> [base-rev]" >&2
+    echo "usage: $0 <workload|all> <pairs> <seconds> [base-rev]" >&2
     exit 2
 fi
-workload=$1
 pairs=$2
 seconds=$3
 base_rev=${4:-HEAD}
@@ -40,6 +43,14 @@ mapfile -t command < <(python3 -c '
 import json, sys
 print("\n".join(json.load(open(sys.argv[1]))["command"]))' BENCHMARK.json)
 
+if [ "$1" = all ]; then
+    mapfile -t workloads < <(python3 -c '
+import json, sys
+print("\n".join(w["name"] for w in json.load(open(sys.argv[1]))["workloads"]))' BENCHMARK.json)
+else
+    workloads=("$1")
+fi
+
 # Runs the command in directory $1 with the remaining arguments; prints
 # its last stdout line (the JSON result). The per-episode log on stderr
 # is shown only if the run fails.
@@ -52,7 +63,7 @@ run() {
 
 for side in "$work/base" "$repo"; do
     echo "==> building in $side" >&2
-    run "$side" --workload "$workload" --seed "$first_seed" --seconds 1 --trace 0 >/dev/null
+    run "$side" --workload "${workloads[0]}" --seed "$first_seed" --seconds 1 --trace 0 >/dev/null
 done
 
 results=$work/results.jsonl
@@ -60,14 +71,17 @@ results=$work/results.jsonl
 for ((i = 0; i < pairs; i++)); do
     seed=$((first_seed + i))
     if ((i % 2 == 0)); then order="base change"; else order="change base"; fi
-    for side in $order; do
-        if [ "$side" = base ]; then dir=$work/base; else dir=$repo; fi
-        line=$(run "$dir" --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0)
-        python3 -c '
+    for workload in "${workloads[@]}"; do
+        for side in $order; do
+            if [ "$side" = base ]; then dir=$work/base; else dir=$repo; fi
+            line=$(run "$dir" --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0)
+            python3 -c '
 import json, sys
-side, pair, seed, line = sys.argv[1:]
-print(json.dumps({"side": side, "pair": int(pair), "seed": int(seed), "result": json.loads(line)}))
-' "$side" "$i" "$seed" "$line" >>"$results"
+workload, side, pair, seed, line = sys.argv[1:]
+print(json.dumps({"workload": workload, "side": side, "pair": int(pair),
+                  "seed": int(seed), "result": json.loads(line)}))
+' "$workload" "$side" "$i" "$seed" "$line" >>"$results"
+        done
     done
 done
 
@@ -81,34 +95,44 @@ metrics = json.load(open(bench_path))["end_to_end"]
 def value(run, name):
     return run["result"]["metrics"][name]["value"]
 
-pairs = {}
-for run in runs:
-    pairs.setdefault(run["pair"], {})[run["side"]] = run
-pairs = [pairs[k] for k in sorted(pairs)]
-
-print(f"pair seed side    " + " ".join(f"{m['name']:>20}" for m in metrics))
-for p in pairs:
-    for side in ("base", "change"):
-        run = p[side]
-        cells = " ".join(f"{value(run, m['name']):>20.6g}" for m in metrics)
-        print(f"{run['pair']:>4} {run['seed']:>4} {side:<7} {cells}")
-
 def quartiles(xs):
     if len(xs) < 2:
         return xs[0], xs[0], xs[0]
     q1, q2, q3 = statistics.quantiles(xs, n=4, method="inclusive")
     return q1, q2, q3
 
-print()
-print(f"base = {base_rev}, change = working tree, {len(pairs)} pairs")
-print(f"{'metric':<22} {'base q1/median/q3':>36} {'change q1/median/q3':>36} {'change':>8} {'wins':>6}")
-for m in metrics:
-    name, higher = m["name"], m["better"] == "higher"
-    base = [value(p["base"], name) for p in pairs]
-    change = [value(p["change"], name) for p in pairs]
-    wins = sum((c > b) if higher else (c < b) for b, c in zip(base, change))
-    bq, cq = quartiles(base), quartiles(change)
-    delta = (cq[1] - bq[1]) / bq[1] * 100 if bq[1] else 0.0
-    fmt = lambda q: "/".join(f"{x:.5g}" for x in q)
-    print(f"{name:<22} {fmt(bq):>36} {fmt(cq):>36} {delta:>+7.1f}% {wins:>3}/{len(pairs)}")
+def change(new, old):
+    """Relative change in percent (0 when the base is 0)."""
+    return (new - old) / old * 100 if old else 0.0
+
+for workload in dict.fromkeys(run["workload"] for run in runs):
+    pairs = {}
+    for run in runs:
+        if run["workload"] == workload:
+            pairs.setdefault(run["pair"], {})[run["side"]] = run
+    pairs = [pairs[k] for k in sorted(pairs)]
+
+    print(f"## {workload}")
+    print(f"pair seed side    " + " ".join(f"{m['name']:>20}" for m in metrics))
+    for p in pairs:
+        for side in ("base", "change"):
+            run = p[side]
+            cells = " ".join(f"{value(run, m['name']):>20.6g}" for m in metrics)
+            print(f"{run['pair']:>4} {run['seed']:>4} {side:<7} {cells}")
+
+    print()
+    print(f"base = {base_rev}, change = working tree, {len(pairs)} pairs")
+    print(f"{'metric':<22} {'base q1/median/q3':>36} {'change q1/median/q3':>36}"
+          f" {'medians':>8} {'per-pair':>8} {'wins':>6}")
+    for m in metrics:
+        name, higher = m["name"], m["better"] == "higher"
+        base = [value(p["base"], name) for p in pairs]
+        new = [value(p["change"], name) for p in pairs]
+        wins = sum((c > b) if higher else (c < b) for b, c in zip(base, new))
+        bq, cq = quartiles(base), quartiles(new)
+        per_pair = statistics.median(change(c, b) for b, c in zip(base, new))
+        fmt = lambda q: "/".join(f"{x:.5g}" for x in q)
+        print(f"{name:<22} {fmt(bq):>36} {fmt(cq):>36} {change(cq[1], bq[1]):>+7.1f}%"
+              f" {per_pair:>+7.1f}% {wins:>3}/{len(pairs)}")
+    print()
 EOF
