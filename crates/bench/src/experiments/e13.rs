@@ -23,6 +23,7 @@ use hyperion_sim::fault::FaultPlan;
 use hyperion_sim::time::Ns;
 use hyperion_telemetry::Recorder;
 
+use super::percentile;
 use crate::table::{fmt_ns, Table};
 
 /// Fault-plan seed; every profile derives its streams from this.
@@ -155,14 +156,6 @@ fn run_profile(p: &Profile, mut rec: Option<&mut Recorder>) -> ProfileOutcome {
     }
     out.remapped = target.device().remapped_lbas();
     out
-}
-
-fn percentile(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * p / 100.0).round() as usize;
-    sorted[idx]
 }
 
 /// Runs E13: the tail-latency table across fault profiles.

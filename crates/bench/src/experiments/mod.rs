@@ -43,3 +43,13 @@ pub fn run_all() -> Vec<Table> {
     all.extend(figure2::run());
     all
 }
+
+/// The exact `p`th percentile of an ascending slice: the sample at the
+/// rounded rank `(len - 1) * p / 100`, or 0 for no samples.
+fn percentile(sorted: &[u64], p: f64) -> u64 {
+    if sorted.is_empty() {
+        return 0;
+    }
+    let idx = ((sorted.len() - 1) as f64 * p / 100.0).round() as usize;
+    sorted[idx]
+}

@@ -5,13 +5,11 @@
 //! root complex with the x16→4x4 bifurcation, and four NVMe SSDs — plus
 //! the software state the blueprint describes: the single-level segment
 //! store (SSD0–1), the Corfu log units (SSD2, striped), and the
-//! block-structure volume hosting the B+ tree / LSM / file system /
-//! columnar objects (SSD3).
+//! block-structure volume hosting the B+ tree / LSM / file system
+//! (SSD3).
 //!
 //! Boot (paper §2): power on → JTAG self-tests → standalone, no host. The
 //! segment translation table is recovered from SSD0's boot area.
-
-use std::collections::BTreeMap;
 
 use hyperion_fabric::{Fabric, PortId};
 use hyperion_mem::seglevel::SingleLevelStore;
@@ -21,7 +19,6 @@ use hyperion_sim::stats::Counters;
 use hyperion_sim::time::Ns;
 use hyperion_storage::blockstore::BlockStore;
 use hyperion_storage::btree::BTree;
-use hyperion_storage::columnar::FileMeta;
 use hyperion_storage::corfu::CorfuLog;
 use hyperion_storage::fs::FileSystem;
 use hyperion_storage::lsm::LsmTree;
@@ -86,7 +83,7 @@ pub struct HyperionDpu {
     pub segments: SingleLevelStore,
     /// Corfu shared log (SSD2, striped into 4 units).
     pub log: CorfuLog,
-    /// Structure volume (SSD3): B+ tree, LSM, FS, columnar files.
+    /// Structure volume (SSD3): B+ tree, LSM, FS.
     pub blocks: BlockStore,
     /// A KV-SSD namespace (Figure 2's "KV-SSD" export): the device-native
     /// alternative to the LSM-over-blocks KV service.
@@ -104,9 +101,6 @@ pub struct HyperionDpu {
     /// Admission control (overload shedding); `None` — the default —
     /// admits everything, leaving the fault-free baseline untouched.
     pub admission: Option<crate::admission::Admission>,
-    /// Columnar tables published on this DPU, by name (what `ColumnarOp`
-    /// dispatch resolves table names against).
-    pub(crate) tables: BTreeMap<String, FileMeta>,
     booted_at: Ns,
 }
 
@@ -223,7 +217,6 @@ impl DpuBuilder {
             },
             counters: Counters::new(),
             admission: self.admission.map(crate::admission::Admission::new),
-            tables: BTreeMap::new(),
             booted_at: Ns::ZERO,
         }
     }

@@ -689,15 +689,18 @@ mod tests {
         assert_eq!(again.status, FabricStatus::MediaError);
     }
 
-    #[test]
-    fn exchange_retries_through_fabric_loss() {
-        use hyperion_net::{RetryPolicy, FAULT_NET_DROP};
+    /// A fault plan for a fabric, given the target's endpoint.
+    type PlanFor = dyn Fn(Endpoint) -> hyperion_sim::fault::FaultPlan;
+
+    /// Writes eight blocks back to back from a fresh initiator over a
+    /// fabric faulted by `plan(dpu)`; returns each exchange and the
+    /// recorder.
+    fn exchange_through(plan: &PlanFor) -> (Vec<FabricExchange>, Recorder) {
+        use hyperion_net::RetryPolicy;
         let mut net = Network::new();
         let client = Endpoint::new(net.add_node(), EndpointKind::Kernel);
         let dpu = Endpoint::new(net.add_node(), EndpointKind::Hardware);
-        net.set_fault_plan(
-            hyperion_sim::fault::FaultPlan::seeded(11).bernoulli(FAULT_NET_DROP, 0.5),
-        );
+        net.set_fault_plan(plan(dpu));
         let tr = Transport::new(TransportKind::Tcp);
         let mut target = NvmeOfTarget::new(1 << 16);
         let mut ini = Initiator::new();
@@ -705,9 +708,9 @@ mod tests {
             max_attempts: 16,
             ..RetryPolicy::DEFAULT
         };
-        let mut rec = hyperion_telemetry::Recorder::new("nvmeof");
+        let mut rec = Recorder::new("nvmeof");
         let mut t = Ns::ZERO;
-        let mut retried = 0u32;
+        let mut exchanges = Vec::new();
         for i in 0..8u64 {
             let capsule = ini.write(i, Bytes::from(vec![i as u8; 4096]));
             let (resp, x) = ini
@@ -722,19 +725,48 @@ mod tests {
                     &policy,
                     Some(&mut rec),
                 )
-                .expect("bounded retry recovers at 50% loss");
+                .expect("bounded retry recovers");
             assert_eq!(resp.status, FabricStatus::Ok);
             assert!(x.attempts <= policy.max_attempts);
-            retried += x.attempts - 1;
+            exchanges.push(x);
             t = x.done;
         }
-        assert!(retried > 0, "50% loss must force at least one retry");
-        assert_eq!(rec.counter("nvmeof:retries"), retried as u64);
-        assert_eq!(rec.open_spans(), 0);
-        assert!(
-            !rec.queue_edges().is_empty(),
-            "retry waits must be queueing edges"
-        );
+        (exchanges, rec)
+    }
+
+    #[test]
+    fn exchange_retries_through_fabric_loss() {
+        use hyperion_net::{partition_site, FAULT_NET_DROP};
+        use hyperion_sim::fault::FaultPlan;
+        let lossy = |_: Endpoint| FaultPlan::seeded(11).bernoulli(FAULT_NET_DROP, 0.5);
+        // The DPU is cut off for the first 150 µs: the first command must
+        // re-issue until the window clears.
+        let window = Ns(150_000);
+        let partitioned = move |dpu: Endpoint| {
+            FaultPlan::seeded(3).window(&partition_site(dpu.node), Ns::ZERO, window)
+        };
+        // Each plan, with the end of the window its first command must
+        // retry through.
+        let plans: [(&PlanFor, Option<Ns>); 2] = [(&lossy, None), (&partitioned, Some(window))];
+        for (plan, window) in plans {
+            let (exchanges, rec) = exchange_through(plan);
+            let retried: u32 = exchanges.iter().map(|x| x.attempts - 1).sum();
+            assert!(retried > 0, "the faults must force at least one retry");
+            assert_eq!(rec.counter("nvmeof:retries"), retried as u64);
+            assert_eq!(rec.open_spans(), 0);
+            assert!(
+                !rec.queue_edges().is_empty(),
+                "retry waits must be queueing edges"
+            );
+            if let Some(end) = window {
+                let first = exchanges[0];
+                assert!(first.attempts > 1, "must retry through the partition");
+                assert!(first.started >= end, "the winning attempt starts after it");
+                assert!(first.done > end, "cannot finish inside the window");
+            }
+            // Determinism: a replay is bit-identical.
+            assert_eq!(exchange_through(plan).0, exchanges);
+        }
     }
 
     #[test]
@@ -781,8 +813,8 @@ mod tests {
         let tr = Transport::new(TransportKind::Udp);
         let mut target = NvmeOfTarget::new(1 << 16);
         let mut ini = Initiator::new();
-        // A budget below one attempt is clamped to one, as in the
-        // transport's reliable paths.
+        // A budget below one attempt is clamped to one
+        // (`RetryPolicy::drive`).
         let policy = RetryPolicy {
             max_attempts: 0,
             ..RetryPolicy::DEFAULT

@@ -8,8 +8,8 @@
 //! completion time is the *server work* a transport charges between
 //! request arrival and response departure — with no host CPU anywhere.
 //!
-//! The surface is typed by domain: [`TreeOp`], [`LogOp`], [`FileOp`], and
-//! [`ColumnarOp`] each dispatch with the uniform signature
+//! The surface is typed by domain: [`TreeOp`], [`LogOp`] and [`FileOp`]
+//! each dispatch with the uniform signature
 //! `dispatch(self, &mut HyperionDpu, now) -> Result<(ServiceResponse, Ns),
 //! ServiceError>`; [`KvOp`]'s `dispatch_traced` also takes the optional
 //! recorder its KV-SSD device spans nest under. [`ServiceOp`] is the
@@ -22,7 +22,6 @@
 
 use bytes::Bytes;
 use hyperion_sim::time::Ns;
-use hyperion_storage::columnar::{self, ColumnBatch, Predicate, ScanStats};
 use hyperion_storage::corfu::LogEntry;
 use hyperion_telemetry::{Component, Recorder};
 
@@ -47,20 +46,6 @@ pub enum ServiceResponse {
     Entry(LogEntry),
     /// File contents.
     File(Bytes),
-    /// Scan result with its statistics.
-    Scan {
-        /// Selected rows.
-        batch: ColumnBatch,
-        /// Row groups skipped/read and bytes touched.
-        stats: ScanStats,
-    },
-    /// A single aggregate scalar (plus scan statistics).
-    Aggregate {
-        /// The computed result.
-        result: hyperion_storage::compute::AggResult,
-        /// Row groups skipped/read and bytes touched.
-        stats: ScanStats,
-    },
     /// KV-SSD value (None on miss).
     KvValue(Option<Bytes>),
 }
@@ -79,10 +64,6 @@ pub enum ServiceError {
     Log(hyperion_storage::corfu::CorfuError),
     /// File system failure.
     Fs(hyperion_storage::fs::FsError),
-    /// Columnar failure.
-    Columnar(hyperion_storage::columnar::ColumnarError),
-    /// Unknown published table.
-    NoSuchTable(String),
     /// Block-layer failure.
     Block(hyperion_storage::blockstore::BlockError),
     /// A subsystem the op needs is not present on this DPU (e.g. the
@@ -120,8 +101,6 @@ impl std::fmt::Display for ServiceError {
             ServiceError::Lsm(e) => write!(f, "lsm: {e}"),
             ServiceError::Log(e) => write!(f, "log: {e}"),
             ServiceError::Fs(e) => write!(f, "fs: {e}"),
-            ServiceError::Columnar(e) => write!(f, "columnar: {e}"),
-            ServiceError::NoSuchTable(t) => write!(f, "no such table: {t}"),
             ServiceError::Block(e) => write!(f, "block: {e}"),
             ServiceError::Unavailable { what } => write!(f, "unavailable: {what}"),
             ServiceError::Degraded { what } => write!(f, "degraded: {what}"),
@@ -140,7 +119,6 @@ impl std::error::Error for ServiceError {
             ServiceError::Lsm(e) => Some(e),
             ServiceError::Log(e) => Some(e),
             ServiceError::Fs(e) => Some(e),
-            ServiceError::Columnar(e) => Some(e),
             ServiceError::Block(e) => Some(e),
             _ => None,
         }
@@ -232,32 +210,6 @@ pub enum FileOp {
     },
 }
 
-/// Columnar analytics operations over published tables.
-#[derive(Debug, Clone)]
-#[non_exhaustive]
-pub enum ColumnarOp {
-    /// Scan a published table.
-    Scan {
-        /// Table name.
-        table: String,
-        /// Projected columns.
-        projection: Vec<String>,
-        /// Optional pushed-down predicate.
-        predicate: Option<Predicate>,
-    },
-    /// Scan + aggregate; only the scalar leaves the DPU.
-    Aggregate {
-        /// Table name.
-        table: String,
-        /// Column to aggregate.
-        column: String,
-        /// Aggregate function.
-        agg: hyperion_storage::compute::Agg,
-        /// Optional pushed-down predicate.
-        predicate: Option<Predicate>,
-    },
-}
-
 /// The umbrella over every op group: what a transport endpoint routes on.
 #[derive(Debug, Clone)]
 #[non_exhaustive]
@@ -270,8 +222,6 @@ pub enum ServiceOp {
     Log(LogOp),
     /// File-system ops.
     File(FileOp),
-    /// Columnar analytics ops.
-    Columnar(ColumnarOp),
 }
 
 impl From<KvOp> for ServiceOp {
@@ -295,12 +245,6 @@ impl From<LogOp> for ServiceOp {
 impl From<FileOp> for ServiceOp {
     fn from(op: FileOp) -> ServiceOp {
         ServiceOp::File(op)
-    }
-}
-
-impl From<ColumnarOp> for ServiceOp {
-    fn from(op: ColumnarOp) -> ServiceOp {
-        ServiceOp::Columnar(op)
     }
 }
 
@@ -477,74 +421,6 @@ impl FileOp {
     }
 }
 
-impl ColumnarOp {
-    /// Telemetry/report label for this op.
-    pub fn label(&self) -> &'static str {
-        match self {
-            ColumnarOp::Scan { .. } => "columnar.scan",
-            ColumnarOp::Aggregate { .. } => "columnar.aggregate",
-        }
-    }
-
-    /// Runs this op on the DPU at `now`, resolving tables against the
-    /// DPU's own published set; returns the response and the instant the
-    /// DPU finishes the work.
-    pub fn dispatch(
-        self,
-        dpu: &mut HyperionDpu,
-        now: Ns,
-    ) -> Result<(ServiceResponse, Ns), ServiceError> {
-        dpu.require_ready().map_err(ServiceError::Dpu)?;
-        match self {
-            ColumnarOp::Scan {
-                table,
-                projection,
-                predicate,
-            } => {
-                let meta = dpu
-                    .tables
-                    .get(&table)
-                    .ok_or_else(|| ServiceError::NoSuchTable(table.clone()))?
-                    .clone();
-                let proj: Vec<&str> = projection.iter().map(|s| s.as_str()).collect();
-                let (batch, stats, t) =
-                    columnar::scan(&mut dpu.blocks, &meta, &proj, predicate.as_ref(), now)
-                        .map_err(ServiceError::Columnar)?;
-                Ok((ServiceResponse::Scan { batch, stats }, t))
-            }
-            ColumnarOp::Aggregate {
-                table,
-                column,
-                agg,
-                predicate,
-            } => {
-                let meta = dpu
-                    .tables
-                    .get(&table)
-                    .ok_or_else(|| ServiceError::NoSuchTable(table.clone()))?
-                    .clone();
-                let (batch, stats, t) = columnar::scan(
-                    &mut dpu.blocks,
-                    &meta,
-                    &[column.as_str()],
-                    predicate.as_ref(),
-                    now,
-                )
-                .map_err(ServiceError::Columnar)?;
-                let result = hyperion_storage::compute::aggregate(&batch, &column, agg)
-                    .map_err(ServiceError::Columnar)?;
-                // The aggregation pass itself: one fabric pipeline sweep
-                // over the decoded values at memory bandwidth.
-                let sweep = hyperion_sim::serialization_delay(
-                    batch.num_rows() as u64 * 8,
-                    hyperion_fabric::params::HBM_BANDWIDTH_BPS,
-                );
-                Ok((ServiceResponse::Aggregate { result, stats }, t + sweep))
-            }
-        }
-    }
-}
-
 impl ServiceOp {
     /// Telemetry/report label for this op.
     pub fn label(&self) -> &'static str {
@@ -553,12 +429,11 @@ impl ServiceOp {
             ServiceOp::Tree(op) => op.label(),
             ServiceOp::Log(op) => op.label(),
             ServiceOp::File(op) => op.label(),
-            ServiceOp::Columnar(op) => op.label(),
         }
     }
 
     /// The op-group label SLO digests aggregate under (`kv`, `tree`,
-    /// `log`, `file`, `columnar`): coarser than [`ServiceOp::label`], one
+    /// `log`, `file`): coarser than [`ServiceOp::label`], one
     /// bucket per service family.
     pub fn group(&self) -> &'static str {
         match self {
@@ -566,28 +441,11 @@ impl ServiceOp {
             ServiceOp::Tree(_) => "tree",
             ServiceOp::Log(_) => "log",
             ServiceOp::File(_) => "file",
-            ServiceOp::Columnar(_) => "columnar",
         }
     }
 }
 
 impl HyperionDpu {
-    /// Publishes a columnar table on the structure volume under `name`;
-    /// [`ColumnarOp`]s dispatched to this DPU resolve the name to it. A
-    /// table published again under the same name replaces the old one.
-    pub fn publish_table(
-        &mut self,
-        name: impl Into<String>,
-        batch: &ColumnBatch,
-        rows_per_group: usize,
-        now: Ns,
-    ) -> Result<Ns, ServiceError> {
-        let (meta, t) = columnar::write_file(&mut self.blocks, batch, rows_per_group, now)
-            .map_err(ServiceError::Columnar)?;
-        self.tables.insert(name.into(), meta);
-        Ok(t)
-    }
-
     /// Runs one typed op at `now` (see [`HyperionDpu::dispatch_traced`]).
     pub fn dispatch(
         &mut self,
@@ -642,7 +500,6 @@ impl HyperionDpu {
                 ServiceOp::Tree(op) => op.dispatch(self, now),
                 ServiceOp::Log(op) => op.dispatch(self, now),
                 ServiceOp::File(op) => op.dispatch(self, now),
-                ServiceOp::Columnar(op) => op.dispatch(self, now),
             };
             if let (Some(adm), Ok((_, done))) = (self.admission.as_mut(), &result) {
                 adm.record(*done);
@@ -908,99 +765,5 @@ mod tests {
             panic!("expected kv value");
         };
         assert_eq!(v, None);
-    }
-
-    #[test]
-    fn columnar_aggregate_returns_only_a_scalar() {
-        let mut dpu = booted();
-        let batch = ColumnBatch::new(
-            vec!["k".into(), "v".into()],
-            vec![(0..1000u64).collect(), (0..1000u64).collect()],
-        )
-        .unwrap();
-        let t = dpu
-            .publish_table("agg", &batch, 250, dpu.booted_at())
-            .unwrap();
-        let (resp, _) = dpu
-            .dispatch(
-                t,
-                ColumnarOp::Aggregate {
-                    table: "agg".into(),
-                    column: "v".into(),
-                    agg: hyperion_storage::compute::Agg::Sum,
-                    predicate: Some(Predicate::between("v", 0, 99)),
-                },
-            )
-            .unwrap();
-        let ServiceResponse::Aggregate { result, stats } = resp else {
-            panic!("expected aggregate");
-        };
-        assert_eq!(result.value, (0..100u64).sum::<u64>());
-        assert_eq!(stats.groups_skipped, 3);
-    }
-
-    /// Scans resolve against the tables published on the DPU itself.
-    #[test]
-    fn columnar_service_scans_published_tables() {
-        let mut dpu = booted();
-        let batch = ColumnBatch::new(
-            vec!["k".into(), "v".into()],
-            vec![
-                (0..1000u64).collect(),
-                (0..1000u64).map(|x| x * 2).collect(),
-            ],
-        )
-        .unwrap();
-        let t = dpu
-            .publish_table("sales", &batch, 250, dpu.booted_at())
-            .unwrap();
-        let (resp, _) = dpu
-            .dispatch(
-                t,
-                ColumnarOp::Scan {
-                    table: "sales".into(),
-                    projection: vec!["v".into()],
-                    predicate: Some(Predicate::between("k", 100, 199)),
-                },
-            )
-            .unwrap();
-        let ServiceResponse::Scan { batch, stats } = resp else {
-            panic!("expected scan");
-        };
-        assert_eq!(batch.num_rows(), 100);
-        assert!(stats.groups_skipped >= 2);
-        let unknown = dpu.dispatch(
-            t,
-            ColumnarOp::Scan {
-                table: "missing".into(),
-                projection: vec![],
-                predicate: None,
-            },
-        );
-        assert!(matches!(unknown, Err(ServiceError::NoSuchTable(_))));
-    }
-
-    #[test]
-    fn republished_table_serves_the_new_contents() {
-        let mut dpu = booted();
-        let rows = |n: u64| ColumnBatch::new(vec!["k".into()], vec![(0..n).collect()]).unwrap();
-        let t = dpu
-            .publish_table("t", &rows(100), 50, dpu.booted_at())
-            .unwrap();
-        let t = dpu.publish_table("t", &rows(10), 50, t).unwrap();
-        let (resp, _) = dpu
-            .dispatch(
-                t,
-                ColumnarOp::Scan {
-                    table: "t".into(),
-                    projection: vec!["k".into()],
-                    predicate: None,
-                },
-            )
-            .unwrap();
-        let ServiceResponse::Scan { batch, .. } = resp else {
-            panic!("expected scan");
-        };
-        assert_eq!(batch.num_rows(), 10);
     }
 }

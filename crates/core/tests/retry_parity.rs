@@ -1,13 +1,14 @@
 //! Recorder parity under every injected network fault.
 //!
 //! Each traced operation has one body that takes `Option<&mut Recorder>`.
-//! These tests drive the retrying paths (`Transport::send_reliable_traced`,
-//! `Transport::request_reliable_traced`, `Initiator::exchange_traced`) and
-//! the RPC path (`RpcChannel::call_traced`) through one seeded plan that
-//! drops, corrupts and flaps the wire, once with `None` and once with a
+//! These tests drive the retrying path (`Initiator::exchange_traced`, the
+//! one caller of `RetryPolicy::drive`) and the RPC path
+//! (`RpcChannel::call_traced`) through one seeded plan that drops,
+//! corrupts and flaps the wire, once with `None` and once with a
 //! recorder, and require identical results and attempt counts. The
-//! recorder's counters prove that every fault arm (drop → timeout,
-//! corrupt → NACK, flap → wait for carrier) was taken.
+//! recorder's counters and `fault:nvmeof:*` instants prove that every
+//! fault arm (drop → timeout, corrupt → NACK, flap → wait for carrier)
+//! was taken.
 
 use std::fmt::Debug;
 
@@ -92,41 +93,6 @@ fn parity<T: PartialEq + Debug>(
     (outcomes, rec)
 }
 
-fn assert_all_arms(rec: &Recorder, layer: &str) {
-    for arm in ["timeouts", "corrupt", "link_down"] {
-        let name = format!("{layer}:{arm}");
-        assert!(rec.counter(&name) > 0, "no {name} retry");
-    }
-}
-
-#[test]
-fn send_reliable_matches_across_recorders_under_every_fault() {
-    let (outcomes, rec) = parity(|s, _, t, rec| {
-        s.tr.send_reliable_traced(&mut s.net, s.client, s.server, t, 512, &POLICY, rec)
-    });
-    assert_all_arms(&rec, "net");
-    assert!(outcomes.iter().flatten().any(|d| d.attempts > 1));
-}
-
-#[test]
-fn request_reliable_matches_across_recorders_under_every_fault() {
-    let (outcomes, rec) = parity(|s, _, t, rec| {
-        s.tr.request_reliable_traced(
-            &mut s.net,
-            s.client,
-            s.server,
-            t,
-            64,
-            512,
-            Ns(1_000),
-            &POLICY,
-            rec,
-        )
-    });
-    assert_all_arms(&rec, "net");
-    assert!(outcomes.iter().flatten().any(|d| d.attempts > 1));
-}
-
 #[test]
 fn nvmeof_exchange_matches_across_recorders_under_every_fault() {
     let (outcomes, rec) = parity(|s, i, t, rec| {
@@ -148,7 +114,15 @@ fn nvmeof_exchange_matches_across_recorders_under_every_fault() {
             rec,
         )
     });
-    assert_all_arms(&rec, "nvmeof");
+    for arm in ["timeouts", "corrupt", "link_down"] {
+        let counter = format!("nvmeof:{arm}");
+        assert!(rec.counter(&counter) > 0, "no {counter} retry");
+        let instant = format!("fault:nvmeof:{arm}");
+        assert!(
+            rec.instants().iter().any(|(n, _)| *n == instant),
+            "no {instant} instant"
+        );
+    }
     assert!(outcomes.iter().flatten().any(|(_, x)| x.attempts > 1));
 }
 

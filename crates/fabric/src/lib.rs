@@ -2,9 +2,11 @@
 //!
 //! A behavioural model of the Xilinx Alveo U280 board the Hyperion
 //! prototype is built on (paper §2, Figures 1–2): programmable-area
-//! accounting, clock domains, heterogeneous memory tiers (BRAM/URAM/HBM/
-//! DDR), slot-style spatial multiplexing with ICAP partial reconfiguration,
-//! and the AXI-stream interconnect of the Figure 2 schematic.
+//! accounting, clock domains, slot-style spatial multiplexing with ICAP
+//! partial reconfiguration, and the AXI-stream interconnect of the
+//! Figure 2 schematic, assembled as [`Fabric`]. [`memtier`] models the
+//! heterogeneous memory tiers (BRAM/URAM/HBM/DDR); the single-level store
+//! (`hyperion-mem`'s `seglevel`) builds its own tiers from it.
 //!
 //! The model's fidelity target is the *systems* behaviour the paper argues
 //! from — placement feasibility, 10–100 ms reconfiguration, deterministic
@@ -29,25 +31,17 @@ pub use memtier::{MemoryTier, Tier};
 pub use resources::ResourceBudget;
 pub use slots::{Resident, SlotError, SlotId, SlotManager};
 
-use hyperion_sim::energy::{EnergyMeter, Pj};
-use hyperion_sim::time::Ns;
-
 /// The assembled fabric of one Hyperion board.
 ///
-/// Owns the slot manager, the four memory tiers, the stream switch, and the
-/// board energy meter. Higher layers (the `hyperion` core crate) wire the
-/// QSFP and PCIe endpoints onto [`Fabric::switch`].
+/// Owns the slot manager and the stream switch. Higher layers (the
+/// `hyperion` core crate) wire the QSFP and PCIe endpoints onto
+/// [`Fabric::switch`].
 #[derive(Debug)]
 pub struct Fabric {
     /// Slot manager over the die.
     pub slots: SlotManager,
-    /// Memory tiers indexed by [`Tier`].
-    tiers: [MemoryTier; 4],
     /// The Figure-2 AXI-stream switch.
     pub switch: AxiSwitch,
-    /// Board energy meter (static power; dynamic charges come from tiers
-    /// and pipelines).
-    pub energy: EnergyMeter,
 }
 
 impl Fabric {
@@ -56,47 +50,13 @@ impl Fabric {
     pub fn u280(n_slots: usize, auth_key: u64) -> Fabric {
         Fabric {
             slots: SlotManager::new(params::U280_BUDGET, n_slots, auth_key),
-            tiers: [
-                MemoryTier::with_defaults(Tier::Bram),
-                MemoryTier::with_defaults(Tier::Uram),
-                MemoryTier::with_defaults(Tier::Hbm),
-                MemoryTier::with_defaults(Tier::Ddr),
-            ],
             switch: AxiSwitch::new(ClockDomain::new(params::DEFAULT_CLOCK_MHZ), 64),
-            energy: EnergyMeter::new(params::BOARD_STATIC_POWER),
         }
     }
 
     /// The default clock domain kernels close timing at.
     pub fn kernel_clock(&self) -> ClockDomain {
         ClockDomain::new(params::DEFAULT_CLOCK_MHZ)
-    }
-
-    /// Access a memory tier.
-    pub fn tier(&self, t: Tier) -> &MemoryTier {
-        &self.tiers[tier_index(t)]
-    }
-
-    /// Mutable access to a memory tier.
-    pub fn tier_mut(&mut self, t: Tier) -> &mut MemoryTier {
-        &mut self.tiers[tier_index(t)]
-    }
-
-    /// Integrates board static power over `dt` and returns the total energy
-    /// including dynamic memory-transfer energy so far.
-    pub fn account_energy(&mut self, dt: Ns) -> Pj {
-        self.energy.run_for(dt);
-        let dynamic: Pj = self.tiers.iter().map(|t| t.transfer_energy()).sum();
-        self.energy.total() + dynamic
-    }
-}
-
-fn tier_index(t: Tier) -> usize {
-    match t {
-        Tier::Bram => 0,
-        Tier::Uram => 1,
-        Tier::Hbm => 2,
-        Tier::Ddr => 3,
     }
 }
 
@@ -108,25 +68,6 @@ mod tests {
     fn u280_fabric_assembles() {
         let f = Fabric::u280(5, 7);
         assert_eq!(f.slots.num_slots(), 5);
-        assert_eq!(f.tier(Tier::Hbm).capacity(), params::HBM_CAPACITY);
         assert!(f.switch.bandwidth_bps() >= 100_000_000_000);
-    }
-
-    #[test]
-    fn tier_round_trip_by_enum() {
-        let mut f = Fabric::u280(2, 7);
-        assert!(f.tier_mut(Tier::Ddr).reserve(1 << 20));
-        assert_eq!(f.tier(Tier::Ddr).allocated(), 1 << 20);
-        assert_eq!(f.tier(Tier::Hbm).allocated(), 0);
-    }
-
-    #[test]
-    fn energy_combines_static_and_memory_transfers() {
-        let mut f = Fabric::u280(2, 7);
-        f.tier_mut(Tier::Hbm).access(Ns::ZERO, 1_000_000);
-        let total = f.account_energy(Ns::from_millis(1));
-        // 35 W x 1 ms = 35 mJ static, plus 4 pJ/B x 1 MB = 4 uJ dynamic.
-        assert!(total.as_joules_f64() > 0.035);
-        assert!(total.as_joules_f64() < 0.036);
     }
 }

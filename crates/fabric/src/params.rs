@@ -66,9 +66,6 @@ pub const ICAP_BANDWIDTH_BPS: u64 = 6_400_000_000;
 /// startup sequencing) on top of bitstream streaming time.
 pub const RECONFIG_OVERHEAD: Ns = Ns::from_millis(8);
 
-/// Static power of the powered board (shell, HBM refresh, transceivers).
-pub const BOARD_STATIC_POWER: MilliWatts = MilliWatts::from_watts(35);
-
 /// Maximum TDP of the Hyperion DPU assembly as reported in the paper
 /// (~230 W including SSDs).
 pub const HYPERION_MAX_TDP: MilliWatts = MilliWatts::from_watts(230);

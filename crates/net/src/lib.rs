@@ -28,6 +28,4 @@ pub use netsim::{
     FAULT_NODE_PARTITION,
 };
 pub use rpc::{MethodId, RpcChannel, RPC_FRAMING};
-pub use transport::{
-    Delivery, Endpoint, EndpointKind, ReliableDelivery, RetryPolicy, Transport, TransportKind,
-};
+pub use transport::{Delivery, Endpoint, EndpointKind, RetryPolicy, Transport, TransportKind};

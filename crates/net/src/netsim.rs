@@ -42,7 +42,8 @@ pub enum NetError {
         /// When the link comes back up.
         until: Ns,
     },
-    /// A reliable-delivery retry loop exhausted its attempt budget.
+    /// A [`RetryPolicy::drive`](crate::transport::RetryPolicy::drive) run
+    /// exhausted its attempt budget.
     Exhausted {
         /// Attempts made before giving up.
         attempts: u32,

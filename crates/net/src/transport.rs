@@ -3,8 +3,10 @@
 //! Paper §2: "The end-to-end hardware path can be specialized with ... an
 //! application-defined network transport (TCP, UDP, RDMA, HOMA)". The four
 //! models share the same wire (the [`Network`]) but differ in endpoint
-//! costs, reliability machinery, and multi-round behaviour — the properties
-//! that move the pointer-chasing and middleware experiments.
+//! costs and multi-round behaviour — the properties that move the
+//! pointer-chasing and middleware experiments. [`RetryPolicy`] is the
+//! loss-recovery loop a caller runs over them (NVMe-oF's
+//! `Initiator::exchange` retries whole exchanges under it).
 
 use hyperion_sim::rng::SplitMix64;
 use hyperion_sim::time::Ns;
@@ -116,26 +118,6 @@ impl TransportKind {
             TransportKind::Tcp => "tcp:request",
             TransportKind::Rdma => "rdma:request",
             TransportKind::Homa => "homa:request",
-        }
-    }
-
-    /// Telemetry span label for a reliable (retrying) send.
-    pub fn reliable_label(self) -> &'static str {
-        match self {
-            TransportKind::Udp => "udp:send_reliable",
-            TransportKind::Tcp => "tcp:send_reliable",
-            TransportKind::Rdma => "rdma:send_reliable",
-            TransportKind::Homa => "homa:send_reliable",
-        }
-    }
-
-    /// Telemetry span label for a reliable (retrying) request/response.
-    pub fn reliable_request_label(self) -> &'static str {
-        match self {
-            TransportKind::Udp => "udp:request_reliable",
-            TransportKind::Tcp => "tcp:request_reliable",
-            TransportKind::Rdma => "rdma:request_reliable",
-            TransportKind::Homa => "homa:request_reliable",
         }
     }
 }
@@ -283,67 +265,6 @@ pub struct Retried<T> {
     pub last: Ns,
 }
 
-/// Counters and a trace instant for one transport-level retry (the
-/// `on_retry` of [`Transport::send_reliable_traced`] and
-/// [`Transport::request_reliable_traced`]).
-fn count_net_retry(rec: &mut Recorder, e: &NetError, t: Ns) {
-    let (counter, instant, at) = match *e {
-        NetError::Dropped => ("net:timeouts", "fault:net:drop", t),
-        NetError::Corrupted { delivered_at } => ("net:corrupt", "fault:net:corrupt", delivered_at),
-        NetError::LinkDown { .. } => ("net:link_down", "fault:net:flap", t),
-        _ => return,
-    };
-    rec.bump(counter);
-    rec.bump("net:retries");
-    rec.instant(instant, at);
-}
-
-/// Drives `attempt` under `policy` inside a `label` span (see
-/// [`Transport::send_reliable_traced`]).
-fn reliable(
-    label: &'static str,
-    now: Ns,
-    policy: &RetryPolicy,
-    mut rec: Option<&mut Recorder>,
-    attempt: impl FnMut(Ns, u32, Option<&mut Recorder>) -> Result<Delivery, NetError>,
-) -> Result<ReliableDelivery, NetError> {
-    let span = rec
-        .as_deref_mut()
-        .map(|rec| rec.open(Component::Net, label, now));
-    let run = policy.drive(now, rec.as_deref_mut(), attempt, count_net_retry);
-    if let (Some(rec), Some(span)) = (rec, span) {
-        if run.last > now {
-            // Recovery time is queueing, not service.
-            rec.queue_edge(span, run.last);
-        }
-        match &run.result {
-            Ok(d) => rec.close(span, d.done),
-            Err(e) => {
-                if matches!(e, NetError::Exhausted { .. }) {
-                    rec.bump("net:gave_up");
-                }
-                rec.close(span, run.last.max(now));
-            }
-        }
-    }
-    run.result.map(|d| ReliableDelivery {
-        done: d.done,
-        attempts: run.attempts,
-        wire_rounds: d.wire_rounds,
-    })
-}
-
-/// Outcome of a reliable (retrying) delivery.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReliableDelivery {
-    /// Instant the message is fully processed at the receiver.
-    pub done: Ns,
-    /// Send attempts consumed (1 = no fault on the first try).
-    pub attempts: u32,
-    /// Wire rounds of the successful attempt.
-    pub wire_rounds: u64,
-}
-
 /// A transport instance (stateless; connection state is abstracted into
 /// the per-message cost model).
 #[derive(Debug, Clone, Copy)]
@@ -462,71 +383,6 @@ impl Transport {
             rec.close(span, result.as_ref().map_or(now, |d| d.done));
         }
         result
-    }
-
-    /// Sends one message with loss recovery: injected faults
-    /// ([`NetError::Dropped`], [`NetError::Corrupted`],
-    /// [`NetError::LinkDown`]) are retried under `policy` (see
-    /// [`RetryPolicy::retry_at`]). Caller mistakes
-    /// ([`NetError::UnknownNode`]) are not retried; an exhausted budget
-    /// returns [`NetError::Exhausted`].
-    ///
-    /// With a recorder: a `*:send_reliable` span covering the whole
-    /// recovery, a queueing edge at the instant the successful attempt
-    /// finally started (so `critical_path` attributes retry waits as
-    /// queueing, not service), `net:retries` / `net:timeouts` /
-    /// `net:corrupt` / `net:link_down` / `net:gave_up` counters, and a
-    /// `fault:net:*` instant per failed attempt. Each attempt is traced by
-    /// [`Transport::send_traced`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn send_reliable_traced(
-        &self,
-        net: &mut Network,
-        from: Endpoint,
-        to: Endpoint,
-        now: Ns,
-        bytes: u64,
-        policy: &RetryPolicy,
-        rec: Option<&mut Recorder>,
-    ) -> Result<ReliableDelivery, NetError> {
-        reliable(self.kind.reliable_label(), now, policy, rec, |t, _, rec| {
-            self.send_traced(net, from, to, t, bytes, rec)
-        })
-    }
-
-    /// A full request/response exchange with loss recovery: the *whole*
-    /// exchange (request leg, server work, response leg) is retried as a
-    /// unit under `policy` — the RPC idiom, where a client that hears
-    /// nothing back cannot tell which leg was lost and simply re-issues.
-    /// Recovery and telemetry match [`Transport::send_reliable_traced`],
-    /// under a `*:request_reliable` span; each attempt is traced by
-    /// [`Transport::request_traced`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn request_reliable_traced(
-        &self,
-        net: &mut Network,
-        client: Endpoint,
-        server: Endpoint,
-        now: Ns,
-        req_bytes: u64,
-        resp_bytes: u64,
-        server_work: Ns,
-        policy: &RetryPolicy,
-        rec: Option<&mut Recorder>,
-    ) -> Result<ReliableDelivery, NetError> {
-        let label = self.kind.reliable_request_label();
-        reliable(label, now, policy, rec, |t, _, rec| {
-            self.request_traced(
-                net,
-                client,
-                server,
-                t,
-                req_bytes,
-                resp_bytes,
-                server_work,
-                rec,
-            )
-        })
     }
 
     /// A full request/response exchange: client → server (request),
@@ -663,159 +519,6 @@ mod tests {
     }
 
     #[test]
-    fn reliable_send_recovers_from_drops() {
-        use hyperion_sim::fault::FaultPlan;
-        let (mut net, a, b) = pair(EndpointKind::Hardware);
-        net.set_fault_plan(FaultPlan::seeded(5).bernoulli(crate::netsim::FAULT_NET_DROP, 0.6));
-        let tr = Transport::new(TransportKind::Udp);
-        let mut recovered = 0u32;
-        let mut t = Ns::ZERO;
-        for _ in 0..32 {
-            if let Ok(d) =
-                tr.send_reliable_traced(&mut net, a, b, t, 64, &RetryPolicy::DEFAULT, None)
-            {
-                if d.attempts > 1 {
-                    recovered += 1;
-                }
-                t = d.done;
-            } else {
-                t += Ns(1_000_000);
-            }
-        }
-        assert!(recovered > 0, "60% loss must force some retries");
-    }
-
-    #[test]
-    fn reliable_send_gives_up_under_total_loss() {
-        use hyperion_sim::fault::FaultPlan;
-        let (mut net, a, b) = pair(EndpointKind::Hardware);
-        net.set_fault_plan(FaultPlan::seeded(5).bernoulli(crate::netsim::FAULT_NET_DROP, 1.0));
-        let tr = Transport::new(TransportKind::Udp);
-        let policy = RetryPolicy {
-            max_attempts: 3,
-            ..RetryPolicy::DEFAULT
-        };
-        match tr.send_reliable_traced(&mut net, a, b, Ns::ZERO, 64, &policy, None) {
-            Err(NetError::Exhausted { attempts }) => assert_eq!(attempts, 3),
-            other => panic!("expected Exhausted, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn reliable_request_retries_the_whole_exchange() {
-        use hyperion_sim::fault::FaultPlan;
-        let (mut net, a, b) = pair(EndpointKind::Hardware);
-        // Partition the server for a fixed window; the client's RPC must
-        // survive by re-issuing until the window clears.
-        net.set_fault_plan(FaultPlan::seeded(3).window(
-            &crate::netsim::partition_site(b.node),
-            Ns(0),
-            Ns(150_000),
-        ));
-        let tr = Transport::new(TransportKind::Udp);
-        let policy = RetryPolicy {
-            max_attempts: 4,
-            ..RetryPolicy::DEFAULT
-        };
-        let d = tr
-            .request_reliable_traced(&mut net, a, b, Ns::ZERO, 64, 64, Ns(1_000), &policy, None)
-            .unwrap();
-        assert!(d.attempts > 1, "must have retried through the partition");
-        assert!(d.done > Ns(150_000), "cannot finish inside the window");
-        // Determinism: replay is bit-identical.
-        let (mut net2, a2, b2) = pair(EndpointKind::Hardware);
-        net2.set_fault_plan(FaultPlan::seeded(3).window(
-            &crate::netsim::partition_site(b2.node),
-            Ns(0),
-            Ns(150_000),
-        ));
-        let d2 = tr
-            .request_reliable_traced(
-                &mut net2,
-                a2,
-                b2,
-                Ns::ZERO,
-                64,
-                64,
-                Ns(1_000),
-                &policy,
-                None,
-            )
-            .unwrap();
-        assert_eq!(d, d2);
-    }
-
-    #[test]
-    fn reliable_request_gives_up_when_the_partition_outlasts_the_budget() {
-        use hyperion_sim::fault::FaultPlan;
-        let (mut net, a, b) = pair(EndpointKind::Hardware);
-        net.set_fault_plan(
-            FaultPlan::seeded(3).from_instant(&crate::netsim::partition_site(b.node), Ns::ZERO),
-        );
-        let tr = Transport::new(TransportKind::Udp);
-        let policy = RetryPolicy {
-            max_attempts: 3,
-            ..RetryPolicy::DEFAULT
-        };
-        match tr.request_reliable_traced(&mut net, a, b, Ns::ZERO, 64, 64, Ns::ZERO, &policy, None)
-        {
-            Err(NetError::Exhausted { attempts }) => assert_eq!(attempts, 3),
-            other => panic!("expected Exhausted, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn traced_reliable_request_counts_and_marks_queue_edge() {
-        use hyperion_sim::fault::FaultPlan;
-        let (mut net, a, b) = pair(EndpointKind::Hardware);
-        net.set_fault_plan(
-            FaultPlan::seeded(3).from_instant(&crate::netsim::partition_site(b.node), Ns::ZERO),
-        );
-        let tr = Transport::new(TransportKind::Udp);
-        let mut rec = Recorder::new("t");
-        let policy = RetryPolicy {
-            max_attempts: 2,
-            ..RetryPolicy::DEFAULT
-        };
-        let r = tr.request_reliable_traced(
-            &mut net,
-            a,
-            b,
-            Ns::ZERO,
-            64,
-            64,
-            Ns::ZERO,
-            &policy,
-            Some(&mut rec),
-        );
-        assert!(matches!(r, Err(NetError::Exhausted { attempts: 2 })));
-        assert_eq!(rec.counter("net:retries"), 2);
-        assert_eq!(rec.counter("net:gave_up"), 1);
-        assert_eq!(rec.queue_edges().len(), 1);
-        assert_eq!(rec.open_spans(), 0);
-    }
-
-    #[test]
-    fn traced_reliable_send_counts_and_marks_queue_edge() {
-        use hyperion_sim::fault::FaultPlan;
-        let (mut net, a, b) = pair(EndpointKind::Hardware);
-        net.set_fault_plan(FaultPlan::seeded(5).bernoulli(crate::netsim::FAULT_NET_DROP, 1.0));
-        let tr = Transport::new(TransportKind::Udp);
-        let mut rec = Recorder::new("t");
-        let policy = RetryPolicy {
-            max_attempts: 2,
-            ..RetryPolicy::DEFAULT
-        };
-        let r = tr.send_reliable_traced(&mut net, a, b, Ns::ZERO, 64, &policy, Some(&mut rec));
-        assert!(matches!(r, Err(NetError::Exhausted { attempts: 2 })));
-        assert_eq!(rec.counter("net:retries"), 2);
-        assert_eq!(rec.counter("net:timeouts"), 2);
-        assert_eq!(rec.counter("net:gave_up"), 1);
-        assert_eq!(rec.queue_edges().len(), 1);
-        assert_eq!(rec.open_spans(), 0);
-    }
-
-    #[test]
     fn traced_send_claims_links_and_labels_incast_waits() {
         // Two senders incast into one sink: the second send queues on the
         // sink's downlink and its span edge must carry that link's id.
@@ -856,22 +559,6 @@ mod tests {
             tr.send(&mut plain, p2, p_sink, Ns::ZERO, 1 << 20).unwrap(),
             b
         );
-    }
-
-    #[test]
-    fn traced_fault_arms_leave_instants() {
-        use hyperion_sim::fault::FaultPlan;
-        let (mut net, a, b) = pair(EndpointKind::Hardware);
-        net.set_fault_plan(FaultPlan::seeded(5).bernoulli(crate::netsim::FAULT_NET_DROP, 1.0));
-        let tr = Transport::new(TransportKind::Udp);
-        let mut rec = Recorder::new("instants");
-        let policy = RetryPolicy {
-            max_attempts: 2,
-            ..RetryPolicy::DEFAULT
-        };
-        let _ = tr.send_reliable_traced(&mut net, a, b, Ns::ZERO, 64, &policy, Some(&mut rec));
-        assert_eq!(rec.instants().len(), 2);
-        assert!(rec.instants().iter().all(|(n, _)| n == "fault:net:drop"));
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! child did not split is written back unchanged as the very buffer it was
 //! read as, zero-copy. Only a split builds fresh pages.
 
-use bytes::BytesMut;
+use bytes::{Bytes, BytesMut};
 use hyperion_sim::time::Ns;
 
 use crate::blockstore::{BlockError, BlockStore, BLOCK};
@@ -209,15 +209,16 @@ impl BTree {
 
     /// Walks from the root to the leaf that holds or would hold `key`,
     /// reading one node per level from `now` on and passing each node's
-    /// LBA to `visit`, root first. Returns the leaf's LBA, the value
-    /// stored under `key`, and the instant the leaf's read completes.
+    /// LBA to `visit`, root first. Returns the leaf's LBA and page, the
+    /// value stored under `key`, and the instant the leaf's read
+    /// completes.
     fn walk(
         &self,
         store: &mut BlockStore,
         key: u64,
         now: Ns,
         mut visit: impl FnMut(u64),
-    ) -> Result<(u64, Option<u64>, Ns), TreeError> {
+    ) -> Result<(u64, Bytes, Option<u64>, Ns), TreeError> {
         let mut lba = self.root;
         let mut t = now;
         loop {
@@ -233,7 +234,7 @@ impl BTree {
                     .checked_sub(1)
                     .filter(|&j| word(&page.keys[j]) == key)
                     .map(|j| word(&page.rest[j]));
-                return Ok((lba, value, t));
+                return Ok((lba, data, value, t));
             }
             lba = word(&page.rest[i]);
         }
@@ -247,7 +248,7 @@ impl BTree {
         now: Ns,
     ) -> Result<TracedLookup, TreeError> {
         let mut path = Vec::with_capacity(self.height as usize);
-        let (_, value, done) = self.walk(store, key, now, |lba| path.push(lba))?;
+        let (_, _, value, done) = self.walk(store, key, now, |lba| path.push(lba))?;
         Ok(TracedLookup { value, path, done })
     }
 
@@ -258,7 +259,7 @@ impl BTree {
         key: u64,
         now: Ns,
     ) -> Result<(Option<u64>, Ns), TreeError> {
-        let (_, value, done) = self.walk(store, key, now, |_| {})?;
+        let (_, _, value, done) = self.walk(store, key, now, |_| {})?;
         Ok((value, done))
     }
 
@@ -349,7 +350,7 @@ impl BTree {
     }
 
     /// Range scan: all `(key, value)` pairs with `lo <= key < hi`, walking
-    /// the leaf chain.
+    /// the leaf chain from the leaf the walk to `lo` read.
     pub fn range(
         &self,
         store: &mut BlockStore,
@@ -357,11 +358,9 @@ impl BTree {
         hi: u64,
         now: Ns,
     ) -> Result<(Vec<(u64, u64)>, Ns), TreeError> {
-        let (mut lba, _, mut t) = self.walk(store, lo, now, |_| {})?;
+        let (mut lba, mut data, _, mut t) = self.walk(store, lo, now, |_| {})?;
         let mut out = Vec::new();
         loop {
-            let (data, done) = store.read(lba, 1, t)?;
-            t = done;
             let page = Page::parse(&data, lba)?;
             if !page.leaf {
                 return Err(TreeError::Corrupt { lba });
@@ -378,6 +377,7 @@ impl BTree {
                 return Ok((out, t));
             }
             lba = page.next;
+            (data, t) = store.read(lba, 1, t)?;
         }
     }
 }
@@ -472,6 +472,24 @@ mod tests {
         }
         let (all, _) = tree.range(&mut store, 0, 1_000, Ns::ZERO).unwrap();
         assert_eq!(all.len(), 1_000);
+    }
+
+    /// A range that ends inside its first leaf reads one node per level,
+    /// like a point lookup, and completes when `get` on its low key does.
+    #[test]
+    fn range_within_one_leaf_reads_each_level_once() {
+        for n in [100, 8_000] {
+            let (mut scanned, tree) = build(n);
+            let (mut looked_up, _) = build(n);
+            let before = scanned.reads();
+            // Key 0 is the first key of the leftmost leaf, which holds more.
+            let (out, done) = tree.range(&mut scanned, 0, 1, Ns::ZERO).unwrap();
+            assert_eq!(out, [(0, 1)]);
+            assert_eq!(scanned.reads() - before, u64::from(tree.height()));
+            let (v, get_done) = tree.get(&mut looked_up, 0, Ns::ZERO).unwrap();
+            assert_eq!(v, Some(1));
+            assert_eq!(done, get_done);
+        }
     }
 
     /// The lookup walk this module had before lookups counted keys:

@@ -13,12 +13,11 @@
 //! * [`fs`] — an extent file system plus Spiffy-style layout annotations
 //!   and the annotation-driven direct resolver (experiment E5);
 //! * [`columnar`] — Parquet-like on-storage / Arrow-like in-memory
-//!   formats with projection and predicate pushdown (experiment E5);
-//! * [`compute`] — vectorized aggregation/filter/group-by kernels over
-//!   column batches (the processing half of §2.3).
+//!   formats with projection and predicate pushdown (experiment E5).
 //!
-//! §2.4 also names lookup tables and atomic writes with transactional
-//! interfaces. They are not modelled here: no experiment measures them.
+//! §2.3 also names near-storage aggregation, and §2.4 lookup tables and
+//! atomic writes with transactional interfaces. They are not modelled
+//! here: no experiment measures them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -26,7 +25,6 @@
 pub mod blockstore;
 pub mod btree;
 pub mod columnar;
-pub mod compute;
 pub mod corfu;
 pub mod fs;
 pub mod lsm;
@@ -36,7 +34,6 @@ pub use btree::{BTree, TracedLookup, TreeError};
 pub use columnar::{
     scan, write_file, ColumnBatch, ColumnarError, Encoding, FileMeta, Predicate, ScanStats,
 };
-pub use compute::{aggregate, filter_between, group_by, Agg, AggResult};
 pub use corfu::{CorfuError, CorfuLog, LogEntry, LogUnit, Sequencer};
 pub use fs::{annotated_resolve, Extent, FileSystem, FsAnnotation, FsError};
 pub use lsm::{LsmError, LsmTree};

@@ -658,17 +658,17 @@ mod tests {
     #[test]
     fn counters_accumulate_and_merge() {
         let mut a = Recorder::new("a");
-        a.bump("net:retry");
-        a.count("net:retry", 2);
+        a.bump("nvmeof:retries");
+        a.count("nvmeof:retries", 2);
         a.bump("nvme:media_error");
-        assert_eq!(a.counter("net:retry"), 3);
+        assert_eq!(a.counter("nvmeof:retries"), 3);
         assert_eq!(a.counter("never"), 0);
         let mut b = Recorder::new("b");
-        b.count("net:retry", 4);
-        b.bump("net:gave_up");
+        b.count("nvmeof:retries", 4);
+        b.bump("nvmeof:gave_up");
         a.merge(&b);
-        assert_eq!(a.counter("net:retry"), 7);
-        assert_eq!(a.counter("net:gave_up"), 1);
+        assert_eq!(a.counter("nvmeof:retries"), 7);
+        assert_eq!(a.counter("nvmeof:gave_up"), 1);
         assert_eq!(a.counters().count(), 3);
     }
 

@@ -22,12 +22,6 @@ pub const COUNTERS: &[&str] = &[
     "cluster:suspicions",
     // corfu:* — shared-log repair (core::cluster failover).
     "corfu:repaired_positions",
-    // net:* — transport retry machinery (net::transport).
-    "net:corrupt",
-    "net:gave_up",
-    "net:link_down",
-    "net:retries",
-    "net:timeouts",
     // nvme:* — device recovery (nvme::device).
     "nvme:latency_spikes",
     "nvme:media_errors",
@@ -97,8 +91,8 @@ mod tests {
 
     #[test]
     fn membership_checks() {
-        assert!(is_registered_counter("net:retries"));
-        assert!(!is_registered_counter("net:retrys"));
+        assert!(is_registered_counter("nvmeof:retries"));
+        assert!(!is_registered_counter("nvmeof:retrys"));
         assert!(is_registered_gauge("nvme:queue_depth"));
         assert!(!is_registered_gauge("nvme:depth"));
     }

@@ -21,8 +21,12 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "==> cargo test"
 # Tier-1 host time is printed, not gated, like the goldens time below.
+# The log is kept to count the tests at the end.
+TESTLOG="$(mktemp)"
+GOLDENS=""
+trap 'rm -rf "$TESTLOG" "$GOLDENS"' EXIT
 TIMEFORMAT='workspace tests: %R s wall'
-time cargo test --workspace -q
+time cargo test --workspace -q 2>&1 | tee "$TESTLOG"
 
 echo "==> perfbench tests (own Cargo workspace, not covered by --workspace)"
 cargo test --offline --manifest-path perfbench/Cargo.toml -q
@@ -40,12 +44,12 @@ echo "==> goldens: every report surface and example equals goldens/ byte for byt
 # and say in CHANGES.md why the numbers moved. The wall time is printed,
 # not gated, like the test time above.
 GOLDENS="$(mktemp -d)"
-trap 'rm -rf "$GOLDENS"' EXIT
 TIMEFORMAT='goldens: %R s wall'
 time ./scripts/goldens.sh "$GOLDENS"
 diff -ru goldens/ "$GOLDENS"
 
-echo "==> size: Rust lines under crates/ (printed, not gated)"
+echo "==> size: Rust lines under crates/ and workspace tests passed (printed, not gated)"
 echo "crates/ Rust lines: $(find crates -name '*.rs' | xargs cat | wc -l)"
+echo "workspace tests passed: $(grep -o '[0-9]* passed' "$TESTLOG" | awk '{n += $1} END {print n}')"
 
 echo "All checks passed."
