@@ -138,6 +138,8 @@ pub fn telemetry() -> Recorder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hyperion_sim::energy::Pj;
+    use hyperion_telemetry::power::active_power;
     use std::sync::OnceLock;
 
     fn tables() -> &'static [Table] {
@@ -157,6 +159,28 @@ mod tests {
         // longer software path.
         assert!(host.energy > dpu.energy);
         assert_eq!(rec.open_spans(), 0);
+        // The one energy model: each component's energy is its active
+        // power over the summed time of its hops, exactly in pJ, and the
+        // total is the sum over components.
+        for c in Component::ALL {
+            let busy: u64 = rows
+                .iter()
+                .filter(|r| r.component == c)
+                .map(|r| r.total.0)
+                .sum();
+            assert_eq!(
+                rec.component_energy(c),
+                active_power(c).energy_over(Ns(busy)),
+                "{}",
+                c.name()
+            );
+        }
+        let sum: Pj = Component::ALL
+            .iter()
+            .map(|&c| rec.component_energy(c))
+            .sum();
+        assert_eq!(rec.total_energy(), sum);
+        assert!(rec.component_energy(Component::Nvme) > Pj::ZERO);
     }
 
     #[test]

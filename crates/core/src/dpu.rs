@@ -23,8 +23,6 @@ use hyperion_storage::corfu::CorfuLog;
 use hyperion_storage::fs::FileSystem;
 use hyperion_storage::lsm::LsmTree;
 
-use crate::platform;
-
 /// DPU life-cycle state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DpuState {
@@ -72,7 +70,7 @@ pub const SSD_LBAS: u64 = 1 << 24; // 64 GiB per device
 #[derive(Debug)]
 pub struct HyperionDpu {
     state: DpuState,
-    /// The FPGA: slots, memory tiers, AXIS switch, energy.
+    /// The FPGA: reconfigurable slots and the AXIS switch.
     pub fabric: Fabric,
     /// FPGA-hosted root complex (paper §2: "Hyperion runs a PCIe root
     /// complex with an NVMe controller on the FPGA board").
@@ -273,13 +271,6 @@ impl HyperionDpu {
         } else {
             Err(DpuError::NotReady)
         }
-    }
-
-    /// Total energy drawn since boot if the DPU ran for `dt`, using the
-    /// whole-assembly TDP envelope (conservative: the paper's own
-    /// comparison is max-TDP based).
-    pub fn energy_envelope(&self, dt: Ns) -> hyperion_sim::energy::Pj {
-        platform::HYPERION.max_tdp.energy_over(dt)
     }
 }
 

@@ -46,10 +46,7 @@ pub struct AxiSwitch {
     bytes_per_beat: u64,
     arbiter: Resource,
     route_latency: Ns,
-    ports: Vec<&'static str>,
     by_name: HashMap<&'static str, PortId>,
-    transfers: u64,
-    bytes: u64,
 }
 
 impl AxiSwitch {
@@ -69,10 +66,7 @@ impl AxiSwitch {
             bytes_per_beat,
             arbiter: Resource::new("axis-arbiter", 1),
             route_latency: clock.cycles_to_ns(4), // MUX/DEMUX + arbiter stages
-            ports: Vec::new(),
             by_name: HashMap::new(),
-            transfers: 0,
-            bytes: 0,
         }
     }
 
@@ -81,8 +75,7 @@ impl AxiSwitch {
         if self.by_name.contains_key(name) {
             return Err(AxiError::DuplicatePort(name));
         }
-        let id = PortId(self.ports.len() as u32);
-        self.ports.push(name);
+        let id = PortId(self.by_name.len() as u32);
         self.by_name.insert(name, id);
         Ok(id)
     }
@@ -90,14 +83,6 @@ impl AxiSwitch {
     /// Looks up a port by name.
     pub fn port(&self, name: &str) -> Option<PortId> {
         self.by_name.get(name).copied()
-    }
-
-    /// Returns the name of a port.
-    pub fn port_name(&self, id: PortId) -> Result<&'static str, AxiError> {
-        self.ports
-            .get(id.0 as usize)
-            .copied()
-            .ok_or(AxiError::UnknownPort(id.0))
     }
 
     /// Streams `bytes` from `src` to `dst` starting no earlier than `now`;
@@ -109,32 +94,20 @@ impl AxiSwitch {
         now: Ns,
         bytes: u64,
     ) -> Result<Ns, AxiError> {
-        if src.0 as usize >= self.ports.len() {
+        if src.0 as usize >= self.by_name.len() {
             return Err(AxiError::UnknownPort(src.0));
         }
-        if dst.0 as usize >= self.ports.len() {
+        if dst.0 as usize >= self.by_name.len() {
             return Err(AxiError::UnknownPort(dst.0));
         }
         let beats = bytes.div_ceil(self.bytes_per_beat).max(1);
         let svc = self.clock.cycles_to_ns(beats);
-        self.transfers += 1;
-        self.bytes += bytes;
         Ok(self.arbiter.access(now, svc) + self.route_latency)
     }
 
     /// Effective switch bandwidth in bits per second.
     pub fn bandwidth_bps(&self) -> u64 {
         self.bytes_per_beat * 8 * self.clock.mhz() * 1_000_000
-    }
-
-    /// Total transfers arbitrated.
-    pub fn transfers(&self) -> u64 {
-        self.transfers
-    }
-
-    /// Total bytes moved.
-    pub fn bytes_moved(&self) -> u64 {
-        self.bytes
     }
 }
 

@@ -10,8 +10,8 @@
 //!
 //! The model's fidelity target is the *systems* behaviour the paper argues
 //! from — placement feasibility, 10–100 ms reconfiguration, deterministic
-//! pipeline clocks, bandwidth contention, and energy — not gate-level
-//! simulation. See DESIGN.md §2 for the substitution rationale.
+//! pipeline clocks and bandwidth contention — not gate-level simulation.
+//! See DESIGN.md §2 for the substitution rationale.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

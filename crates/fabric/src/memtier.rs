@@ -2,9 +2,8 @@
 //!
 //! The single-level store (paper §2.1) places segments across these tiers
 //! plus NVMe; each tier is a bandwidth-limited queueing station with a
-//! fixed access latency and a per-byte energy cost.
+//! fixed access latency.
 
-use hyperion_sim::energy::Pj;
 use hyperion_sim::resource::Resource;
 use hyperion_sim::time::{serialization_delay, Ns};
 
@@ -28,7 +27,7 @@ impl Tier {
     pub const ALL: [Tier; 4] = [Tier::Bram, Tier::Uram, Tier::Hbm, Tier::Ddr];
 }
 
-/// One memory tier: capacity, latency, a bandwidth timeline, and energy.
+/// One memory tier: capacity, latency and a bandwidth timeline.
 #[derive(Debug, Clone)]
 pub struct MemoryTier {
     tier: Tier,
@@ -37,19 +36,11 @@ pub struct MemoryTier {
     latency: Ns,
     bandwidth_bps: u64,
     port: Resource,
-    pj_per_byte: u64,
-    bytes_moved: u64,
 }
 
 impl MemoryTier {
     /// Creates a tier with explicit parameters.
-    pub fn new(
-        tier: Tier,
-        capacity: u64,
-        latency: Ns,
-        bandwidth_bps: u64,
-        pj_per_byte: u64,
-    ) -> MemoryTier {
+    pub fn new(tier: Tier, capacity: u64, latency: Ns, bandwidth_bps: u64) -> MemoryTier {
         MemoryTier {
             tier,
             capacity,
@@ -57,8 +48,6 @@ impl MemoryTier {
             latency,
             bandwidth_bps,
             port: Resource::new(tier_name(tier), 1),
-            pj_per_byte,
-            bytes_moved: 0,
         }
     }
 
@@ -70,28 +59,24 @@ impl MemoryTier {
                 params::BRAM_CAPACITY,
                 params::BRAM_LATENCY,
                 params::BRAM_BANDWIDTH_BPS,
-                1,
             ),
             Tier::Uram => MemoryTier::new(
                 tier,
                 params::URAM_CAPACITY,
                 params::BRAM_LATENCY,
                 params::BRAM_BANDWIDTH_BPS,
-                1,
             ),
             Tier::Hbm => MemoryTier::new(
                 tier,
                 params::HBM_CAPACITY,
                 params::HBM_LATENCY,
                 params::HBM_BANDWIDTH_BPS,
-                params::HBM_PJ_PER_BYTE,
             ),
             Tier::Ddr => MemoryTier::new(
                 tier,
                 params::DDR_CAPACITY,
                 params::DDR_LATENCY,
                 params::DDR_BANDWIDTH_BPS,
-                params::DDR_PJ_PER_BYTE,
             ),
         }
     }
@@ -147,23 +132,12 @@ impl MemoryTier {
     /// returns the completion instant. Reads and writes share the port.
     pub fn access(&mut self, now: Ns, bytes: u64) -> Ns {
         let svc = serialization_delay(bytes, self.bandwidth_bps);
-        self.bytes_moved += bytes;
         self.port.access(now, svc) + self.latency
     }
 
     /// Fixed access latency (without queueing or transfer time).
     pub fn latency(&self) -> Ns {
         self.latency
-    }
-
-    /// Energy consumed by all transfers so far.
-    pub fn transfer_energy(&self) -> Pj {
-        Pj(self.bytes_moved as u128 * self.pj_per_byte as u128)
-    }
-
-    /// Total bytes transferred.
-    pub fn bytes_moved(&self) -> u64 {
-        self.bytes_moved
     }
 }
 
@@ -196,7 +170,7 @@ mod tests {
 
     #[test]
     fn reserve_and_release_accounting() {
-        let mut t = MemoryTier::new(Tier::Hbm, 1000, Ns(10), 8_000_000_000, 4);
+        let mut t = MemoryTier::new(Tier::Hbm, 1000, Ns(10), 8_000_000_000);
         assert!(t.reserve(600));
         assert!(!t.reserve(500));
         assert_eq!(t.free(), 400);
@@ -207,16 +181,9 @@ mod tests {
     #[test]
     fn access_includes_latency_and_queues() {
         // 1 GB/s = 8 Gbps: 1000 bytes -> 1000 ns transfer; 50 ns latency.
-        let mut t = MemoryTier::new(Tier::Ddr, 1 << 20, Ns(50), 8_000_000_000, 4);
+        let mut t = MemoryTier::new(Tier::Ddr, 1 << 20, Ns(50), 8_000_000_000);
         assert_eq!(t.access(Ns(0), 1000), Ns(1050));
         // Second transfer queues behind the first on the port.
         assert_eq!(t.access(Ns(0), 1000), Ns(2050));
-    }
-
-    #[test]
-    fn transfer_energy_scales_with_bytes() {
-        let mut t = MemoryTier::new(Tier::Hbm, 1 << 20, Ns(10), 8_000_000_000, 4);
-        t.access(Ns(0), 1000);
-        assert_eq!(t.transfer_energy(), Pj(4000));
     }
 }

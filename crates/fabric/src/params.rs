@@ -6,7 +6,6 @@
 //! They are model *inputs*; experiments report ratios and shapes, never
 //! these constants themselves.
 
-use hyperion_sim::energy::MilliWatts;
 use hyperion_sim::time::Ns;
 
 use crate::resources::ResourceBudget;
@@ -65,22 +64,6 @@ pub const ICAP_BANDWIDTH_BPS: u64 = 6_400_000_000;
 /// Fixed overhead of a partial reconfiguration (shutdown, decouple,
 /// startup sequencing) on top of bitstream streaming time.
 pub const RECONFIG_OVERHEAD: Ns = Ns::from_millis(8);
-
-/// Maximum TDP of the Hyperion DPU assembly as reported in the paper
-/// (~230 W including SSDs).
-pub const HYPERION_MAX_TDP: MilliWatts = MilliWatts::from_watts(230);
-
-/// Dynamic energy per LUT per cycle of active logic, in picojoules.
-///
-/// Order-of-magnitude figure for UltraScale+ logic toggling at moderate
-/// activity factors; used to scale pipeline energy with occupied area.
-pub const LUT_DYNAMIC_PJ_PER_CYCLE_MILLI: u64 = 5; // 0.005 pJ
-
-/// Energy per byte moved through HBM (pJ/B).
-pub const HBM_PJ_PER_BYTE: u64 = 4;
-
-/// Energy per byte moved through DDR4 (pJ/B).
-pub const DDR_PJ_PER_BYTE: u64 = 20;
 
 /// Boot-time JTAG/self-test duration before the DPU is standalone (§2:
 /// "boots in a stand-alone mode ... when power is applied and FPGA JTAG

@@ -9,8 +9,8 @@
 //! * [`dataflow`] — dependence extraction and ASAP scheduling with fusion
 //!   lanes (the parallelism-extraction step);
 //! * [`pipeline`] — the resulting fixed-clock hardware pipeline: depth,
-//!   initiation interval, resource footprint, per-item energy, and a
-//!   functional executor backed by the eBPF VM.
+//!   initiation interval, resource footprint, and a functional executor
+//!   backed by the eBPF VM.
 //!
 //! `compile` accepts only [`VerifiedProgram`] — the type-level enforcement
 //! of "verify before hardware" (see `hyperion-ebpf`).

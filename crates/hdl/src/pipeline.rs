@@ -11,7 +11,6 @@ use hyperion_ebpf::program::VerifiedProgram;
 use hyperion_ebpf::vm::{ExecResult, Vm, VmError};
 use hyperion_fabric::clock::ClockDomain;
 use hyperion_fabric::resources::ResourceBudget;
-use hyperion_sim::energy::Pj;
 use hyperion_sim::resource::Resource;
 use hyperion_sim::time::Ns;
 use hyperion_telemetry::{Component, Recorder};
@@ -88,10 +87,6 @@ fn unit_cost(unit: Unit) -> ResourceBudget {
     }
 }
 
-/// Dynamic energy per item processed, per occupied LUT (picojoules,
-/// order-of-magnitude for a full pipeline traversal).
-const PJ_PER_LUT_PER_ITEM_MILLI: u64 = 20; // 0.02 pJ
-
 /// A compiled hardware kernel.
 #[derive(Debug)]
 pub struct HwPipeline {
@@ -162,11 +157,6 @@ impl HwPipeline {
     /// Steady-state throughput in items per second.
     pub fn throughput_per_sec(&self) -> u64 {
         self.clock.mhz() * 1_000_000 / self.schedule.ii
-    }
-
-    /// Dynamic energy per item.
-    pub fn energy_per_item(&self) -> Pj {
-        Pj((self.requires.luts as u128 * PJ_PER_LUT_PER_ITEM_MILLI as u128) / 1_000)
     }
 
     /// Items processed so far.

@@ -585,11 +585,6 @@ impl SingleLevelStore {
     pub fn device_mut(&mut self, i: usize) -> &mut NvmeDevice {
         &mut self.devices[i]
     }
-
-    /// Number of attached devices.
-    pub fn num_devices(&self) -> usize {
-        self.devices.len()
-    }
 }
 
 fn read_blocks(

@@ -156,22 +156,12 @@ impl Network {
 
     /// Adds a node with full-duplex 100 GbE connectivity; returns its id.
     pub fn add_node(&mut self) -> NodeId {
-        self.add_node_with_bandwidth(params::LINK_100G_BPS)
-    }
-
-    /// Adds a node with a custom link bandwidth (bits/s).
-    pub fn add_node_with_bandwidth(&mut self, bps: u64) -> NodeId {
         let id = NodeId(self.nodes.len());
         self.nodes.push(Node {
-            uplink: Link::new("uplink", bps, params::RACK_PROPAGATION),
-            downlink: Link::new("downlink", bps, params::RACK_PROPAGATION),
+            uplink: Link::new("uplink", params::LINK_100G_BPS, params::RACK_PROPAGATION),
+            downlink: Link::new("downlink", params::LINK_100G_BPS, params::RACK_PROPAGATION),
         });
         id
-    }
-
-    /// Number of nodes.
-    pub fn num_nodes(&self) -> usize {
-        self.nodes.len()
     }
 
     /// Delivers a `bytes`-long message from `src` to `dst`, starting no

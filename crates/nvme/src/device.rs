@@ -16,7 +16,6 @@ use std::collections::BinaryHeap;
 use std::ops::Range;
 
 use bytes::{Bytes, BytesMut};
-use hyperion_sim::energy::{EnergyMeter, Pj};
 use hyperion_sim::fault::FaultPlan;
 use hyperion_sim::hash::{IntMap, IntSet};
 use hyperion_sim::stats::Counters;
@@ -63,7 +62,7 @@ pub enum Command {
         data: Bytes,
     },
     /// Write one block at `lba`: its first `data.len()` bytes are `data`
-    /// and the rest are zeros. Timed, charged and counted exactly like a
+    /// and the rest are zeros. Timed and counted exactly like a
     /// one-block [`Command::Write`] of the zero-padded block; the writer
     /// declares how much of the block it wrote, so the device need not
     /// scan a padded block to find out.
@@ -225,8 +224,6 @@ pub struct NvmeDevice {
     ///
     /// [`IntHasher`]: hyperion_sim::hash::IntHasher
     kv: IntMap<Vec<u8>, Bytes>,
-    /// Device energy meter (idle power plus per-byte flash energy).
-    pub energy: EnergyMeter,
     /// `reads`/`writes`/`appends`/... structural counters.
     pub counters: Counters,
     kv_page_cursor: u64,
@@ -285,7 +282,6 @@ impl NvmeDevice {
             prefixes: Prefixes::default(),
             zones: Vec::new(),
             kv: IntMap::default(),
-            energy: EnergyMeter::new(params::SSD_IDLE_POWER),
             counters: Counters::new(),
             kv_page_cursor: 0,
             outstanding: BinaryHeap::new(),
@@ -354,9 +350,6 @@ impl NvmeDevice {
         for p in first..=last {
             done = done.max(self.flash.access(FlashOp::Read, p, now));
         }
-        self.energy.charge(Pj(
-            (blocks * params::LBA_SIZE) as u128 * params::READ_PJ_PER_BYTE as u128
-        ));
         done
     }
 
@@ -367,9 +360,6 @@ impl NvmeDevice {
         for p in first..=last {
             done = done.max(self.flash.access(FlashOp::Program, p, now));
         }
-        self.energy.charge(Pj(
-            (blocks * params::LBA_SIZE) as u128 * params::PROGRAM_PJ_PER_BYTE as u128
-        ));
         done
     }
 
@@ -604,8 +594,6 @@ impl NvmeDevice {
                         for p in 0..pages {
                             done = done.max(self.flash.access(FlashOp::Read, cursor + p, start));
                         }
-                        self.energy
-                            .charge(Pj(value.len() as u128 * params::READ_PJ_PER_BYTE as u128));
                         Ok(Completion {
                             response: Response::Data(value),
                             done,
@@ -627,8 +615,6 @@ impl NvmeDevice {
                 for p in 0..pages {
                     done = done.max(self.flash.access(FlashOp::Program, cursor + p, start));
                 }
-                self.energy
-                    .charge(Pj(value.len() as u128 * params::PROGRAM_PJ_PER_BYTE as u128));
                 self.kv.insert(key, value);
                 Ok(Completion {
                     response: Response::Ok,
@@ -682,9 +668,6 @@ impl NvmeDevice {
         for p in 0..pages {
             self.flash.access(FlashOp::Program, spare_base + p, retried);
         }
-        self.energy.charge(Pj(
-            (blocks * params::LBA_SIZE) as u128 * params::PROGRAM_PJ_PER_BYTE as u128
-        ));
         for b in 0..blocks {
             self.remapped.insert(lba + b);
         }
@@ -1514,13 +1497,12 @@ mod tests {
                 hyperion_telemetry::json::to_json(&prefix),
                 hyperion_telemetry::json::to_json(&write)
             );
-            // The devices charged, counted and queued the same work.
+            // The devices counted and queued the same work.
             for d in [&prefix_dev, &write_dev] {
                 assert_eq!(d.counters.get("writes"), 2);
                 assert_eq!(d.counters.get("latency_spikes"), 2 * spikes as u64);
                 assert_eq!(d.queue_depth_at(Ns::ZERO), 2);
             }
-            assert_eq!(prefix_dev.energy.total(), write_dev.energy.total());
             assert_eq!(prefix_dev.flash_ops(), write_dev.flash_ops());
         }
     }

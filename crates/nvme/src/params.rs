@@ -5,7 +5,6 @@
 //! cites). As everywhere in this reproduction, experiments report ratios
 //! and shapes, not these constants.
 
-use hyperion_sim::energy::MilliWatts;
 use hyperion_sim::time::Ns;
 
 /// Logical block size.
@@ -40,19 +39,6 @@ pub const CONTROLLER_OVERHEAD: Ns = Ns(2_500);
 
 /// Default submission/completion queue depth.
 pub const QUEUE_DEPTH: usize = 256;
-
-/// SSD idle power.
-pub const SSD_IDLE_POWER: MilliWatts = MilliWatts::from_watts(4);
-
-/// Energy per byte read from flash (pJ/B).
-pub const READ_PJ_PER_BYTE: u64 = 60;
-
-/// Energy per byte programmed to flash (pJ/B).
-pub const PROGRAM_PJ_PER_BYTE: u64 = 400;
-
-/// Default namespace capacity for one SSD in the prototype (1 TiB class;
-/// kept modest here since the store is sparse).
-pub const DEFAULT_CAPACITY_LBAS: u64 = (1 << 40) / LBA_SIZE;
 
 /// Zone size for ZNS namespaces (256 MiB), in LBAs.
 pub const ZONE_LBAS: u64 = (256 << 20) / LBA_SIZE;

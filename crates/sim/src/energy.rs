@@ -1,14 +1,16 @@
-//! Energy accounting.
+//! Energy units.
 //!
 //! The paper's headline quantitative claim is energy: Hyperion's maximum
 //! TDP is ~230 W against ~1,600 W for a 1U server, a 4–8x efficiency band
-//! once throughput differences are folded in (§2). Energy here is tracked
-//! in picojoules with integer arithmetic: a device accumulates *static*
-//! energy (power × simulated time) plus *dynamic* per-operation energy.
+//! once throughput differences are folded in (§2). Power is held in
+//! integer milliwatts and energy in integer picojoules, so power × `Ns`
+//! is exact. Two figures use them: E1's TDP envelope (a platform's max
+//! TDP over the run) and the telemetry recorder's per-hop energy (a
+//! component's active power over each hop).
 
 use std::fmt;
 use std::iter::Sum;
-use std::ops::{Add, AddAssign, Sub};
+use std::ops::{Add, AddAssign};
 
 use crate::time::Ns;
 
@@ -23,24 +25,9 @@ impl Pj {
     /// Zero energy.
     pub const ZERO: Pj = Pj(0);
 
-    /// Creates an energy amount from nanojoules.
-    pub const fn from_nanojoules(nj: u64) -> Pj {
-        Pj(nj as u128 * 1_000)
-    }
-
-    /// Creates an energy amount from microjoules.
-    pub const fn from_microjoules(uj: u64) -> Pj {
-        Pj(uj as u128 * 1_000_000)
-    }
-
     /// Energy in fractional joules.
     pub fn as_joules_f64(self) -> f64 {
         self.0 as f64 / 1e12
-    }
-
-    /// Energy in fractional microjoules.
-    pub fn as_microjoules_f64(self) -> f64 {
-        self.0 as f64 / 1e6
     }
 }
 
@@ -54,13 +41,6 @@ impl Add for Pj {
 impl AddAssign for Pj {
     fn add_assign(&mut self, rhs: Pj) {
         self.0 += rhs.0;
-    }
-}
-
-impl Sub for Pj {
-    type Output = Pj;
-    fn sub(self, rhs: Pj) -> Pj {
-        Pj(self.0 - rhs.0)
     }
 }
 
@@ -111,86 +91,6 @@ impl fmt::Display for MilliWatts {
     }
 }
 
-/// Accumulates energy for one device: idle power plus per-event charges.
-///
-/// # Examples
-///
-/// ```
-/// use hyperion_sim::energy::{EnergyMeter, MilliWatts, Pj};
-/// use hyperion_sim::time::Ns;
-///
-/// let mut m = EnergyMeter::new(MilliWatts::from_watts(10));
-/// m.run_for(Ns::from_secs(1));        // 10 J static
-/// m.charge(Pj::from_microjoules(5));  // 5 uJ dynamic
-/// assert!((m.total().as_joules_f64() - 10.000005).abs() < 1e-9);
-/// ```
-#[derive(Debug, Clone)]
-pub struct EnergyMeter {
-    idle_power: MilliWatts,
-    static_energy: Pj,
-    dynamic_energy: Pj,
-    active_time: Ns,
-}
-
-impl EnergyMeter {
-    /// Creates a meter for a device with the given idle/static power draw.
-    pub fn new(idle_power: MilliWatts) -> EnergyMeter {
-        EnergyMeter {
-            idle_power,
-            static_energy: Pj::ZERO,
-            dynamic_energy: Pj::ZERO,
-            active_time: Ns::ZERO,
-        }
-    }
-
-    /// Integrates static power over a simulated interval.
-    pub fn run_for(&mut self, dt: Ns) {
-        self.static_energy += self.idle_power.energy_over(dt);
-        self.active_time += dt;
-    }
-
-    /// Adds a dynamic per-operation energy charge.
-    pub fn charge(&mut self, e: Pj) {
-        self.dynamic_energy += e;
-    }
-
-    /// Static (idle-power) energy accumulated so far.
-    pub fn static_energy(&self) -> Pj {
-        self.static_energy
-    }
-
-    /// Dynamic (per-op) energy accumulated so far.
-    pub fn dynamic_energy(&self) -> Pj {
-        self.dynamic_energy
-    }
-
-    /// Total accumulated energy.
-    pub fn total(&self) -> Pj {
-        self.static_energy + self.dynamic_energy
-    }
-
-    /// Total simulated time integrated so far.
-    pub fn active_time(&self) -> Ns {
-        self.active_time
-    }
-
-    /// Average power over the integrated interval, in milliwatts.
-    pub fn average_power(&self) -> MilliWatts {
-        if self.active_time == Ns::ZERO {
-            return MilliWatts(0);
-        }
-        // total [pJ] / time [ns] = mW exactly.
-        MilliWatts((self.total().0 / self.active_time.0 as u128) as u64)
-    }
-
-    /// Resets all accumulators (idle power is kept).
-    pub fn reset(&mut self) {
-        self.static_energy = Pj::ZERO;
-        self.dynamic_energy = Pj::ZERO;
-        self.active_time = Ns::ZERO;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -209,38 +109,9 @@ mod tests {
     }
 
     #[test]
-    fn meter_accumulates_static_and_dynamic() {
-        let mut m = EnergyMeter::new(MilliWatts::from_watts(230));
-        m.run_for(Ns::from_millis(10));
-        m.charge(Pj::from_microjoules(100));
-        // 230 W * 10 ms = 2.3 J.
-        assert!((m.static_energy().as_joules_f64() - 2.3).abs() < 1e-9);
-        assert!((m.dynamic_energy().as_joules_f64() - 1e-4).abs() < 1e-12);
-        assert_eq!(m.total(), m.static_energy() + m.dynamic_energy());
-    }
-
-    #[test]
-    fn average_power_reconstructs_tdp() {
-        let mut m = EnergyMeter::new(MilliWatts::from_watts(1600));
-        m.run_for(Ns::from_secs(2));
-        let avg = m.average_power();
-        assert!((1_599_000..=1_601_000).contains(&avg.0), "avg {avg}");
-    }
-
-    #[test]
     fn display_units() {
         assert_eq!(format!("{}", Pj(500)), "500pJ");
-        assert_eq!(format!("{}", Pj::from_microjoules(2)), "2.000uJ");
+        assert_eq!(format!("{}", Pj(2_000_000)), "2.000uJ");
         assert_eq!(format!("{}", MilliWatts::from_watts(230)), "230.000W");
-    }
-
-    #[test]
-    fn reset_keeps_power_rating() {
-        let mut m = EnergyMeter::new(MilliWatts::from_watts(5));
-        m.run_for(Ns::from_secs(1));
-        m.reset();
-        assert_eq!(m.total(), Pj::ZERO);
-        m.run_for(Ns::from_secs(1));
-        assert!((m.total().as_joules_f64() - 5.0).abs() < 1e-9);
     }
 }

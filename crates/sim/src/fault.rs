@@ -189,14 +189,6 @@ impl FaultPlan {
             .map(|s| (s.evaluated, s.injected))
             .unwrap_or((0, 0))
     }
-
-    /// Iterates `(site, evaluated, injected)` in configuration order,
-    /// for telemetry export.
-    pub fn site_counts(&self) -> impl Iterator<Item = (&str, u64, u64)> {
-        self.sites
-            .iter()
-            .map(|s| (s.name.as_str(), s.evaluated, s.injected))
-    }
 }
 
 impl Default for FaultPlan {

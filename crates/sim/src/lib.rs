@@ -16,8 +16,8 @@
 //!   (Bernoulli sites and failure windows) for the self-healing paths;
 //! * [`stats`] — log-bucketed histograms, run summaries, and structural
 //!   counters (hops/copies/RTTs);
-//! * [`energy`] — picojoule-exact energy meters for the paper's 4–8x
-//!   efficiency claim.
+//! * [`energy`] — picojoule-exact energy and milliwatt power units for
+//!   the paper's 4–8x efficiency claim.
 //!
 //! Nothing in this crate reads wall-clock time or environment state: a
 //! seeded scenario always replays the same timeline.
@@ -33,7 +33,7 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use energy::{EnergyMeter, MilliWatts, Pj};
+pub use energy::{MilliWatts, Pj};
 pub use fault::FaultPlan;
 pub use hash::{IntMap, IntSet};
 pub use resource::{Link, Resource};

@@ -105,13 +105,6 @@ impl BlockStore {
         Ok(c.done)
     }
 
-    /// Writes a buffer padded up to whole blocks.
-    pub fn write_padded(&mut self, lba: u64, mut data: Vec<u8>, now: Ns) -> Result<Ns, BlockError> {
-        let padded = data.len().div_ceil(BLOCK as usize).max(1) * BLOCK as usize;
-        data.resize(padded, 0);
-        self.write(lba, data, now)
-    }
-
     /// Blocks read so far.
     pub fn reads(&self) -> u64 {
         self.reads
@@ -167,14 +160,5 @@ mod tests {
             bs.write(0, vec![1, 2, 3], Ns::ZERO),
             Err(BlockError::BadSize(3))
         ));
-    }
-
-    #[test]
-    fn write_padded_pads() {
-        let mut bs = BlockStore::with_capacity(16);
-        bs.write_padded(0, vec![7u8; 10], Ns::ZERO).unwrap();
-        let (back, _) = bs.read(0, 1, Ns::ZERO).unwrap();
-        assert_eq!(&back[..10], &[7u8; 10]);
-        assert_eq!(back[10], 0);
     }
 }

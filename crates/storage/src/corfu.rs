@@ -585,11 +585,6 @@ impl CorfuLog {
         id
     }
 
-    /// Spare units still waiting in the pool.
-    pub fn spare_units(&self) -> &[usize] {
-        &self.spares
-    }
-
     /// The automatic CORFU failover: marks `failed_unit` dead, seals every
     /// live unit into a new epoch (fencing stragglers — the dead unit is
     /// unreachable and keeps its old epoch, which is exactly why every

@@ -39,7 +39,8 @@ pub const HOST_ACTIVE: MilliWatts = MilliWatts::from_watts(400);
 pub const CLUSTER_ACTIVE: MilliWatts = FABRIC_ACTIVE;
 
 /// The active-power figure used for a component's time-integrated
-/// attribution.
+/// attribution. The match names every component, so a new one does not
+/// compile until it has a power figure here.
 pub fn active_power(c: Component) -> MilliWatts {
     match c {
         Component::Net => NET_ACTIVE,
@@ -49,9 +50,5 @@ pub fn active_power(c: Component) -> MilliWatts {
         Component::Service => SERVICE_ACTIVE,
         Component::Host => HOST_ACTIVE,
         Component::Cluster => CLUSTER_ACTIVE,
-        // `Component` is non_exhaustive for forward-compat; new hops must
-        // add a power figure here before they can be recorded.
-        #[allow(unreachable_patterns)]
-        _ => MilliWatts(0),
     }
 }

@@ -94,7 +94,8 @@ pub struct HopRow {
     pub p99: u64,
     /// Total virtual time spent in the hop.
     pub total: Ns,
-    /// Energy attributed to the hop (time-integrated + explicit charges).
+    /// Energy attributed to the hop: its component's active power over
+    /// the hop's total time.
     pub energy: Pj,
 }
 
@@ -113,8 +114,6 @@ pub struct Recorder {
     /// Named monotonic event counters (faults injected, retries, timeouts,
     /// give-ups). Insertion-ordered; the JSON dump sorts by name.
     counters: Vec<(String, u64)>,
-    /// Loose energy charges that arrived with no open span to attach to.
-    loose_energy: Vec<(Component, Pj)>,
     /// Queueing edges: `(span, ready_at)` — the work inside `span` could
     /// not start before `ready_at` because an earlier request held the
     /// resource (link occupancy, flash die, protocol grant rounds).
@@ -143,7 +142,6 @@ impl Recorder {
             ops: Vec::new(),
             gauges: Vec::new(),
             counters: Vec::new(),
-            loose_energy: Vec::new(),
             queue_edges: Vec::new(),
             edge_resources: Vec::new(),
             instants: Vec::new(),
@@ -277,29 +275,6 @@ impl Recorder {
             .unwrap_or(0)
     }
 
-    /// Adds an explicit (dynamic) energy charge. If a span of the same
-    /// component is open, the charge lands on that hop; otherwise it is
-    /// kept as a loose component-level charge.
-    pub fn charge(&mut self, component: Component, energy: Pj) {
-        let target = self
-            .stack
-            .iter()
-            .rev()
-            .filter_map(|id| self.spans.get(id.0 as usize))
-            .find(|s| s.component == component)
-            .map(|s| s.name);
-        match target {
-            Some(name) => self.hop_entry(component, name).4 += energy,
-            None => {
-                if let Some(i) = self.loose_energy.iter().position(|(c, _)| *c == component) {
-                    self.loose_energy[i].1 += energy;
-                } else {
-                    self.loose_energy.push((component, energy));
-                }
-            }
-        }
-    }
-
     /// Marks a queueing edge on an open or closed span: the work inside
     /// `id` could not start before `ready_at` because an earlier request
     /// held the underlying resource. The critical-path analyzer splits
@@ -431,21 +406,13 @@ impl Recorder {
         self.gauges.iter().map(|(n, g)| (*n, g))
     }
 
-    /// Total energy attributed to `component` (hops + loose charges).
+    /// Total energy attributed to `component`: the sum over its hops.
     pub fn component_energy(&self, component: Component) -> Pj {
-        let hop: Pj = self
-            .hops
+        self.hops
             .iter()
             .filter(|(c, ..)| *c == component)
             .map(|(.., e)| *e)
-            .sum();
-        let loose: Pj = self
-            .loose_energy
-            .iter()
-            .filter(|(c, _)| *c == component)
-            .map(|(_, e)| *e)
-            .sum();
-        hop + loose
+            .sum()
     }
 
     /// Total energy across all components.
@@ -454,12 +421,6 @@ impl Recorder {
             .iter()
             .map(|c| self.component_energy(*c))
             .sum()
-    }
-
-    /// Total virtual time across all hops (double-counts nested spans by
-    /// design: each hop reports its own occupancy).
-    pub fn total_hop_time(&self) -> Ns {
-        Ns(self.hops.iter().map(|(.., t, _)| t.0).sum())
     }
 
     /// Merges another recorder's aggregates into this one (span trees are
@@ -531,13 +492,6 @@ impl Recorder {
         for (n, v) in &other.counters {
             self.count(n, *v);
         }
-        for (c, e) in &other.loose_energy {
-            if let Some(i) = self.loose_energy.iter().position(|(d, _)| d == c) {
-                self.loose_energy[i].1 += *e;
-            } else {
-                self.loose_energy.push((*c, *e));
-            }
-        }
     }
 }
 
@@ -582,19 +536,6 @@ mod tests {
         assert_eq!(rows[1].count, 1);
         // 9 W x 50 ns = 450,000 pJ.
         assert_eq!(rows[1].energy, Pj(9_000 * 50));
-    }
-
-    #[test]
-    fn charges_attach_to_the_open_hop_of_the_component() {
-        let mut r = Recorder::new("t");
-        let id = r.open(Component::Nvme, "flash:prog", Ns(0));
-        r.charge(Component::Nvme, Pj(1_000));
-        r.close(id, Ns(0)); // zero duration: only the explicit charge
-        assert_eq!(r.component_energy(Component::Nvme), Pj(1_000));
-        // No open span: the charge stays at component level.
-        r.charge(Component::Fabric, Pj(77));
-        assert_eq!(r.component_energy(Component::Fabric), Pj(77));
-        assert_eq!(r.total_energy(), Pj(1_077));
     }
 
     #[test]

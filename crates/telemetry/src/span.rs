@@ -2,8 +2,8 @@
 
 use hyperion_sim::time::Ns;
 
-/// The hardware component a span (or an energy charge) attributes to —
-/// the hops of the Figure-2 path.
+/// The hardware component a span attributes to — the hops of the
+/// Figure-2 path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[non_exhaustive]
 pub enum Component {
