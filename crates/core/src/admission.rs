@@ -14,8 +14,8 @@
 //! admitted request registers its completion instant, and the depth seen
 //! by a later request is the number of earlier completions still in the
 //! future. No RNG is involved, so enabling admission control never
-//! perturbs fault-plan draws; it is off by default
-//! (`DpuBuilder::admission`) and absent from every gated baseline.
+//! perturbs fault-plan draws; it is off by default (armed by setting
+//! `HyperionDpu::admission`) and absent from every gated baseline.
 
 use hyperion_sim::time::Ns;
 

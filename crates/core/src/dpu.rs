@@ -5,8 +5,7 @@
 //! root complex with the x16→4x4 bifurcation, and four NVMe SSDs — plus
 //! the software state the blueprint describes: the single-level segment
 //! store (SSD0–1), the Corfu log units (SSD2, striped), and the
-//! block-structure volume hosting the B+ tree / LSM / file system
-//! (SSD3).
+//! block-structure volume hosting the B+ tree and the LSM (SSD3).
 //!
 //! Boot (paper §2): power on → JTAG self-tests → standalone, no host. The
 //! segment translation table is recovered from SSD0's boot area.
@@ -20,7 +19,6 @@ use hyperion_sim::time::Ns;
 use hyperion_storage::blockstore::BlockStore;
 use hyperion_storage::btree::BTree;
 use hyperion_storage::corfu::CorfuLog;
-use hyperion_storage::fs::FileSystem;
 use hyperion_storage::lsm::LsmTree;
 
 /// DPU life-cycle state.
@@ -38,7 +36,7 @@ pub enum DpuState {
 pub enum DpuError {
     /// Single-level store failure during recovery.
     Store(hyperion_mem::seglevel::StoreError),
-    /// Structure volume failure during formatting.
+    /// Structure volume failure while creating the B+ tree.
     Storage(String),
     /// Operation requires a booted DPU.
     NotReady,
@@ -66,6 +64,9 @@ impl From<hyperion_mem::seglevel::StoreError> for DpuError {
 /// (kept modest; the store is sparse).
 pub const SSD_LBAS: u64 = 1 << 24; // 64 GiB per device
 
+/// SSDs backing the single-level segment store (SSD0–1).
+const SEGMENT_SSDS: usize = 2;
+
 /// The complete CPU-free DPU.
 #[derive(Debug)]
 pub struct HyperionDpu {
@@ -81,7 +82,7 @@ pub struct HyperionDpu {
     pub segments: SingleLevelStore,
     /// Corfu shared log (SSD2, striped into 4 units).
     pub log: CorfuLog,
-    /// Structure volume (SSD3): B+ tree, LSM, FS.
+    /// Structure volume (SSD3): B+ tree, LSM.
     pub blocks: BlockStore,
     /// A KV-SSD namespace (Figure 2's "KV-SSD" export): the device-native
     /// alternative to the LSM-over-blocks KV service.
@@ -90,8 +91,6 @@ pub struct HyperionDpu {
     pub btree: Option<BTree>,
     /// The exported KV store.
     pub lsm: LsmTree,
-    /// The exported file system.
-    pub fs: Option<FileSystem>,
     /// AXIS ports of the Figure-2 schematic.
     pub ports: DpuPorts,
     /// Structural counters (`boots`, `served`, `shed`).
@@ -117,55 +116,19 @@ pub struct DpuPorts {
 
 /// Builder for a [`HyperionDpu`].
 ///
-/// Defaults match the prototype blueprint: two segment-store SSDs, five
-/// reconfigurable slots, auth key 0. The builder exposes the assembly
-/// choices the paper treats as deployment parameters.
-#[derive(Debug, Clone, Copy)]
+/// The prototype blueprint fixes two segment-store SSDs and five
+/// reconfigurable slots; the one deployment choice left is the bitstream
+/// authorization key (0 by default). Admission control is armed after
+/// assembly, through [`HyperionDpu::admission`].
+#[derive(Debug, Clone, Copy, Default)]
 pub struct DpuBuilder {
-    segment_ssds: usize,
-    slots: usize,
     auth_key: u64,
-    admission: Option<crate::admission::AdmissionConfig>,
-}
-
-impl Default for DpuBuilder {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl DpuBuilder {
-    /// A builder with the prototype defaults (2 segment SSDs, 5 slots,
-    /// auth key 0).
+    /// A builder with auth key 0.
     pub fn new() -> DpuBuilder {
-        DpuBuilder {
-            segment_ssds: 2,
-            slots: 5,
-            auth_key: 0,
-            admission: None,
-        }
-    }
-
-    /// Number of SSDs backing the single-level segment store.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero.
-    pub fn segment_ssds(mut self, n: usize) -> DpuBuilder {
-        assert!(n > 0, "the segment store needs at least one SSD");
-        self.segment_ssds = n;
-        self
-    }
-
-    /// Number of reconfigurable fabric slots.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero.
-    pub fn slots(mut self, n: usize) -> DpuBuilder {
-        assert!(n > 0, "the fabric needs at least one slot");
-        self.slots = n;
-        self
+        DpuBuilder::default()
     }
 
     /// Bitstream authorization key.
@@ -174,17 +137,9 @@ impl DpuBuilder {
         self
     }
 
-    /// Enables admission control (overload shedding) with `cfg`. Off by
-    /// default: an unconfigured DPU admits every request, so existing
-    /// baselines are untouched.
-    pub fn admission(mut self, cfg: crate::admission::AdmissionConfig) -> DpuBuilder {
-        self.admission = Some(cfg);
-        self
-    }
-
     /// Assembles an unbooted DPU with fresh SSDs.
     pub fn build(self) -> HyperionDpu {
-        let mut fabric = Fabric::u280(self.slots, self.auth_key);
+        let mut fabric = Fabric::u280(self.auth_key);
         let qsfp0 = fabric.switch.add_port("qsfp0").expect("fresh switch");
         let qsfp1 = fabric.switch.add_port("qsfp1").expect("fresh switch");
         let accel = fabric.switch.add_port("accel-row").expect("fresh switch");
@@ -192,7 +147,7 @@ impl DpuBuilder {
             .switch
             .add_port("nvme-host-ip")
             .expect("fresh switch");
-        let devices = (0..self.segment_ssds)
+        let devices = (0..SEGMENT_SSDS)
             .map(|_| NvmeDevice::new_block(SSD_LBAS))
             .collect();
         HyperionDpu {
@@ -206,7 +161,6 @@ impl DpuBuilder {
             kvssd: NvmeDevice::new_kv(SSD_LBAS),
             btree: None,
             lsm: LsmTree::new(),
-            fs: None,
             ports: DpuPorts {
                 qsfp0,
                 qsfp1,
@@ -214,7 +168,7 @@ impl DpuBuilder {
                 nvme,
             },
             counters: Counters::new(),
-            admission: self.admission.map(crate::admission::Admission::new),
+            admission: None,
             booted_at: Ns::ZERO,
         }
     }
@@ -222,8 +176,8 @@ impl DpuBuilder {
 
 impl HyperionDpu {
     /// Boots standalone: JTAG self-tests, then segment-table recovery from
-    /// the boot area, then structure-volume formatting (first boot) —
-    /// no host CPU anywhere on the path. Returns the ready instant.
+    /// the boot area, then (first boot) the exported B+ tree's root — no
+    /// host CPU anywhere on the path. Returns the ready instant.
     pub fn boot(&mut self, now: Ns) -> Result<Ns, DpuError> {
         let t = now + hyperion_fabric::params::SELF_TEST_DURATION;
         // Recover the single-level store from the persisted table: move
@@ -234,18 +188,12 @@ impl HyperionDpu {
         );
         let (recovered, t) = devices.crash_and_recover(t)?;
         self.segments = recovered;
-        // First boot: create the exported structures.
+        // First boot: create the exported tree.
         let mut t = t;
         if self.btree.is_none() {
             let (tree, t2) =
                 BTree::create(&mut self.blocks, t).map_err(|e| DpuError::Storage(e.to_string()))?;
             self.btree = Some(tree);
-            t = t2;
-        }
-        if self.fs.is_none() {
-            let (fs, t2) = FileSystem::format(&mut self.blocks, t)
-                .map_err(|e| DpuError::Storage(e.to_string()))?;
-            self.fs = Some(fs);
             t = t2;
         }
         self.state = DpuState::Ready;
@@ -286,7 +234,7 @@ mod tests {
         assert!(dpu.require_ready().is_err());
         let ready = dpu.boot(Ns::ZERO).unwrap();
         assert_eq!(dpu.state(), DpuState::Ready);
-        // Self-test dominates first boot: 250 ms + recovery + formatting.
+        // Self-test dominates first boot: 250 ms + recovery + tree root.
         assert!(ready >= Ns::from_millis(250));
         assert!(ready < Ns::from_millis(400), "boot took {ready}");
         dpu.require_ready().unwrap();

@@ -12,8 +12,7 @@
 //!   bitstreams over the control port, verify → compile → ICAP deploy of
 //!   eBPF kernels into slots (§2, §2.2);
 //! * [`services`] — the Willow-style RPC surface: KV, B+ tree pointer
-//!   chasing (whole-traversal *and* per-node), shared log and file access
-//!   (§2.4);
+//!   chasing (whole-traversal *and* per-node) and the shared log (§2.4);
 //! * [`tenancy`] — multi-tenant slot execution and the predictability
 //!   property (§2, §2.5, §4 Q4);
 //! * [`platform`] — the paper's physical claims (230 W vs 1,600 W TDP,
@@ -42,5 +41,5 @@ pub use nvmeof::{
     CommandCapsule, FabricOpcode, FabricStatus, Initiator, NvmeOfTarget, ResponseCapsule,
 };
 pub use platform::{PlatformSpec, HYPERION, SERVER_1U};
-pub use services::{FileOp, KvOp, LogOp, ServiceError, ServiceOp, ServiceResponse, TreeOp};
+pub use services::{KvOp, LogOp, ServiceError, ServiceOp, ServiceResponse, TreeOp};
 pub use tenancy::{run_with_co_tenants, TenancyReport};

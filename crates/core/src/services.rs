@@ -8,20 +8,19 @@
 //! completion time is the *server work* a transport charges between
 //! request arrival and response departure — with no host CPU anywhere.
 //!
-//! The surface is typed by domain: [`TreeOp`], [`LogOp`] and [`FileOp`]
-//! each dispatch with the uniform signature
-//! `dispatch(self, &mut HyperionDpu, now) -> Result<(ServiceResponse, Ns),
-//! ServiceError>`; [`KvOp`]'s `dispatch_traced` also takes the optional
-//! recorder its KV-SSD device spans nest under. [`ServiceOp`] is the
-//! umbrella a transport endpoint routes on, through
-//! [`HyperionDpu::dispatch_traced`], the one path every caller takes.
+//! The surface is typed by domain: [`KvOp`], [`TreeOp`] and [`LogOp`].
+//! [`ServiceOp`] is the umbrella a transport endpoint routes on, and
+//! [`HyperionDpu::dispatch_traced`] is the one body that runs an op of
+//! any group.
 //!
 //! `TreeOp::NodeRead` exists for the baseline side of experiment E6: a
 //! client-driven pointer chase fetches one node per RPC, while
 //! `TreeOp::Lookup` does the whole traversal in one RPC.
 
 use bytes::Bytes;
+use hyperion_nvme::device::{Command, NvmeError, Response};
 use hyperion_sim::time::Ns;
+use hyperion_storage::blockstore::BlockError;
 use hyperion_storage::corfu::LogEntry;
 use hyperion_telemetry::{Component, Recorder};
 
@@ -44,8 +43,6 @@ pub enum ServiceResponse {
     },
     /// Log entry.
     Entry(LogEntry),
-    /// File contents.
-    File(Bytes),
     /// KV-SSD value (None on miss).
     KvValue(Option<Bytes>),
 }
@@ -62,10 +59,8 @@ pub enum ServiceError {
     Lsm(hyperion_storage::lsm::LsmError),
     /// Log failure.
     Log(hyperion_storage::corfu::CorfuError),
-    /// File system failure.
-    Fs(hyperion_storage::fs::FsError),
     /// Block-layer failure.
-    Block(hyperion_storage::blockstore::BlockError),
+    Block(BlockError),
     /// A subsystem the op needs is not present on this DPU (e.g. the
     /// boot sequence skipped it or it was taken offline). The request is
     /// well-formed; a retry only helps after the subsystem returns.
@@ -100,7 +95,6 @@ impl std::fmt::Display for ServiceError {
             ServiceError::Tree(e) => write!(f, "btree: {e}"),
             ServiceError::Lsm(e) => write!(f, "lsm: {e}"),
             ServiceError::Log(e) => write!(f, "log: {e}"),
-            ServiceError::Fs(e) => write!(f, "fs: {e}"),
             ServiceError::Block(e) => write!(f, "block: {e}"),
             ServiceError::Unavailable { what } => write!(f, "unavailable: {what}"),
             ServiceError::Degraded { what } => write!(f, "degraded: {what}"),
@@ -118,7 +112,6 @@ impl std::error::Error for ServiceError {
             ServiceError::Tree(e) => Some(e),
             ServiceError::Lsm(e) => Some(e),
             ServiceError::Log(e) => Some(e),
-            ServiceError::Fs(e) => Some(e),
             ServiceError::Block(e) => Some(e),
             _ => None,
         }
@@ -199,17 +192,6 @@ pub enum LogOp {
     },
 }
 
-/// File-system operations.
-#[derive(Debug, Clone)]
-#[non_exhaustive]
-pub enum FileOp {
-    /// Read a whole file by path through the on-DPU file system.
-    Read {
-        /// Absolute path.
-        path: String,
-    },
-}
-
 /// The umbrella over every op group: what a transport endpoint routes on.
 #[derive(Debug, Clone)]
 #[non_exhaustive]
@@ -220,8 +202,6 @@ pub enum ServiceOp {
     Tree(TreeOp),
     /// Shared-log ops.
     Log(LogOp),
-    /// File-system ops.
-    File(FileOp),
 }
 
 impl From<KvOp> for ServiceOp {
@@ -242,205 +222,30 @@ impl From<LogOp> for ServiceOp {
     }
 }
 
-impl From<FileOp> for ServiceOp {
-    fn from(op: FileOp) -> ServiceOp {
-        ServiceOp::File(op)
-    }
-}
-
-impl KvOp {
-    /// Telemetry/report label for this op.
-    pub fn label(&self) -> &'static str {
-        match self {
-            KvOp::Put { .. } => "kv.put",
-            KvOp::Get { .. } => "kv.get",
-            KvOp::SsdPut { .. } => "kvssd.put",
-            KvOp::SsdGet { .. } => "kvssd.get",
-        }
-    }
-
-    /// Runs this op on the DPU at `now`; returns the response and the
-    /// instant the DPU finishes the work. With a recorder, KV-SSD commands
-    /// record their device span (see
-    /// [`NvmeDevice::submit_traced`](hyperion_nvme::device::NvmeDevice::submit_traced)).
-    pub fn dispatch_traced(
-        self,
-        dpu: &mut HyperionDpu,
-        now: Ns,
-        rec: Option<&mut Recorder>,
-    ) -> Result<(ServiceResponse, Ns), ServiceError> {
-        dpu.require_ready().map_err(ServiceError::Dpu)?;
-        let kv_ssd_err = |e: hyperion_nvme::device::NvmeError| match e {
-            // The device already retried and remapped what it could; the
-            // namespace keeps serving other keys.
-            hyperion_nvme::device::NvmeError::MediaError { .. } => ServiceError::Degraded {
-                what: "kv-ssd namespace media",
-            },
-            e => ServiceError::Block(hyperion_storage::blockstore::BlockError::Device(
-                e.to_string(),
-            )),
-        };
-        match self {
-            KvOp::Put { key, value } => {
-                let t = dpu
-                    .lsm
-                    .put(&mut dpu.blocks, key, value, now)
-                    .map_err(ServiceError::Lsm)?;
-                Ok((ServiceResponse::Ok, t))
-            }
-            KvOp::Get { key } => {
-                let (v, t) = dpu
-                    .lsm
-                    .get(&mut dpu.blocks, key, now)
-                    .map_err(ServiceError::Lsm)?;
-                Ok((ServiceResponse::Value(v), t))
-            }
-            KvOp::SsdPut { key, value } => {
-                let cmd = hyperion_nvme::device::Command::KvPut { key, value };
-                let c = dpu.kvssd.submit_traced(cmd, now, rec).map_err(kv_ssd_err)?;
-                Ok((ServiceResponse::Ok, c.done))
-            }
-            KvOp::SsdGet { key } => {
-                let cmd = hyperion_nvme::device::Command::KvGet { key };
-                let c = dpu.kvssd.submit_traced(cmd, now, rec).map_err(kv_ssd_err)?;
-                let value = match c.response {
-                    hyperion_nvme::device::Response::Data(d) => Some(d),
-                    _ => None,
-                };
-                Ok((ServiceResponse::KvValue(value), c.done))
-            }
-        }
-    }
-}
-
-impl TreeOp {
-    /// Telemetry/report label for this op.
-    pub fn label(&self) -> &'static str {
-        match self {
-            TreeOp::Insert { .. } => "tree.insert",
-            TreeOp::Lookup { .. } => "tree.lookup",
-            TreeOp::NodeRead { .. } => "tree.node_read",
-        }
-    }
-
-    /// Runs this op on the DPU at `now`; returns the response and the
-    /// instant the DPU finishes the work.
-    pub fn dispatch(
-        self,
-        dpu: &mut HyperionDpu,
-        now: Ns,
-    ) -> Result<(ServiceResponse, Ns), ServiceError> {
-        dpu.require_ready().map_err(ServiceError::Dpu)?;
-        match self {
-            TreeOp::Insert { key, value } => {
-                let tree = dpu
-                    .btree
-                    .as_mut()
-                    .ok_or(ServiceError::Unavailable { what: "btree" })?;
-                let t = tree
-                    .insert(&mut dpu.blocks, key, value, now)
-                    .map_err(ServiceError::Tree)?;
-                Ok((ServiceResponse::Ok, t))
-            }
-            TreeOp::Lookup { key } => {
-                let tree = dpu
-                    .btree
-                    .as_ref()
-                    .ok_or(ServiceError::Unavailable { what: "btree" })?;
-                let (v, t) = tree
-                    .get(&mut dpu.blocks, key, now)
-                    .map_err(ServiceError::Tree)?;
-                Ok((ServiceResponse::Value(v), t))
-            }
-            TreeOp::NodeRead { lba } => {
-                let (data, t) = dpu.blocks.read(lba, 1, now).map_err(ServiceError::Block)?;
-                Ok((ServiceResponse::Node(data), t))
-            }
-        }
-    }
-}
-
-impl LogOp {
-    /// Telemetry/report label for this op.
-    pub fn label(&self) -> &'static str {
-        match self {
-            LogOp::Append { .. } => "log.append",
-            LogOp::Read { .. } => "log.read",
-        }
-    }
-
-    /// Runs this op on the DPU at `now`; returns the response and the
-    /// instant the DPU finishes the work.
-    pub fn dispatch(
-        self,
-        dpu: &mut HyperionDpu,
-        now: Ns,
-    ) -> Result<(ServiceResponse, Ns), ServiceError> {
-        dpu.require_ready().map_err(ServiceError::Dpu)?;
-        match self {
-            LogOp::Append { data } => {
-                let (position, t) = dpu.log.append(&data, now).map_err(ServiceError::Log)?;
-                Ok((ServiceResponse::Appended { position }, t))
-            }
-            LogOp::Read { position } => {
-                let (entry, t) = dpu.log.read(position, now).map_err(ServiceError::Log)?;
-                Ok((ServiceResponse::Entry(entry), t))
-            }
-        }
-    }
-}
-
-impl FileOp {
-    /// Telemetry/report label for this op.
-    pub fn label(&self) -> &'static str {
-        match self {
-            FileOp::Read { .. } => "file.read",
-        }
-    }
-
-    /// Runs this op on the DPU at `now`; returns the response and the
-    /// instant the DPU finishes the work.
-    pub fn dispatch(
-        self,
-        dpu: &mut HyperionDpu,
-        now: Ns,
-    ) -> Result<(ServiceResponse, Ns), ServiceError> {
-        dpu.require_ready().map_err(ServiceError::Dpu)?;
-        match self {
-            FileOp::Read { path } => {
-                let fs = dpu
-                    .fs
-                    .as_ref()
-                    .ok_or(ServiceError::Unavailable { what: "fs" })?;
-                let (data, t) = fs
-                    .read_file(&mut dpu.blocks, &path, now)
-                    .map_err(ServiceError::Fs)?;
-                Ok((ServiceResponse::File(Bytes::from(data)), t))
-            }
-        }
-    }
-}
-
 impl ServiceOp {
     /// Telemetry/report label for this op.
     pub fn label(&self) -> &'static str {
         match self {
-            ServiceOp::Kv(op) => op.label(),
-            ServiceOp::Tree(op) => op.label(),
-            ServiceOp::Log(op) => op.label(),
-            ServiceOp::File(op) => op.label(),
+            ServiceOp::Kv(KvOp::Put { .. }) => "kv.put",
+            ServiceOp::Kv(KvOp::Get { .. }) => "kv.get",
+            ServiceOp::Kv(KvOp::SsdPut { .. }) => "kvssd.put",
+            ServiceOp::Kv(KvOp::SsdGet { .. }) => "kvssd.get",
+            ServiceOp::Tree(TreeOp::Insert { .. }) => "tree.insert",
+            ServiceOp::Tree(TreeOp::Lookup { .. }) => "tree.lookup",
+            ServiceOp::Tree(TreeOp::NodeRead { .. }) => "tree.node_read",
+            ServiceOp::Log(LogOp::Append { .. }) => "log.append",
+            ServiceOp::Log(LogOp::Read { .. }) => "log.read",
         }
     }
 
     /// The op-group label SLO digests aggregate under (`kv`, `tree`,
-    /// `log`, `file`): coarser than [`ServiceOp::label`], one
-    /// bucket per service family.
+    /// `log`): coarser than [`ServiceOp::label`], one bucket per service
+    /// family.
     pub fn group(&self) -> &'static str {
         match self {
             ServiceOp::Kv(_) => "kv",
             ServiceOp::Tree(_) => "tree",
             ServiceOp::Log(_) => "log",
-            ServiceOp::File(_) => "file",
         }
     }
 }
@@ -458,12 +263,14 @@ impl HyperionDpu {
     /// Runs one typed op at `now`; returns the response and the instant
     /// the DPU finishes the work. [`HyperionDpu::dispatch`] accepts any op
     /// group via `Into<ServiceOp>`; this body takes the converted op, so
-    /// it is compiled once.
+    /// it is compiled once. It is the one body that runs an op, in this
+    /// order: admission, the `served` count, the ready check, the op.
     ///
     /// With a recorder: a [`Component::Service`] span over the op, a
     /// per-op latency sample under the op's label, a fabric
     /// slot-occupancy gauge, a `service:shed` count per shed request, and
-    /// nested device spans where the op touches the KV-SSD.
+    /// nested device spans where the op touches the KV-SSD (see
+    /// [`NvmeDevice::submit_traced`](hyperion_nvme::device::NvmeDevice::submit_traced)).
     pub fn dispatch_traced(
         &mut self,
         now: Ns,
@@ -495,17 +302,84 @@ impl HyperionDpu {
                 }
             }
             self.counters.bump("served");
-            let result = match op {
-                ServiceOp::Kv(op) => op.dispatch_traced(self, now, rec.as_deref_mut()),
-                ServiceOp::Tree(op) => op.dispatch(self, now),
-                ServiceOp::Log(op) => op.dispatch(self, now),
-                ServiceOp::File(op) => op.dispatch(self, now),
+            self.require_ready().map_err(ServiceError::Dpu)?;
+            let kv_ssd_err = |e: NvmeError| match e {
+                // The device already retried and remapped what it could;
+                // the namespace keeps serving other keys.
+                NvmeError::MediaError { .. } => ServiceError::Degraded {
+                    what: "kv-ssd namespace media",
+                },
+                e => ServiceError::Block(BlockError::Device(e.to_string())),
             };
-            if let (Some(adm), Ok((_, done))) = (self.admission.as_mut(), &result) {
-                adm.record(*done);
-            }
-            result
+            let no_btree = ServiceError::Unavailable { what: "btree" };
+            Ok(match op {
+                ServiceOp::Kv(KvOp::Put { key, value }) => {
+                    let t = self
+                        .lsm
+                        .put(&mut self.blocks, key, value, now)
+                        .map_err(ServiceError::Lsm)?;
+                    (ServiceResponse::Ok, t)
+                }
+                ServiceOp::Kv(KvOp::Get { key }) => {
+                    let (v, t) = self
+                        .lsm
+                        .get(&mut self.blocks, key, now)
+                        .map_err(ServiceError::Lsm)?;
+                    (ServiceResponse::Value(v), t)
+                }
+                ServiceOp::Kv(KvOp::SsdPut { key, value }) => {
+                    let cmd = Command::KvPut { key, value };
+                    let rec = rec.as_deref_mut();
+                    let c = self
+                        .kvssd
+                        .submit_traced(cmd, now, rec)
+                        .map_err(kv_ssd_err)?;
+                    (ServiceResponse::Ok, c.done)
+                }
+                ServiceOp::Kv(KvOp::SsdGet { key }) => {
+                    let cmd = Command::KvGet { key };
+                    let rec = rec.as_deref_mut();
+                    let c = self
+                        .kvssd
+                        .submit_traced(cmd, now, rec)
+                        .map_err(kv_ssd_err)?;
+                    let value = match c.response {
+                        Response::Data(d) => Some(d),
+                        _ => None,
+                    };
+                    (ServiceResponse::KvValue(value), c.done)
+                }
+                ServiceOp::Tree(TreeOp::Insert { key, value }) => {
+                    let tree = self.btree.as_mut().ok_or(no_btree)?;
+                    let t = tree
+                        .insert(&mut self.blocks, key, value, now)
+                        .map_err(ServiceError::Tree)?;
+                    (ServiceResponse::Ok, t)
+                }
+                ServiceOp::Tree(TreeOp::Lookup { key }) => {
+                    let tree = self.btree.as_ref().ok_or(no_btree)?;
+                    let (v, t) = tree
+                        .get(&mut self.blocks, key, now)
+                        .map_err(ServiceError::Tree)?;
+                    (ServiceResponse::Value(v), t)
+                }
+                ServiceOp::Tree(TreeOp::NodeRead { lba }) => {
+                    let (data, t) = self.blocks.read(lba, 1, now).map_err(ServiceError::Block)?;
+                    (ServiceResponse::Node(data), t)
+                }
+                ServiceOp::Log(LogOp::Append { data }) => {
+                    let (position, t) = self.log.append(&data, now).map_err(ServiceError::Log)?;
+                    (ServiceResponse::Appended { position }, t)
+                }
+                ServiceOp::Log(LogOp::Read { position }) => {
+                    let (entry, t) = self.log.read(position, now).map_err(ServiceError::Log)?;
+                    (ServiceResponse::Entry(entry), t)
+                }
+            })
         })();
+        if let (Some(adm), Ok((_, done))) = (self.admission.as_mut(), &result) {
+            adm.record(*done);
+        }
         if let (Some(rec), Some(span)) = (rec, span) {
             match &result {
                 Ok((_, t)) => {
@@ -585,10 +459,9 @@ mod tests {
     fn missing_subsystems_surface_typed_unavailable_not_panics() {
         let mut dpu = booted();
         let t = dpu.booted_at();
-        // Take the tree and fs offline: dispatch must degrade to a typed
-        // error instead of panicking on the old `expect` sites.
+        // Take the tree offline: dispatch must degrade to a typed error
+        // instead of panicking on the old `expect` sites.
         dpu.btree = None;
-        dpu.fs = None;
         let tree = dpu.dispatch(t, TreeOp::Lookup { key: 1 });
         assert!(matches!(
             tree,
@@ -599,24 +472,18 @@ mod tests {
             ins,
             Err(ServiceError::Unavailable { what: "btree" })
         ));
-        let file = dpu.dispatch(t, FileOp::Read { path: "/x".into() });
-        assert!(matches!(
-            file,
-            Err(ServiceError::Unavailable { what: "fs" })
-        ));
     }
 
     #[test]
     fn admission_sheds_with_typed_overloaded() {
-        let mut dpu = crate::dpu::DpuBuilder::new()
-            .auth_key(1)
-            .admission(crate::admission::AdmissionConfig {
+        let mut dpu = booted();
+        dpu.admission = Some(crate::admission::Admission::new(
+            crate::admission::AdmissionConfig {
                 max_inflight: 4,
                 high_watermark: 2,
                 low_watermark: 1,
-            })
-            .build();
-        dpu.boot(Ns::ZERO).unwrap();
+            },
+        ));
         let t = dpu.booted_at();
         // Two flash-backed requests land at the same instant: their NVMe
         // programs are still inflight when the third request arrives, so
@@ -701,31 +568,6 @@ mod tests {
             panic!("expected entry");
         };
         assert_eq!(d.as_ref(), b"entry");
-    }
-
-    #[test]
-    fn file_service_reads_fs_files() {
-        let mut dpu = booted();
-        let mut t = dpu.booted_at();
-        {
-            let fs = dpu.fs.as_mut().unwrap();
-            let (_, t2) = fs
-                .create_file(&mut dpu.blocks, "/hello", b"cpu-free", t)
-                .unwrap();
-            t = t2;
-        }
-        let (resp, _) = dpu
-            .dispatch(
-                t,
-                FileOp::Read {
-                    path: "/hello".into(),
-                },
-            )
-            .unwrap();
-        let ServiceResponse::File(data) = resp else {
-            panic!("expected file");
-        };
-        assert_eq!(data.as_ref(), b"cpu-free");
     }
 
     #[test]

@@ -16,8 +16,8 @@
 
 use bytes::Bytes;
 use hyperion::{
-    crash_site, AdmissionConfig, ClusterError, ClusterSupervisor, DpuBuilder, DpuCluster,
-    HyperionDpu, KvOp, ServiceError, DEFAULT_PHI_THRESHOLD,
+    crash_site, Admission, AdmissionConfig, ClusterError, ClusterSupervisor, DpuBuilder,
+    DpuCluster, HyperionDpu, KvOp, ServiceError, DEFAULT_PHI_THRESHOLD,
 };
 use hyperion_net::NodeId;
 use hyperion_sim::fault::FaultPlan;
@@ -26,12 +26,9 @@ use hyperion_storage::corfu::{CorfuError, CorfuLog};
 use proptest::prelude::*;
 
 fn booted(admission: Option<AdmissionConfig>) -> HyperionDpu {
-    let mut b = DpuBuilder::new().auth_key(1);
-    if let Some(cfg) = admission {
-        b = b.admission(cfg);
-    }
-    let mut dpu = b.build();
+    let mut dpu = DpuBuilder::new().auth_key(1).build();
     dpu.boot(Ns::ZERO).expect("boot");
+    dpu.admission = admission.map(Admission::new);
     dpu
 }
 

@@ -31,6 +31,9 @@ pub use memtier::{MemoryTier, Tier};
 pub use resources::ResourceBudget;
 pub use slots::{Resident, SlotError, SlotId, SlotManager};
 
+/// Reconfigurable slots the prototype carves the die into.
+const SLOTS: usize = 5;
+
 /// The assembled fabric of one Hyperion board.
 ///
 /// Owns the slot manager and the stream switch. Higher layers (the
@@ -45,11 +48,11 @@ pub struct Fabric {
 }
 
 impl Fabric {
-    /// Builds a U280-parameterized fabric with `n_slots` reconfigurable
-    /// slots and the given bitstream authorization key.
-    pub fn u280(n_slots: usize, auth_key: u64) -> Fabric {
+    /// Builds a U280-parameterized fabric with the prototype's five
+    /// reconfigurable slots and the given bitstream authorization key.
+    pub fn u280(auth_key: u64) -> Fabric {
         Fabric {
-            slots: SlotManager::new(params::U280_BUDGET, n_slots, auth_key),
+            slots: SlotManager::new(params::U280_BUDGET, SLOTS, auth_key),
             switch: AxiSwitch::new(ClockDomain::new(params::DEFAULT_CLOCK_MHZ), 64),
         }
     }
@@ -66,7 +69,7 @@ mod tests {
 
     #[test]
     fn u280_fabric_assembles() {
-        let f = Fabric::u280(5, 7);
+        let f = Fabric::u280(7);
         assert_eq!(f.slots.num_slots(), 5);
         assert!(f.switch.bandwidth_bps() >= 100_000_000_000);
     }

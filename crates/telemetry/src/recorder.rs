@@ -104,7 +104,12 @@ pub struct HopRow {
 pub struct Recorder {
     label: String,
     spans: Vec<Span>,
-    stack: Vec<SpanId>,
+    /// Open spans, innermost last: each with what its close aggregates,
+    /// so spans past the retention bound still reach the hop tables.
+    stack: Vec<(SpanId, Component, &'static str, Ns)>,
+    /// Spans opened so far: the next span's id. Equals `spans.len()`
+    /// below the retention bound and keeps counting past it.
+    opened: u32,
     /// (component, hop name) → latency histogram + totals. Linear lookup:
     /// the hop set is small (tens) and insertion-ordered.
     hops: Vec<(Component, &'static str, Histogram, Ns, Pj)>,
@@ -138,6 +143,7 @@ impl Recorder {
             label: label.into(),
             spans: Vec::new(),
             stack: Vec::new(),
+            opened: 0,
             hops: Vec::new(),
             ops: Vec::new(),
             gauges: Vec::new(),
@@ -157,17 +163,18 @@ impl Recorder {
     /// Opens a span at `start`, nested under the currently open span.
     /// Returns the handle to pass to [`Recorder::close`].
     pub fn open(&mut self, component: Component, name: &'static str, start: Ns) -> SpanId {
-        let id = SpanId(self.spans.len() as u32);
+        let id = SpanId(self.opened);
+        self.opened += 1;
         if self.spans.len() < MAX_RETAINED_SPANS {
             self.spans.push(Span {
                 name,
                 component,
                 start,
                 end: None,
-                parent: self.stack.last().copied(),
+                parent: self.stack.last().map(|open| open.0),
             });
         }
-        self.stack.push(id);
+        self.stack.push((id, component, name, start));
         id
     }
 
@@ -180,18 +187,12 @@ impl Recorder {
     /// Panics if `id` is not the innermost open span (mis-nested
     /// instrumentation is a bug worth failing loudly on).
     pub fn close(&mut self, id: SpanId, end: Ns) {
-        let top = self.stack.pop().expect("close with no open span");
+        let (top, component, name, start) = self.stack.pop().expect("close with no open span");
         assert_eq!(top, id, "spans must close innermost-first");
-        let (component, name, dur) = match self.spans.get_mut(id.0 as usize) {
-            Some(span) => {
-                span.end = Some(end);
-                (span.component, span.name, span.duration())
-            }
-            // Past the retention bound the span carries no record; the
-            // caller-supplied handle still tells us nothing, so skip the
-            // histogram update only in that (bounded-overflow) case.
-            None => return,
-        };
+        if let Some(span) = self.spans.get_mut(id.as_index()) {
+            span.end = Some(end);
+        }
+        let dur = end.saturating_sub(start);
         let energy = power::active_power(component).energy_over(dur);
         let row = self.hop_entry(component, name);
         row.2.record_ns(dur);
@@ -443,6 +444,7 @@ impl Recorder {
             s.parent = s.parent.map(|SpanId(p)| SpanId(p + base));
             self.spans.push(s);
         }
+        self.opened += other.opened;
         for (SpanId(s), ready) in &other.queue_edges {
             // Only edges whose rebased span survived the retention bound.
             if ((*s + base) as usize) < self.spans.len() {
@@ -536,6 +538,26 @@ mod tests {
         assert_eq!(rows[1].count, 1);
         // 9 W x 50 ns = 450,000 pJ.
         assert_eq!(rows[1].energy, Pj(9_000 * 50));
+    }
+
+    #[test]
+    fn hops_keep_aggregating_past_the_retention_bound() {
+        let mut r = Recorder::new("t");
+        for i in 0..70_000u64 {
+            r.record_hop(Component::Pcie, "dma", Ns(i), Ns(i + 1));
+        }
+        assert_eq!(r.spans().len(), MAX_RETAINED_SPANS);
+        let rows = r.hop_rows();
+        assert_eq!(rows[0].count, 70_000);
+        assert_eq!(rows[0].total, Ns(70_000));
+        assert_eq!(rows[0].energy, Pj(9_000 * 70_000));
+        // Past the bound, nested spans still get distinct ids.
+        let outer = r.open(Component::Service, "kv.get", Ns(0));
+        let inner = r.open(Component::Nvme, "flash:read", Ns(1));
+        assert_ne!(outer, inner);
+        r.close(inner, Ns(2));
+        r.close(outer, Ns(3));
+        assert_eq!(r.open_spans(), 0);
     }
 
     #[test]
