@@ -9,18 +9,12 @@
 //! two indexings, and the table costs one pointer per chunk up to the
 //! highest LBA written (512 KiB on a 2^24-LBA SSD) plus the chunks written.
 
-use std::ops::Range;
-
 use bytes::Bytes;
 
-use crate::params;
 use crate::prefixes::Prefix;
 
 /// LBAs per chunk.
-pub(crate) const CHUNK: u64 = 256;
-
-// A zone reset drops whole chunks.
-const _: () = assert!(params::ZONE_LBAS.is_multiple_of(CHUNK));
+const CHUNK: u64 = 256;
 
 /// One written LBA as the device holds it.
 #[derive(Debug)]
@@ -42,7 +36,7 @@ pub(crate) struct BlockTable {
 }
 
 impl BlockTable {
-    /// What `lba` holds; `None` if it was never written (or was erased).
+    /// What `lba` holds; `None` if it was never written.
     pub(crate) fn get(&self, lba: u64) -> Option<&Stored> {
         let chunk = self.chunks.get(index(lba))?.as_deref()?;
         chunk[(lba % CHUNK) as usize].as_ref()
@@ -59,31 +53,12 @@ impl BlockTable {
         &mut chunk[(lba % CHUNK) as usize]
     }
 
-    /// Chunks allocated.
-    #[cfg(test)]
-    pub(crate) fn chunks(&self) -> usize {
-        self.chunks.iter().flatten().count()
-    }
-
     /// What every written LBA holds, in LBA order.
     pub(crate) fn iter_mut(&mut self) -> impl Iterator<Item = &mut Stored> {
         self.chunks
             .iter_mut()
             .flatten()
             .flat_map(|chunk| chunk.iter_mut().flatten())
-    }
-
-    /// Forgets every LBA in `lbas`, a range of whole chunks, dropping
-    /// their chunks; `erased` sees what each written one held.
-    pub(crate) fn erase(&mut self, lbas: Range<u64>, erased: impl FnMut(Stored)) {
-        debug_assert!(lbas.start.is_multiple_of(CHUNK) && lbas.end.is_multiple_of(CHUNK));
-        let end = index(lbas.end).min(self.chunks.len());
-        let start = index(lbas.start).min(end);
-        self.chunks[start..end]
-            .iter_mut()
-            .filter_map(Option::take)
-            .flat_map(|chunk| (chunk as Box<[_]>).into_vec().into_iter().flatten())
-            .for_each(erased);
     }
 }
 

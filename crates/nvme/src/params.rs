@@ -13,9 +13,6 @@ pub const LBA_SIZE: u64 = 4_096;
 /// NAND page size.
 pub const PAGE_SIZE: u64 = 16_384;
 
-/// Pages per erase block.
-pub const PAGES_PER_BLOCK: u64 = 256;
-
 /// Flash channels per SSD.
 pub const CHANNELS: usize = 8;
 
@@ -36,9 +33,3 @@ pub const CHANNEL_BPS: u64 = 9_600_000_000;
 
 /// Controller fixed overhead per command (firmware, FTL lookup, DMA setup).
 pub const CONTROLLER_OVERHEAD: Ns = Ns(2_500);
-
-/// Default submission/completion queue depth.
-pub const QUEUE_DEPTH: usize = 256;
-
-/// Zone size for ZNS namespaces (256 MiB), in LBAs.
-pub const ZONE_LBAS: u64 = (256 << 20) / LBA_SIZE;

@@ -28,7 +28,7 @@ impl Prefix {
 }
 
 /// The slabs, with the bytes still referred to (`live`) and those whose
-/// block was overwritten or erased (`dead`).
+/// block was overwritten (`dead`).
 #[derive(Debug, Default)]
 pub(crate) struct Prefixes {
     slabs: Vec<Vec<u8>>,

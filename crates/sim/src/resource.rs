@@ -30,7 +30,6 @@ pub struct Resource {
     /// Completion times of the in-flight/last jobs on each server, kept as a
     /// small unsorted vec (k is tiny in all our models).
     servers: Vec<Ns>,
-    jobs: u64,
 }
 
 impl Resource {
@@ -44,7 +43,6 @@ impl Resource {
         Resource {
             name,
             servers: vec![Ns::ZERO; k],
-            jobs: 0,
         }
     }
 
@@ -77,7 +75,6 @@ impl Resource {
         let start = now.max(free_at);
         let done = start + service;
         self.servers[idx] = done;
-        self.jobs += 1;
         (start, done)
     }
 
@@ -91,19 +88,6 @@ impl Resource {
             .min()
             .expect("resource has at least one server");
         now.max(free_at)
-    }
-
-    /// Number of requests served.
-    pub fn jobs(&self) -> u64 {
-        self.jobs
-    }
-
-    /// Resets the timeline (used between experiment repetitions).
-    pub fn reset(&mut self) {
-        for s in &mut self.servers {
-            *s = Ns::ZERO;
-        }
-        self.jobs = 0;
     }
 }
 
@@ -134,40 +118,19 @@ impl Link {
         }
     }
 
-    /// Transmits `bytes` starting no earlier than `now`; returns the instant
-    /// the last bit arrives at the far end.
-    pub fn transmit(&mut self, now: Ns, bytes: u64) -> Ns {
-        self.transmit_interval(now, bytes).2
-    }
-
-    /// [`Link::transmit`], also returning the wire's busy window: `(ser
-    /// start, ser end, arrival)`. The wire is occupied for `[start, end)`;
-    /// the last bit lands at `arrival = end + propagation`. Same timing as
-    /// `transmit`.
+    /// Transmits `bytes` starting no earlier than `now`. Returns the wire's
+    /// busy window and the arrival: `(ser start, ser end, arrival)`. The
+    /// wire is occupied for `[start, end)`; the last bit lands at the far
+    /// end at `arrival = end + propagation`.
     pub fn transmit_interval(&mut self, now: Ns, bytes: u64) -> (Ns, Ns, Ns) {
         let ser = serialization_delay(bytes, self.bits_per_sec);
         let (start, end) = self.line.access_interval(now, ser);
         (start, end, end + self.propagation)
     }
 
-    /// The link's one-way propagation delay.
-    pub fn propagation(&self) -> Ns {
-        self.propagation
-    }
-
     /// The link's bandwidth in bits per second.
     pub fn bandwidth_bps(&self) -> u64 {
         self.bits_per_sec
-    }
-
-    /// Serialization delay for a frame of `bytes` on an idle link.
-    pub fn serialization(&self, bytes: u64) -> Ns {
-        serialization_delay(bytes, self.bits_per_sec)
-    }
-
-    /// Resets the link timeline.
-    pub fn reset(&mut self) {
-        self.line.reset();
     }
 }
 
@@ -181,7 +144,6 @@ mod tests {
         assert_eq!(r.access(Ns(0), Ns(10)), Ns(10));
         assert_eq!(r.access(Ns(0), Ns(10)), Ns(20));
         assert_eq!(r.access(Ns(100), Ns(10)), Ns(110)); // idle gap
-        assert_eq!(r.jobs(), 3);
     }
 
     #[test]
@@ -197,7 +159,8 @@ mod tests {
         let mut r = Resource::new("r", 1);
         r.access(Ns(0), Ns(50));
         assert_eq!(r.earliest_start(Ns(0)), Ns(50));
-        assert_eq!(r.jobs(), 1);
+        // Nothing was admitted: the next request still starts at 50.
+        assert_eq!(r.access_interval(Ns(0), Ns(10)), (Ns(50), Ns(60)));
     }
 
     #[test]
@@ -205,8 +168,8 @@ mod tests {
         // 1 Gbps, 1000ns propagation. A 125-byte frame takes 1000ns to
         // serialize.
         let mut l = Link::new("l", 1_000_000_000, Ns(1000));
-        let a = l.transmit(Ns(0), 125);
-        let b = l.transmit(Ns(0), 125);
+        let a = l.transmit_interval(Ns(0), 125).2;
+        let b = l.transmit_interval(Ns(0), 125).2;
         assert_eq!(a, Ns(2000)); // 1000 ser + 1000 prop
         assert_eq!(b, Ns(3000)); // waits for the wire, then overlapping flight
     }
@@ -223,14 +186,5 @@ mod tests {
             l.transmit_interval(Ns(0), 125),
             (Ns(1000), Ns(2000), Ns(3000))
         );
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let mut r = Resource::new("r", 1);
-        r.access(Ns(0), Ns(10));
-        r.reset();
-        assert_eq!(r.jobs(), 0);
-        assert_eq!(r.access(Ns(0), Ns(10)), Ns(10));
     }
 }

@@ -1,8 +1,10 @@
-//! Closed-form oracles for the `Resource` timeline: one client issues
-//! Poisson arrivals in time order, and the measured mean queue wait must
-//! match queueing theory.
+//! Closed-form oracles for the `Resource` and `Link` timelines: one client
+//! issues Poisson arrivals in time order, and the measured mean queue wait
+//! must match queueing theory.
 //!
-//! - M/D/1, Pollaczek–Khinchine: `W = ρ·D / (2(1 − ρ))`.
+//! - M/D/1, Pollaczek–Khinchine: `W = ρ·D / (2(1 − ρ))`. A `Link` sending
+//!   frames of one size is an M/D/1 queue whose service time is the
+//!   frame's serialization delay.
 //! - M/M/1: `W = ρ·S / (1 − ρ)`.
 //! - M/M/k, Erlang C: `W = C(k, a) · S / (k − a)`, with `a = λ·S`.
 //!
@@ -18,9 +20,9 @@
 //! shortens every mean by about 0.5 ns; that moves `W` by at most about
 //! 1 ns here, far inside the bound.
 
-use hyperion_sim::resource::Resource;
+use hyperion_sim::resource::{Link, Resource};
 use hyperion_sim::rng::Rng;
-use hyperion_sim::time::Ns;
+use hyperion_sim::time::{serialization_delay, Ns};
 
 /// Jobs per run.
 const JOBS: usize = 400_000;
@@ -84,6 +86,33 @@ fn md1_matches_pollaczek_khinchine() {
     // ρ = 0.5 with 1 µs deterministic service: W = 0.5 · 1000 / 1 = 500 ns.
     let d = Ns(1_000);
     let w = waits(0x3D1, 1, Ns(2_000), |_| d);
+    let rho = 0.5;
+    assert_mean_wait(&w, rho * d.0 as f64 / (2.0 * (1.0 - rho)));
+}
+
+#[test]
+fn link_md1_matches_pollaczek_khinchine() {
+    // 125-byte frames on a 1 Gb/s wire serialize in 1 µs; at ρ = 0.5 a
+    // frame waits W = 500 ns for the wire. Flight time does not contend:
+    // every frame lands exactly one propagation delay after its last bit
+    // leaves.
+    const BPS: u64 = 1_000_000_000;
+    const FRAME: u64 = 125;
+    let propagation = Ns(700);
+    let d = serialization_delay(FRAME, BPS);
+    assert_eq!(d, Ns(1_000));
+    let mut rng = Rng::seeded(0x11D1);
+    let mut link = Link::new("oracle", BPS, propagation);
+    let mut now = Ns::ZERO;
+    let w: Vec<f64> = (0..JOBS)
+        .map(|_| {
+            now += rng.exp_ns(Ns(2_000));
+            let (start, end, arrival) = link.transmit_interval(now, FRAME);
+            assert_eq!(end - start, d);
+            assert_eq!(arrival - end, propagation);
+            (start - now).0 as f64
+        })
+        .collect();
     let rho = 0.5;
     assert_mean_wait(&w, rho * d.0 as f64 / (2.0 * (1.0 - rho)));
 }

@@ -160,18 +160,6 @@ pub struct BTree {
     len: u64,
 }
 
-/// Result of a traced lookup: the value (if present), the node LBAs
-/// visited root→leaf, and the completion time.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TracedLookup {
-    /// The value, if the key exists.
-    pub value: Option<u64>,
-    /// Node addresses visited, in order.
-    pub path: Vec<u64>,
-    /// Completion instant.
-    pub done: Ns,
-}
-
 impl BTree {
     /// Creates an empty tree on `store` at `now`.
     pub fn create(store: &mut BlockStore, now: Ns) -> Result<(BTree, Ns), TreeError> {
@@ -238,18 +226,6 @@ impl BTree {
             }
             lba = word(&page.rest[i]);
         }
-    }
-
-    /// Looks up `key`, recording the root→leaf path.
-    pub fn lookup_traced(
-        &self,
-        store: &mut BlockStore,
-        key: u64,
-        now: Ns,
-    ) -> Result<TracedLookup, TreeError> {
-        let mut path = Vec::with_capacity(self.height as usize);
-        let (_, _, value, done) = self.walk(store, key, now, |lba| path.push(lba))?;
-        Ok(TracedLookup { value, path, done })
     }
 
     /// Looks up `key`.
@@ -432,10 +408,26 @@ mod tests {
         assert!(big.height() >= 2, "height {}", big.height());
     }
 
+    /// A lookup of `key`: its value, the node LBAs it read root first,
+    /// and its completion instant.
+    #[derive(Debug, PartialEq, Eq)]
+    struct Lookup {
+        value: Option<u64>,
+        path: Vec<u64>,
+        done: Ns,
+    }
+
+    /// `key`'s lookup through [`BTree::walk`], recording the path.
+    fn walk_path(tree: &BTree, store: &mut BlockStore, key: u64, now: Ns) -> Lookup {
+        let mut path = Vec::new();
+        let (_, _, value, done) = tree.walk(store, key, now, |lba| path.push(lba)).unwrap();
+        Lookup { value, path, done }
+    }
+
     #[test]
     fn traced_path_length_equals_height() {
         let (mut store, tree) = build(8_000);
-        let traced = tree.lookup_traced(&mut store, 42, Ns::ZERO).unwrap();
+        let traced = walk_path(&tree, &mut store, 42, Ns::ZERO);
         assert_eq!(traced.path.len(), tree.height() as usize);
         assert_eq!(traced.path[0], tree.root_lba());
     }
@@ -494,12 +486,7 @@ mod tests {
 
     /// The lookup walk this module had before lookups counted keys:
     /// binary search in a leaf, `partition_point` in an internal node.
-    fn binary_search_lookup(
-        tree: &BTree,
-        store: &mut BlockStore,
-        key: u64,
-        now: Ns,
-    ) -> TracedLookup {
+    fn binary_search_lookup(tree: &BTree, store: &mut BlockStore, key: u64, now: Ns) -> Lookup {
         let (mut lba, mut t, mut path) = (tree.root, now, Vec::new());
         loop {
             path.push(lba);
@@ -512,7 +499,7 @@ mod tests {
                     .binary_search_by_key(&key, word)
                     .ok()
                     .map(|i| word(&page.rest[i]));
-                return TracedLookup {
+                return Lookup {
                     value,
                     path,
                     done: t,
@@ -522,7 +509,7 @@ mod tests {
         }
     }
 
-    /// `get` and `lookup_traced` against the binary-search walk, on two
+    /// `get` and the path-recording walk against the binary-search walk, on two
     /// stores holding the same tree: each lookup goes to both stores at
     /// the same instant, so their devices stay in step and the completion
     /// instants must match exactly. Values must also match a `BTreeMap`.
@@ -563,11 +550,7 @@ mod tests {
                 assert_eq!((value, done), (want.value, want.done), "{ctx}, key {key}");
                 t = done;
                 let want = binary_search_lookup(&oracle, b, key, t);
-                assert_eq!(
-                    tree.lookup_traced(a, key, t).unwrap(),
-                    want,
-                    "{ctx}, key {key}"
-                );
+                assert_eq!(walk_path(&tree, a, key, t), want, "{ctx}, key {key}");
                 assert_eq!(want.path.len(), height as usize, "{ctx}");
                 t = want.done;
             }
@@ -769,8 +752,8 @@ mod tests {
         for (step, &key) in keys.iter().enumerate() {
             let value = key.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ step as u64;
             // The insert's path is the one a lookup walks beforehand.
-            let path = tree.lookup_traced(&mut stores[0], key, t).unwrap();
-            assert_eq!(path, oracle.lookup_traced(&mut stores[1], key, t).unwrap());
+            let path = walk_path(&tree, &mut stores[0], key, t);
+            assert_eq!(path, walk_path(&oracle, &mut stores[1], key, t));
             let first_new = stores[0].cursor();
             let done = tree.insert(&mut stores[0], key, value, t).unwrap();
             let oracle_done = oracle.oracle_insert(&mut stores[1], key, value, t).unwrap();
@@ -842,9 +825,7 @@ mod tests {
     #[test]
     fn bad_node_pages_are_corrupt_not_panics() {
         let (mut store, tree) = build(8_000);
-        let leaf = *tree
-            .lookup_traced(&mut store, 42, Ns::ZERO)
-            .unwrap()
+        let leaf = *walk_path(&tree, &mut store, 42, Ns::ZERO)
             .path
             .last()
             .unwrap();

@@ -133,25 +133,23 @@ impl Sequencer {
     }
 }
 
-/// Storage backend of a log unit.
-///
-/// Paper §2 names ZNS among Hyperion's storage APIs; a write-once log is
-/// the canonical ZNS workload (zone appends assign addresses on the
-/// device, exactly matching CORFU's write-once pages), so units support
-/// both a conventional block backend and a zoned one.
-#[derive(Debug)]
-enum UnitBackend {
-    Block(BlockStore),
-    Zoned {
-        device: hyperion_nvme::device::NvmeDevice,
-        zone: u64,
-    },
+/// Bytes of the page header in front of each entry: its length (`u32`)
+/// and its position (`u64`).
+const HEADER: usize = 12;
+
+/// Rejects an entry that does not fit one log page behind its header.
+fn check_size(data: &[u8]) -> Result<(), CorfuError> {
+    if data.len() > BLOCK as usize - HEADER {
+        Err(CorfuError::TooLarge(data.len()))
+    } else {
+        Ok(())
+    }
 }
 
 /// A flash-backed, write-once log unit covering a stripe of positions.
 #[derive(Debug)]
 pub struct LogUnit {
-    backend: UnitBackend,
+    store: BlockStore,
     epoch: u64,
     /// position -> (lba, is_junk). Write-once is enforced here.
     written: HashMap<u64, (u64, bool)>,
@@ -161,28 +159,10 @@ impl LogUnit {
     /// Creates a unit over a fresh conventional device of `capacity_lbas`.
     pub fn new(capacity_lbas: u64) -> LogUnit {
         LogUnit {
-            backend: UnitBackend::Block(BlockStore::with_capacity(capacity_lbas)),
+            store: BlockStore::with_capacity(capacity_lbas),
             epoch: 0,
             written: HashMap::new(),
         }
-    }
-
-    /// Creates a unit over a fresh ZNS device of `capacity_lbas` (rounded
-    /// down to whole zones); entries land via zone appends.
-    pub fn new_zoned(capacity_lbas: u64) -> LogUnit {
-        LogUnit {
-            backend: UnitBackend::Zoned {
-                device: hyperion_nvme::device::NvmeDevice::new_zoned(capacity_lbas),
-                zone: 0,
-            },
-            epoch: 0,
-            written: HashMap::new(),
-        }
-    }
-
-    /// True when backed by a zoned namespace.
-    pub fn is_zoned(&self) -> bool {
-        matches!(self.backend, UnitBackend::Zoned { .. })
     }
 
     /// The unit's current epoch.
@@ -223,9 +203,7 @@ impl LogUnit {
         now: Ns,
     ) -> Result<Ns, CorfuError> {
         self.check_epoch(epoch)?;
-        if data.len() > BLOCK as usize - 16 {
-            return Err(CorfuError::TooLarge(data.len()));
-        }
+        check_size(data)?;
         if self.written.contains_key(&position) {
             return Err(CorfuError::AlreadyWritten(position));
         }
@@ -234,44 +212,8 @@ impl LogUnit {
         image.extend_from_slice(&position.to_le_bytes());
         image.extend_from_slice(data);
         image.resize(BLOCK as usize, 0);
-        let (lba, done) = match &mut self.backend {
-            UnitBackend::Block(store) => {
-                let lba = store.alloc(1)?;
-                let done = store.write(lba, image, now)?;
-                (lba, done)
-            }
-            UnitBackend::Zoned { device, zone } => {
-                // Zone appends until the zone fills, then move on.
-                loop {
-                    let cmd = hyperion_nvme::device::Command::ZoneAppend {
-                        zone: *zone,
-                        data: bytes::Bytes::from(image.clone()),
-                    };
-                    match device.submit(cmd, now) {
-                        Ok(c) => {
-                            let hyperion_nvme::device::Response::Written { lba } = c.response
-                            else {
-                                unreachable!("append returns Written");
-                            };
-                            break (lba, c.done);
-                        }
-                        Err(hyperion_nvme::device::NvmeError::ZoneFull(_)) => {
-                            *zone += 1;
-                            if *zone as usize >= device.num_zones() {
-                                return Err(CorfuError::Block(
-                                    crate::blockstore::BlockError::OutOfSpace,
-                                ));
-                            }
-                        }
-                        Err(e) => {
-                            return Err(CorfuError::Block(crate::blockstore::BlockError::Device(
-                                e.to_string(),
-                            )))
-                        }
-                    }
-                }
-            }
-        };
+        let lba = self.store.alloc(1)?;
+        let done = self.store.write(lba, image, now)?;
         self.written.insert(position, (lba, false));
         Ok(done)
     }
@@ -298,24 +240,9 @@ impl LogUnit {
             None => Err(CorfuError::NotWritten(position)),
             Some(&(_, true)) => Ok((LogEntry::Junk, now)),
             Some(&(lba, false)) => {
-                let (raw, done) = match &mut self.backend {
-                    UnitBackend::Block(store) => store.read(lba, 1, now)?,
-                    UnitBackend::Zoned { device, .. } => {
-                        let c = device
-                            .submit(hyperion_nvme::device::Command::Read { lba, blocks: 1 }, now)
-                            .map_err(|e| {
-                                CorfuError::Block(crate::blockstore::BlockError::Device(
-                                    e.to_string(),
-                                ))
-                            })?;
-                        let hyperion_nvme::device::Response::Data(d) = c.response else {
-                            unreachable!("read returns data");
-                        };
-                        (d, c.done)
-                    }
-                };
+                let (raw, done) = self.store.read(lba, 1, now)?;
                 let len = u32::from_le_bytes(raw[0..4].try_into().expect("4 bytes")) as usize;
-                Ok((LogEntry::Data(raw.slice(12..12 + len)), done))
+                Ok((LogEntry::Data(raw.slice(HEADER..HEADER + len)), done))
             }
         }
     }
@@ -377,20 +304,6 @@ impl CorfuLog {
         Self::build(
             (0..n_units)
                 .map(|_| LogUnit::new(unit_capacity_lbas))
-                .collect(),
-            1,
-        )
-    }
-
-    /// Creates a log striped over ZNS-backed units (zone appends).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n_units` is zero.
-    pub fn new_zoned(n_units: usize, unit_capacity_lbas: u64) -> CorfuLog {
-        Self::build(
-            (0..n_units)
-                .map(|_| LogUnit::new_zoned(unit_capacity_lbas))
                 .collect(),
             1,
         )
@@ -476,9 +389,13 @@ impl CorfuLog {
     /// the position's replicas. Returns the assigned position and the
     /// durability instant (last replica's acknowledgement).
     ///
-    /// Fails with [`CorfuError::UnitFailed`] if any replica in the chain
-    /// has failed — the client should [`CorfuLog::reconfigure`] and retry.
+    /// An entry too large for one log page fails with
+    /// [`CorfuError::TooLarge`] before it takes a token, so it leaves no
+    /// hole. Fails with [`CorfuError::UnitFailed`] if any replica in the
+    /// chain has failed — the client should [`CorfuLog::reconfigure`] and
+    /// retry.
     pub fn append(&mut self, data: &[u8], now: Ns) -> Result<(u64, Ns), CorfuError> {
+        check_size(data)?;
         let position = self.sequencer.next_token();
         let epoch = self.epoch;
         let chain = self.replicas_of(position);
@@ -871,46 +788,31 @@ mod tests {
         ));
     }
 
+    /// An entry fills its page up to the 12-byte header, and one byte more
+    /// is refused before the sequencer hands out a token: the tail stays
+    /// put, and the next append takes the position the refused one would
+    /// have had, so no hole is left behind.
     #[test]
-    fn zoned_units_behave_identically_to_block_units() {
-        let mut l = CorfuLog::new_zoned(2, hyperion_nvme::params::ZONE_LBAS);
-        assert!(l.unit_mut(0).is_zoned());
-        let mut t = Ns::ZERO;
-        for i in 0..8u64 {
-            let (pos, done) = l.append(format!("z{i}").as_bytes(), t).unwrap();
-            assert_eq!(pos, i);
-            t = done;
-        }
-        for i in 0..8u64 {
-            let (e, done) = l.read(i, t).unwrap();
-            t = done;
-            assert_eq!(e, LogEntry::Data(Bytes::from(format!("z{i}"))));
-        }
-        // Write-once and sealing hold on the zoned backend too.
-        let u = 0usize;
+    fn the_largest_entry_fits_and_a_refused_one_takes_no_position() {
+        let mut l = log();
+        let fits: Vec<u8> = (0..BLOCK as usize - 12).map(|i| i as u8).collect();
+        assert_eq!(fits.len(), 4_084);
+        let (pos, t) = l.append(&fits, Ns::ZERO).unwrap();
+        assert_eq!(pos, 0);
+        let (e, t) = l.read(pos, t).unwrap();
+        assert_eq!(e, LogEntry::Data(Bytes::from(fits.clone())));
+        let too_big = vec![7u8; fits.len() + 1];
+        assert_eq!(
+            l.append(&too_big, t).unwrap_err(),
+            CorfuError::TooLarge(4_085)
+        );
+        assert_eq!(l.tail(), 1, "a refused append takes no token");
+        let (pos, _) = l.append(b"next", t).unwrap();
+        assert_eq!(pos, 1);
         assert!(matches!(
-            l.unit_mut(u).write(0, 0, b"dup", Ns::ZERO),
-            Err(CorfuError::AlreadyWritten(0))
+            l.unit_mut(0).write(0, 9, &too_big, t),
+            Err(CorfuError::TooLarge(4_085))
         ));
-        l.reconfigure();
-        assert_eq!(l.tail(), 8);
-    }
-
-    #[test]
-    fn zoned_unit_advances_zones_when_full() {
-        // A unit with tiny zones: ZONE_LBAS per zone is fixed, so use two
-        // zones and fill the first with large appends.
-        let mut u = LogUnit::new_zoned(2 * hyperion_nvme::params::ZONE_LBAS);
-        // Each append consumes 1 LBA; filling a zone takes ZONE_LBAS
-        // appends, too slow — instead drive the device directly to fill,
-        // then append through the unit and observe it lands in zone 1.
-        // (Zone advance is exercised cheaply via the retry loop.)
-        let mut t = Ns::ZERO;
-        for pos in 0..4u64 {
-            t = u.write(0, pos, b"x", t).unwrap();
-        }
-        let (e, _) = u.read(0, 2, t).unwrap();
-        assert_eq!(e, LogEntry::Data(Bytes::from_static(b"x")));
     }
 
     #[test]

@@ -5,9 +5,10 @@
 //! substrate so that correctness and timing come from the same calls:
 //!
 //! * [`blockstore`] — shared block allocation over one namespace;
-//! * [`btree`] — an on-device B+ tree with traced root→leaf lookups (the
-//!   pointer-chasing workload of experiment E6);
-//! * [`lsm`] — memtable + SSTables + Bloom filters + compaction;
+//! * [`btree`] — an on-device B+ tree (the pointer-chasing workload of
+//!   experiment E6);
+//! * [`lsm`] — memtable + SSTables + Bloom filters (no deletes or
+//!   compaction);
 //! * [`corfu`] — the CORFU shared log: sequencer, write-once striped log
 //!   units, hole filling, seal/epoch reconfiguration (experiment E9);
 //! * [`fs`] — an extent file system plus Spiffy-style layout annotations
@@ -15,9 +16,9 @@
 //! * [`columnar`] — Parquet-like on-storage / Arrow-like in-memory
 //!   formats with projection and predicate pushdown (experiment E5).
 //!
-//! §2.3 also names near-storage aggregation, and §2.4 lookup tables and
-//! atomic writes with transactional interfaces. They are not modelled
-//! here: no experiment measures them.
+//! §2.3 also names near-storage aggregation, §2 zoned namespaces (ZNS),
+//! and §2.4 lookup tables and atomic writes with transactional
+//! interfaces. They are not modelled here: no experiment measures them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,7 +31,7 @@ pub mod fs;
 pub mod lsm;
 
 pub use blockstore::{BlockError, BlockStore, BLOCK};
-pub use btree::{BTree, TracedLookup, TreeError};
+pub use btree::{BTree, TreeError};
 pub use columnar::{
     scan, write_file, ColumnBatch, ColumnarError, Encoding, FileMeta, Predicate, ScanStats,
 };

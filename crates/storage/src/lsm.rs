@@ -5,8 +5,8 @@
 //! many databases, file systems, and key-value stores)"; FPGA-accelerated
 //! LSM compaction is cited via ref 171). The implementation is a classic
 //! two-tier design: an in-memory memtable flushed into immutable sorted
-//! runs (SSTables) with sparse indexes and Bloom filters, plus full-merge
-//! compaction.
+//! runs (SSTables) with sparse indexes and Bloom filters. Deletes and
+//! compaction are not modelled: no experiment issues them.
 
 use std::collections::BTreeMap;
 
@@ -16,9 +16,6 @@ use crate::blockstore::{BlockError, BlockStore, BLOCK};
 
 /// Entries the memtable holds before flushing.
 pub const MEMTABLE_LIMIT: usize = 4_096;
-
-/// A deletion is stored as a tombstone value.
-const TOMBSTONE: u64 = u64::MAX;
 
 /// Bloom filter bits per key.
 const BLOOM_BITS_PER_KEY: usize = 10;
@@ -92,11 +89,9 @@ impl Bloom {
 #[derive(Debug)]
 struct SsTable {
     first_lba: u64,
-    blocks: u32,
     /// Sparse index: first key of each block.
     fence_keys: Vec<u64>,
     bloom: Bloom,
-    entries: u64,
 }
 
 const PAIRS_PER_BLOCK: usize = (BLOCK as usize) / 16;
@@ -132,10 +127,8 @@ impl SsTable {
         Ok((
             SsTable {
                 first_lba,
-                blocks: blocks as u32,
                 fence_keys,
                 bloom,
-                entries: pairs.len() as u64,
             },
             done,
         ))
@@ -167,21 +160,6 @@ impl SsTable {
         }
         Ok((None, done))
     }
-
-    /// Reads the whole run back (for compaction).
-    fn scan(&self, store: &mut BlockStore, now: Ns) -> Result<(Vec<(u64, u64)>, Ns), LsmError> {
-        let (data, done) = store.read(self.first_lba, self.blocks, now)?;
-        let mut out = Vec::with_capacity(self.entries as usize);
-        for pair in data.chunks_exact(16) {
-            let k = u64::from_le_bytes(pair[0..8].try_into().expect("8 bytes"));
-            if k == u64::MAX {
-                continue; // padding
-            }
-            let v = u64::from_le_bytes(pair[8..16].try_into().expect("8 bytes"));
-            out.push((k, v));
-        }
-        Ok((out, done))
-    }
 }
 
 /// The LSM tree handle.
@@ -191,9 +169,6 @@ pub struct LsmTree {
     /// Newest first.
     tables: Vec<SsTable>,
     use_bloom: bool,
-    flushes: u64,
-    compactions: u64,
-    bloom_skips: u64,
 }
 
 impl LsmTree {
@@ -209,9 +184,6 @@ impl LsmTree {
             memtable: BTreeMap::new(),
             tables: Vec::new(),
             use_bloom,
-            flushes: 0,
-            compactions: 0,
-            bloom_skips: 0,
         }
     }
 
@@ -223,18 +195,8 @@ impl LsmTree {
         value: u64,
         now: Ns,
     ) -> Result<Ns, LsmError> {
-        assert!(value != TOMBSTONE, "u64::MAX is reserved as the tombstone");
         assert!(key != u64::MAX, "u64::MAX is reserved as block padding");
         self.memtable.insert(key, value);
-        if self.memtable.len() >= MEMTABLE_LIMIT {
-            return self.flush(store, now);
-        }
-        Ok(now)
-    }
-
-    /// Deletes `key` (writes a tombstone).
-    pub fn delete(&mut self, store: &mut BlockStore, key: u64, now: Ns) -> Result<Ns, LsmError> {
-        self.memtable.insert(key, TOMBSTONE);
         if self.memtable.len() >= MEMTABLE_LIMIT {
             return self.flush(store, now);
         }
@@ -249,18 +211,17 @@ impl LsmTree {
         now: Ns,
     ) -> Result<(Option<u64>, Ns), LsmError> {
         if let Some(&v) = self.memtable.get(&key) {
-            return Ok((if v == TOMBSTONE { None } else { Some(v) }, now));
+            return Ok((Some(v), now));
         }
         let mut t = now;
         for table in &self.tables {
             if self.use_bloom && !table.bloom.may_contain(key) {
-                self.bloom_skips += 1;
                 continue;
             }
             let (v, done) = table.get(store, key, t)?;
             t = done;
-            if let Some(v) = v {
-                return Ok((if v == TOMBSTONE { None } else { Some(v) }, t));
+            if v.is_some() {
+                return Ok((v, t));
             }
         }
         Ok((None, t))
@@ -275,42 +236,7 @@ impl LsmTree {
         let (table, done) = SsTable::build(store, &pairs, now)?;
         self.tables.insert(0, table);
         self.memtable.clear();
-        self.flushes += 1;
         Ok(done)
-    }
-
-    /// Full compaction: merges every run (newest wins), dropping
-    /// tombstones, into a single new run.
-    pub fn compact(&mut self, store: &mut BlockStore, now: Ns) -> Result<Ns, LsmError> {
-        if self.tables.len() <= 1 {
-            return Ok(now);
-        }
-        self.compactions += 1;
-        let mut merged: BTreeMap<u64, u64> = BTreeMap::new();
-        let mut t = now;
-        // Oldest first so newer runs overwrite.
-        for table in self.tables.iter().rev() {
-            let (pairs, done) = table.scan(store, t)?;
-            t = done;
-            for (k, v) in pairs {
-                merged.insert(k, v);
-            }
-        }
-        merged.retain(|_, v| *v != TOMBSTONE);
-        let pairs: Vec<(u64, u64)> = merged.into_iter().collect();
-        let (table, done) = SsTable::build(store, &pairs, t)?;
-        self.tables = vec![table];
-        Ok(done)
-    }
-
-    /// Number of on-device runs.
-    pub fn num_tables(&self) -> usize {
-        self.tables.len()
-    }
-
-    /// (flushes, compactions, bloom_skips) statistics.
-    pub fn stats(&self) -> (u64, u64, u64) {
-        (self.flushes, self.compactions, self.bloom_skips)
     }
 }
 
@@ -345,11 +271,15 @@ mod tests {
         for k in 0..100u64 {
             lsm.put(&mut s, k, k * 2, Ns::ZERO).unwrap();
         }
+        // Every value is storable, the largest too.
+        lsm.put(&mut s, 100, u64::MAX, Ns::ZERO).unwrap();
+        assert_eq!(lsm.get(&mut s, 100, Ns::ZERO).unwrap().0, Some(u64::MAX));
         let t = lsm.flush(&mut s, Ns::ZERO).unwrap();
-        assert_eq!(lsm.num_tables(), 1);
+        assert_eq!(lsm.tables.len(), 1);
         let (v, done) = lsm.get(&mut s, 50, t).unwrap();
         assert_eq!(v, Some(100));
         assert!(done > t, "sstable hit reads a block");
+        assert_eq!(lsm.get(&mut s, 100, t).unwrap().0, Some(u64::MAX));
     }
 
     #[test]
@@ -365,51 +295,14 @@ mod tests {
     }
 
     #[test]
-    fn tombstones_hide_older_values() {
-        let mut s = store();
-        let mut lsm = LsmTree::new();
-        lsm.put(&mut s, 9, 99, Ns::ZERO).unwrap();
-        lsm.flush(&mut s, Ns::ZERO).unwrap();
-        lsm.delete(&mut s, 9, Ns::ZERO).unwrap();
-        let (v, _) = lsm.get(&mut s, 9, Ns::ZERO).unwrap();
-        assert_eq!(v, None);
-        lsm.flush(&mut s, Ns::ZERO).unwrap();
-        let (v, _) = lsm.get(&mut s, 9, Ns::ZERO).unwrap();
-        assert_eq!(v, None);
-    }
-
-    #[test]
     fn automatic_flush_at_limit() {
         let mut s = store();
         let mut lsm = LsmTree::new();
         for k in 0..MEMTABLE_LIMIT as u64 {
             lsm.put(&mut s, k, k, Ns::ZERO).unwrap();
         }
-        assert_eq!(lsm.num_tables(), 1);
-        assert_eq!(lsm.stats().0, 1);
-    }
-
-    #[test]
-    fn compaction_merges_and_drops_tombstones() {
-        let mut s = store();
-        let mut lsm = LsmTree::new();
-        for k in 0..100u64 {
-            lsm.put(&mut s, k, k, Ns::ZERO).unwrap();
-        }
-        lsm.flush(&mut s, Ns::ZERO).unwrap();
-        for k in 0..50u64 {
-            lsm.delete(&mut s, k, Ns::ZERO).unwrap();
-        }
-        lsm.put(&mut s, 60, 600, Ns::ZERO).unwrap();
-        lsm.flush(&mut s, Ns::ZERO).unwrap();
-        let t = lsm.compact(&mut s, Ns::ZERO).unwrap();
-        assert_eq!(lsm.num_tables(), 1);
-        let (gone, _) = lsm.get(&mut s, 10, t).unwrap();
-        assert_eq!(gone, None);
-        let (updated, _) = lsm.get(&mut s, 60, t).unwrap();
-        assert_eq!(updated, Some(600));
-        let (kept, _) = lsm.get(&mut s, 99, t).unwrap();
-        assert_eq!(kept, Some(99));
+        assert_eq!(lsm.tables.len(), 1);
+        assert!(lsm.memtable.is_empty());
     }
 
     #[test]
@@ -433,7 +326,6 @@ mod tests {
             reads < skipped / 5,
             "bloom should suppress most miss reads: {reads} reads for {skipped} misses"
         );
-        assert!(lsm.stats().2 > 400, "bloom skips: {}", lsm.stats().2);
     }
 
     #[test]
@@ -447,8 +339,7 @@ mod tests {
             }
             lsm.flush(&mut s, Ns::ZERO).unwrap();
         }
-        assert_eq!(lsm.num_tables(), 5);
-        lsm.compact(&mut s, Ns::ZERO).unwrap();
+        assert_eq!(lsm.tables.len(), 5);
         for round in 0..5u64 {
             for k in (0..200u64).step_by(17) {
                 let (v, _) = lsm.get(&mut s, k + round * 200, Ns::ZERO).unwrap();

@@ -51,6 +51,6 @@ diff -ru goldens/ "$GOLDENS"
 echo "==> size: Rust lines under crates/, workspace tests passed and unreached pub items (printed, not gated)"
 echo "crates/ Rust lines: $(find crates -name '*.rs' | xargs cat | wc -l)"
 echo "workspace tests passed: $(grep -o '[0-9]* passed' "$TESTLOG" | awk '{n += $1} END {print n}')"
-echo "unreached_pub.sh $(./scripts/unreached_pub.sh | tail -n 1)"
+./scripts/unreached_pub.sh | grep 'total:' | sed 's/^/unreached_pub.sh /'
 
 echo "All checks passed."

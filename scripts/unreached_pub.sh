@@ -1,31 +1,50 @@
 #!/usr/bin/env bash
-# Lists the `pub fn`s and `pub const`s under crates/*/src whose name
-# appears in no other .rs file of crates/, src/, examples/, tests/ or
-# perfbench/: candidates for deletion, or for narrowing to private.
+# Lists the `pub fn`s and `pub const`s under crates/*/src that nothing
+# outside their own file reaches, in two lists: candidates for deletion,
+# or for narrowing to private. Both print; neither gates anything.
 #
 # Usage (from anywhere in the repository):
 #   ./scripts/unreached_pub.sh
 #
-# Each line is `file:line kind name  non-test=N test=M`, where N and M count
+# The first list holds each `pub fn` and `pub const` whose name appears in
+# no other .rs file of crates/, src/, examples/, tests/ or perfbench/. Each
+# line is `file:line kind name  non-test=N test=M`, where N and M count
 # the name's other uses in its own file, outside and inside its
 # `#[cfg(test)]` module (the definition line is not counted). A listed
-# item with N = 0 serves only its own tests, or nothing. The match is by
-# name, so an item that shares its name with something in another file
-# (`new`, `len`) is never listed. The last line is the total, split by
-# kind.
+# item with N = 0 serves only its own tests, or nothing. Its last line,
+# `total: ...`, is the count split by kind.
+#
+# The second list holds each other `pub fn` that other files name only in
+# test code (a file under a `tests/` directory, or the lines after a
+# file's `#[cfg(test)]`), or only in comments and string literals, or
+# only where they define a `pub fn` or `pub const` of that name: none is a
+# use here. Each line adds `elsewhere-test=K`, the uses in other files'
+# test code. Its last line is `test-only total: ...`.
+#
+# The match is by name, so an item that shares its name with something
+# used in another file's non-test code (`new`, `len`) is never listed.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 list=$(mktemp)
-trap 'rm -f "$list"' EXIT
 
 # One awk process must see every file, so no xargs (it may split the list).
 mapfile -t sources < <(find crates src examples tests perfbench -name target -prune -o -name '*.rs' -print | sort)
-awk '
-    FNR == 1 { in_test = 0 }
+tested=$(mktemp)
+trap 'rm -f "$list" "$tested"' EXIT
+
+awk -v tested="$tested" '
+    FNR == 1 {
+        in_test = 0
+        nfiles++
+        names[nfiles] = FILENAME
+        # Every line of a file under a tests/ directory is test code.
+        test_file = FILENAME ~ /(^|\/)tests\//
+    }
     /^#\[cfg\(test\)\]/ { in_test = 1 }
     {
         line = $0
+        def = ""
         # Definitions: only in the non-test part of crates/*/src.
         if (!in_test && FILENAME ~ /^crates\/[^\/]+\/src\// &&
             match(line, /^[ \t]*pub (const )?(unsafe )?fn [A-Za-z_][A-Za-z0-9_]*/)) {
@@ -52,6 +71,18 @@ awk '
             if (in_test) test_uses[FILENAME SUBSEP w]++
             else uses[FILENAME SUBSEP w]++
         }
+        # Uses in code, for the second list: string literals and comments
+        # stripped, and a definition does not use the name it defines.
+        code = line
+        gsub(/"([^"\\]|\\.)*"/, "", code)
+        sub(/\/\/.*/, "", code)
+        n = split(code, words, /[^A-Za-z0-9_]+/)
+        for (i = 1; i <= n; i++) {
+            w = words[i]
+            if (w == "" || w == def) continue
+            if (in_test || test_file) code_test[FILENAME SUBSEP w]++
+            else code_live[FILENAME SUBSEP w]++
+        }
     }
     END {
         for (k in defs) {
@@ -62,7 +93,24 @@ awk '
             printf "%s:%d %s %s  non-test=%d test=%d\n", file, defs[k], kind[k],
                 name, uses[k] - 1, test_uses[k] + 0
         }
+        for (k in defs) {
+            split(k, parts, SUBSEP)
+            file = parts[1]; name = parts[2]
+            if (kind[k] != "fn" || files[name] == 1) continue
+            elsewhere = 0
+            for (f = 1; f <= nfiles; f++) {
+                other = names[f]
+                if (other == file) continue
+                if ((other SUBSEP name) in code_live) { elsewhere = -1; break }
+                elsewhere += code_test[other SUBSEP name]
+            }
+            if (elsewhere < 0) continue
+            printf("%s:%d %s %s  non-test=%d test=%d elsewhere-test=%d\n", file, defs[k],
+                kind[k], name, uses[k] - 1, test_uses[k] + 0, elsewhere) > tested
+        }
     }
 ' "${sources[@]}" | sort -t: -k1,1 -k2,2n >"$list"
 cat "$list"
 echo "total: $(wc -l <"$list") ($(grep -c ' fn ' "$list") pub fn, $(grep -c ' const ' "$list") pub const)"
+sort -t: -k1,1 -k2,2n "$tested"
+echo "test-only total: $(wc -l <"$tested") pub fn"
