@@ -115,19 +115,6 @@ pub fn deploy(
     Ok((slot, live_at))
 }
 
-/// Runs `packets` of traffic through the deployed classifier (see
-/// [`run_on_dpu_traced`]).
-pub fn run_on_dpu(
-    dpu: &mut HyperionDpu,
-    cp: &mut ControlPlane,
-    slot: SlotId,
-    gen: &mut TrafficGen,
-    packets: u64,
-    start: Ns,
-) -> Fail2BanReport {
-    run_on_dpu_traced(dpu, cp, slot, gen, packets, start, None)
-}
-
 /// Runs `packets` of traffic through the deployed classifier, persisting
 /// every ban event to the shared log.
 ///
@@ -135,7 +122,7 @@ pub fn run_on_dpu(
 /// fabric), and every ban records the fire-and-forget flash durability
 /// window (`log:append`, nvme) plus an `e7.ban_durable` op sample.
 #[allow(clippy::too_many_arguments)]
-pub fn run_on_dpu_traced(
+pub fn run_on_dpu(
     dpu: &mut HyperionDpu,
     cp: &mut ControlPlane,
     slot: SlotId,
@@ -212,7 +199,7 @@ mod tests {
         let (mut dpu, mut cp, slot, t) = setup();
         // All flows are attackers: bans must happen after MAX_RETRY.
         let mut gen = TrafficGen::new(11, 50, 1.0, 32);
-        let report = run_on_dpu(&mut dpu, &mut cp, slot, &mut gen, 2_000, t);
+        let report = run_on_dpu(&mut dpu, &mut cp, slot, &mut gen, 2_000, t, None);
         assert!(report.bans > 0, "some flows must be banned");
         assert_eq!(report.bans, report.logged);
         assert!(report.dropped > 0, "banned flows keep sending");
@@ -227,9 +214,9 @@ mod tests {
         let (mut dpu2, mut cp2, slot2, t2) = setup();
         let mut gen1 = TrafficGen::new(11, 50, 1.0, 32);
         let mut gen2 = TrafficGen::new(11, 50, 1.0, 32);
-        let plain = run_on_dpu(&mut dpu1, &mut cp1, slot1, &mut gen1, 1_000, t1);
+        let plain = run_on_dpu(&mut dpu1, &mut cp1, slot1, &mut gen1, 1_000, t1, None);
         let mut rec = Recorder::new("t");
-        let traced = run_on_dpu_traced(
+        let traced = run_on_dpu(
             &mut dpu2,
             &mut cp2,
             slot2,
@@ -252,7 +239,7 @@ mod tests {
     fn clean_traffic_is_never_banned() {
         let (mut dpu, mut cp, slot, t) = setup();
         let mut gen = TrafficGen::new(12, 100, 0.0, 32);
-        let report = run_on_dpu(&mut dpu, &mut cp, slot, &mut gen, 1_000, t);
+        let report = run_on_dpu(&mut dpu, &mut cp, slot, &mut gen, 1_000, t, None);
         assert_eq!(report.bans, 0);
         assert_eq!(report.dropped, 0);
         assert_eq!(report.logged, 0);

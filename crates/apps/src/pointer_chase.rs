@@ -151,28 +151,6 @@ pub fn populate_tree(dpu: &mut HyperionDpu, n: u64, now: Ns) -> Ns {
     t
 }
 
-/// One offloaded lookup (see [`offloaded_lookup_traced`]).
-pub fn offloaded_lookup(
-    dpu: &mut HyperionDpu,
-    channel: &mut RpcChannel,
-    net: &mut Network,
-    key: u64,
-    now: Ns,
-) -> ChaseResult {
-    offloaded_lookup_traced(dpu, channel, net, key, now, None)
-}
-
-/// One client-driven lookup (see [`client_driven_lookup_traced`]).
-pub fn client_driven_lookup(
-    dpu: &mut HyperionDpu,
-    channel: &mut RpcChannel,
-    net: &mut Network,
-    key: u64,
-    now: Ns,
-) -> ChaseResult {
-    client_driven_lookup_traced(dpu, channel, net, key, now, None)
-}
-
 /// One offloaded lookup: a single RPC, full traversal at the DPU.
 ///
 /// With a recorder, the whole lookup is one `chase:offloaded` root span
@@ -180,7 +158,7 @@ pub fn client_driven_lookup(
 /// on-DPU traversal records its service span and `tree.lookup` op sample,
 /// the single RPC records its per-leg wire spans, and the whole lookup
 /// lands as an `e6.offloaded` op sample.
-pub fn offloaded_lookup_traced(
+pub fn offloaded_lookup(
     dpu: &mut HyperionDpu,
     channel: &mut RpcChannel,
     net: &mut Network,
@@ -219,7 +197,7 @@ pub fn offloaded_lookup_traced(
 /// With a recorder, the whole walk is one `chase:client` root span, every
 /// per-level node fetch records its service span (`tree.node_read`) and
 /// wire spans, and the walk lands as an `e6.client_driven` op sample.
-pub fn client_driven_lookup_traced(
+pub fn client_driven_lookup(
     dpu: &mut HyperionDpu,
     channel: &mut RpcChannel,
     net: &mut Network,
@@ -345,12 +323,12 @@ mod tests {
     fn both_strategies_find_the_same_values() {
         let (mut dpu, mut net, mut ch, t) = setup(5_000);
         for key in [0u64, 17, 499, 4_999] {
-            let off = offloaded_lookup(&mut dpu, &mut ch, &mut net, key, t);
-            let cli = client_driven_lookup(&mut dpu, &mut ch, &mut net, key, t);
+            let off = offloaded_lookup(&mut dpu, &mut ch, &mut net, key, t, None);
+            let cli = client_driven_lookup(&mut dpu, &mut ch, &mut net, key, t, None);
             assert_eq!(off.value, Some(key * 7));
             assert_eq!(cli.value, Some(key * 7));
         }
-        let miss = offloaded_lookup(&mut dpu, &mut ch, &mut net, 999_999, t);
+        let miss = offloaded_lookup(&mut dpu, &mut ch, &mut net, 999_999, t, None);
         assert_eq!(miss.value, None);
     }
 
@@ -359,8 +337,8 @@ mod tests {
         let (mut dpu, mut net, mut ch, t) = setup(5_000);
         let height = dpu.btree.as_ref().unwrap().height() as u64;
         assert!(height >= 2);
-        let off = offloaded_lookup(&mut dpu, &mut ch, &mut net, 100, t);
-        let cli = client_driven_lookup(&mut dpu, &mut ch, &mut net, 100, t);
+        let off = offloaded_lookup(&mut dpu, &mut ch, &mut net, 100, t, None);
+        let cli = client_driven_lookup(&mut dpu, &mut ch, &mut net, 100, t, None);
         assert_eq!(off.rtts, 1);
         assert_eq!(cli.rtts, height);
     }
@@ -390,11 +368,11 @@ mod tests {
         let (mut dpu2, mut net2, mut ch2, t2) = setup(5_000);
         assert_eq!(t1, t2);
         let mut rec = Recorder::new("t");
-        let off1 = offloaded_lookup(&mut dpu1, &mut ch1, &mut net1, 499, t1);
-        let off2 = offloaded_lookup_traced(&mut dpu2, &mut ch2, &mut net2, 499, t2, Some(&mut rec));
+        let off1 = offloaded_lookup(&mut dpu1, &mut ch1, &mut net1, 499, t1, None);
+        let off2 = offloaded_lookup(&mut dpu2, &mut ch2, &mut net2, 499, t2, Some(&mut rec));
         assert_eq!(off1, off2);
-        let cli1 = client_driven_lookup(&mut dpu1, &mut ch1, &mut net1, 499, off1.done);
-        let cli2 = client_driven_lookup_traced(
+        let cli1 = client_driven_lookup(&mut dpu1, &mut ch1, &mut net1, 499, off1.done, None);
+        let cli2 = client_driven_lookup(
             &mut dpu2,
             &mut ch2,
             &mut net2,
@@ -447,8 +425,8 @@ mod tests {
     #[test]
     fn offload_wins_on_latency_for_deep_trees() {
         let (mut dpu, mut net, mut ch, t) = setup(5_000);
-        let off = offloaded_lookup(&mut dpu, &mut ch, &mut net, 2_500, t);
-        let cli = client_driven_lookup(&mut dpu, &mut ch, &mut net, 2_500, t);
+        let off = offloaded_lookup(&mut dpu, &mut ch, &mut net, 2_500, t, None);
+        let cli = client_driven_lookup(&mut dpu, &mut ch, &mut net, 2_500, t, None);
         assert!(
             cli.done - t > off.done - t,
             "client-driven {} vs offloaded {}",

@@ -1,11 +1,12 @@
 //! "Where did the nanoseconds go": renders a [`Recorder`]'s aggregates
 //! into report [`Table`]s.
 //!
-//! The experiments that thread a recorder through the request path
-//! (E1, E4, E6, E7) expose a `telemetry()` entry point returning the
-//! populated recorder; the `report` binary turns each one into three
-//! tables — per-hop latency/energy, per-op latency, and per-component
-//! energy share — via [`tables`]. Row order is deterministic: hops sort
+//! The instrumented experiments (E1, E4, E6, E7, E13, E14, E15) return,
+//! beside their tables, the recorder of one configuration those tables
+//! run (see [`crate::experiments::REGISTRY`]); the `report` binary turns
+//! each one into tables — per-hop latency/energy, per-op latency,
+//! per-component energy share, and, where recorded, gauges, counters and
+//! the critical path — via [`tables`]. Row order is deterministic: hops sort
 //! by (component, name), ops and gauges keep first-recorded order, and
 //! the energy table follows [`Component::ALL`].
 

@@ -20,14 +20,21 @@ const SIZES: [u64; 3] = [4 << 10, 64 << 10, 1 << 20];
 /// Operations per configuration.
 const OPS: u64 = 64;
 
-/// Runs E1 and returns its tables.
-pub fn run() -> Vec<Table> {
+/// Runs E1 and returns its tables, plus the recorder of the 64 KiB row:
+/// every read recorded as a hop, flash-resident on the DPU side and the
+/// full kernel path on the host side. The hop energy charges each
+/// component's active power over its hop time, not the platform's max
+/// TDP as the energy table does, so its DPU/host ratio is not the
+/// table's efficiency.
+pub fn run() -> (Vec<Table>, Recorder) {
+    let mut rec = Recorder::new("E1: 64 KiB durable-object reads, DPU vs host");
     let mut energy = Table::new(
         "E1: energy per op under max TDP (paper: 4-8x)",
         &["op size", "hyperion J/op", "server J/op", "efficiency"],
     );
 
     for &size in &SIZES {
+        let mut trace = (size == SIZES[1]).then_some(&mut rec);
         // Hyperion: durable-object reads straight from the single-level
         // store (one segment-table lookup + the flash work, no software
         // stack). Objects rotate so flash parallelism matches the host
@@ -50,6 +57,10 @@ pub fn run() -> Vec<Table> {
         for i in 0..OPS {
             let id = hyperion_mem::seglevel::SegmentId((i % nobjs) as u128 + 1);
             let (_, done) = dpu.segments.read(id, 0, size, t).expect("read");
+            if let Some(rec) = trace.as_deref_mut() {
+                rec.record_hop(Component::Nvme, "segment:read", t, done);
+                rec.record_op("e1.dpu.read", done.saturating_sub(t));
+            }
             t = done;
         }
         let dpu_time = t - t0;
@@ -63,6 +74,10 @@ pub fn run() -> Vec<Table> {
         for i in 0..OPS {
             let lba = (i % nobjs) * blocks;
             let (_, done) = host.kernel_read(lba, blocks as u32, t).expect("read");
+            if let Some(rec) = trace.as_deref_mut() {
+                rec.record_hop(Component::Host, "kernel:read", t, done);
+                rec.record_op("e1.host.read", done.saturating_sub(t));
+            }
             t = done;
         }
         let host_time = t;
@@ -89,67 +104,23 @@ pub fn run() -> Vec<Table> {
             fmt_ratio(HYPERION.volume_ratio_vs(&spec)),
         ]);
     }
-    vec![energy, density]
-}
-
-/// Telemetry run: the 64 KiB row of the energy comparison with every
-/// read recorded as a hop — flash-resident on the DPU side, full kernel
-/// path on the host side. The hop energy (component active power × hop
-/// time) shows the same asymmetry E1's TDP-envelope numbers do.
-pub fn telemetry() -> Recorder {
-    let mut rec = Recorder::new("E1: 64 KiB durable-object reads, DPU vs host");
-    let size = SIZES[1];
-    let blocks = size.div_ceil(4096);
-    let nobjs = 8u64;
-
-    let mut dpu = DpuBuilder::new().auth_key(1).build();
-    let t0 = dpu.boot(Ns::ZERO).expect("boot");
-    for i in 0..nobjs {
-        dpu.segments
-            .create(
-                hyperion_mem::seglevel::SegmentId(i as u128 + 1),
-                size,
-                hyperion_mem::seglevel::AllocHint::Durable,
-                t0,
-            )
-            .expect("create");
-    }
-    let mut t = t0;
-    for i in 0..OPS {
-        let id = hyperion_mem::seglevel::SegmentId((i % nobjs) as u128 + 1);
-        let (_, done) = dpu.segments.read(id, 0, size, t).expect("read");
-        rec.record_hop(Component::Nvme, "segment:read", t, done);
-        rec.record_op("e1.dpu.read", done.saturating_sub(t));
-        t = done;
-    }
-
-    let mut host = HostServer::new(1 << 22);
-    let mut t = Ns::ZERO;
-    for i in 0..OPS {
-        let lba = (i % nobjs) * blocks;
-        let (_, done) = host.kernel_read(lba, blocks as u32, t).expect("read");
-        rec.record_hop(Component::Host, "kernel:read", t, done);
-        rec.record_op("e1.host.read", done.saturating_sub(t));
-        t = done;
-    }
-    rec
+    (vec![energy, density], rec)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::cached;
     use hyperion_sim::energy::Pj;
     use hyperion_telemetry::power::active_power;
-    use std::sync::OnceLock;
 
     fn tables() -> &'static [Table] {
-        static T: OnceLock<Vec<Table>> = OnceLock::new();
-        T.get_or_init(run)
+        cached("e1").0
     }
 
     #[test]
     fn telemetry_attributes_both_sides() {
-        let rec = telemetry();
+        let rec = cached("e1").1;
         let rows = rec.hop_rows();
         let dpu = rows.iter().find(|r| r.name == "segment:read").unwrap();
         let host = rows.iter().find(|r| r.name == "kernel:read").unwrap();

@@ -158,16 +158,30 @@ fn run_profile(p: &Profile, mut rec: Option<&mut Recorder>) -> ProfileOutcome {
     out
 }
 
-/// Runs E13: the tail-latency table across fault profiles.
-pub fn run() -> Vec<Table> {
+/// The profile the recorder traces: the heaviest, flap + media errors.
+const TRACED_PROFILE: usize = 3;
+
+/// Runs E13: the tail-latency table across fault profiles, plus the
+/// recorder of the flap + media profile. Every exchange of that profile
+/// is traced, so the breakdown shows retry waits as queueing edges and
+/// the fault/recovery counters (`nvmeof:*`) alongside the device's
+/// self-healing counters (`nvme:*`).
+pub fn run() -> (Vec<Table>, Recorder) {
+    let mut rec = Recorder::new("E13: NVMe-oF reads under faults (flap + media profile)");
     let mut t = Table::new(
         "E13: NVMe-oF read tail latency under injected faults (UDP, retry budget 8)",
         &[
             "profile", "reads", "p50", "p99", "max", "retries", "gave up", "remapped",
         ],
     );
-    for p in &PROFILES {
-        let o = run_profile(p, None);
+    for (i, p) in PROFILES.iter().enumerate() {
+        let traced = i == TRACED_PROFILE;
+        let o = run_profile(p, traced.then_some(&mut rec));
+        if traced {
+            // The device is dropped inside run_profile, so export the
+            // aggregate the experiment kept.
+            rec.count("nvme:remapped_lbas", o.remapped as u64);
+        }
         let mut sorted = o.latencies.clone();
         sorted.sort_unstable();
         t.row(vec![
@@ -181,32 +195,16 @@ pub fn run() -> Vec<Table> {
             o.remapped.to_string(),
         ]);
     }
-    vec![t]
-}
-
-/// Telemetry run: the heaviest profile with every exchange traced, so the
-/// breakdown shows retry waits as queueing edges and the fault/recovery
-/// counters (`nvmeof:*`) alongside the device's self-healing counters
-/// (`nvme:*`).
-pub fn telemetry() -> Recorder {
-    let mut rec = Recorder::new("E13: NVMe-oF reads under faults (flap + media profile)");
-    let profile = &PROFILES[3];
-    let o = run_profile(profile, Some(&mut rec));
-    // Surface the device's self-healing bookkeeping next to the fabric
-    // counters; the device is dropped inside run_profile, so export the
-    // aggregate the experiment kept.
-    rec.count("nvme:remapped_lbas", o.remapped as u64);
-    rec
+    (vec![t], rec)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::OnceLock;
+    use crate::experiments::cached;
 
     fn table() -> &'static Table {
-        static T: OnceLock<Table> = OnceLock::new();
-        T.get_or_init(|| run().remove(0))
+        &cached("e13").0[0]
     }
 
     #[test]
@@ -243,17 +241,17 @@ mod tests {
     #[test]
     fn experiment_is_deterministic() {
         // Same seed, same plan: byte-identical tables and telemetry dumps.
-        let a = format!("{}", run().remove(0));
-        let b = format!("{}", run().remove(0));
-        assert_eq!(a, b);
-        let ja = hyperion_telemetry::json::to_json(&telemetry());
-        let jb = hyperion_telemetry::json::to_json(&telemetry());
+        let (a, ra) = run();
+        let (b, rb) = cached("e13");
+        assert_eq!(format!("{}", a[0]), format!("{}", b[0]));
+        let ja = hyperion_telemetry::json::to_json(&ra);
+        let jb = hyperion_telemetry::json::to_json(rb);
         assert_eq!(ja, jb);
     }
 
     #[test]
     fn telemetry_shows_recovery_work_honestly() {
-        let rec = telemetry();
+        let rec = cached("e13").1;
         assert!(rec.counter("nvmeof:retries") > 0, "profile must retry");
         assert_eq!(rec.open_spans(), 0);
         // Retry waits surface as queueing edges for the critical path.

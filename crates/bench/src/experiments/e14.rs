@@ -280,8 +280,16 @@ fn p99(samples: &[u64]) -> u64 {
     percentile(&sorted, 99.0)
 }
 
-/// Runs E14: the availability table across failure profiles.
-pub fn run() -> Vec<Table> {
+/// The profile the recorder traces: crash + overload.
+const TRACED_PROFILE: usize = 2;
+
+/// Runs E14: the availability table across failure profiles, plus the
+/// recorder of the crash + overload profile: suspicion and epoch-bump
+/// counters, repaired positions, the request outcome counts, and the
+/// repair span whose whole extent is a queue edge (the critical path
+/// charges failover as waiting, not service).
+pub fn run() -> (Vec<Table>, Recorder) {
+    let mut rec = Recorder::new("E14: cluster failover (crash + overload profile)");
     let mut t = Table::new(
         "E14: cluster availability — one member killed at t+50ms (3 DPUs, CORFU r=2 + spare)",
         &[
@@ -289,8 +297,14 @@ pub fn run() -> Vec<Table> {
             "p99 pre", "p99 fail", "p99 post",
         ],
     );
-    for p in &PROFILES {
-        let o = run_profile(p, None);
+    for (i, p) in PROFILES.iter().enumerate() {
+        let traced = i == TRACED_PROFILE;
+        let o = run_profile(p, traced.then_some(&mut rec));
+        if traced {
+            rec.count("cluster:failed_requests", o.failed);
+            rec.count("cluster:shed_requests", o.shed);
+            rec.count("cluster:retried_requests", o.retried);
+        }
         t.row(vec![
             p.name.into(),
             o.requests.to_string(),
@@ -305,25 +319,13 @@ pub fn run() -> Vec<Table> {
             fmt_ns(p99(&o.post)),
         ]);
     }
-    vec![t]
-}
-
-/// Telemetry run: the crash+overload profile with the supervisor
-/// recording — suspicion and epoch-bump counters, repaired positions,
-/// and the repair span whose whole extent is a queue edge (the
-/// critical path charges failover as waiting, not service).
-pub fn telemetry() -> Recorder {
-    let mut rec = Recorder::new("E14: cluster failover (crash + overload profile)");
-    let o = run_profile(&PROFILES[2], Some(&mut rec));
-    rec.count("cluster:failed_requests", o.failed);
-    rec.count("cluster:shed_requests", o.shed);
-    rec.count("cluster:retried_requests", o.retried);
-    rec
+    (vec![t], rec)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::cached;
     use std::sync::OnceLock;
 
     fn outcomes() -> &'static [Outcome; 3] {
@@ -411,17 +413,17 @@ mod tests {
     #[test]
     fn experiment_is_deterministic() {
         // Same seed, same plan: byte-identical tables and telemetry dumps.
-        let a = format!("{}", run().remove(0));
-        let b = format!("{}", run().remove(0));
-        assert_eq!(a, b);
-        let ja = hyperion_telemetry::json::to_json(&telemetry());
-        let jb = hyperion_telemetry::json::to_json(&telemetry());
+        let (a, ra) = run();
+        let (b, rb) = cached("e14");
+        assert_eq!(format!("{}", a[0]), format!("{}", b[0]));
+        let ja = hyperion_telemetry::json::to_json(&ra);
+        let jb = hyperion_telemetry::json::to_json(rb);
         assert_eq!(ja, jb);
     }
 
     #[test]
     fn telemetry_records_the_failover_honestly() {
-        let rec = telemetry();
+        let rec = cached("e14").1;
         assert_eq!(rec.counter("cluster:suspicions"), 1);
         assert_eq!(rec.counter("cluster:epoch_bumps"), 1);
         assert!(rec.counter("corfu:repaired_positions") > 0);

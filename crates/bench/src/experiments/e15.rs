@@ -117,9 +117,14 @@ fn run_load(load: &Load) -> (Recorder, Ns) {
     (rec, makespan)
 }
 
+/// The load shape whose recorder `run` returns: pcie-heavy.
+const TRACED_LOAD: usize = 1;
+
 /// Runs E15: the bottleneck-sweep table. One row per load shape with the
-/// top-blamed resource and its share of wall-clock.
-pub fn run() -> Vec<Table> {
+/// top-blamed resource and its share of wall-clock. Also returns the
+/// pcie-heavy shape's recorder, utilization plane on — the one
+/// `report --util e15` renders.
+pub fn run() -> (Vec<Table>, Recorder) {
     let mut t = Table::new(
         "E15: bottleneck sweep — blame follows the saturated resource (64 ops, 8 clients)",
         &[
@@ -132,7 +137,8 @@ pub fn run() -> Vec<Table> {
             "total blamed share",
         ],
     );
-    for load in &LOADS {
+    let mut traced = None;
+    for (i, load) in LOADS.iter().enumerate() {
         let (rec, makespan) = run_load(load);
         let report = blame(&rec);
         let (top_name, top_blamed, top_share) = match report.top() {
@@ -149,24 +155,20 @@ pub fn run() -> Vec<Table> {
             format!("{:.1}%", top_share * 100.0),
             format!("{:.1}%", total_share * 100.0),
         ]);
+        if i == TRACED_LOAD {
+            traced = Some(rec);
+        }
     }
-    vec![t]
-}
-
-/// Telemetry run: the PCIe-bound load shape with the utilization plane
-/// on — the recorder `report --util e15` renders.
-pub fn telemetry() -> Recorder {
-    run_load(&LOADS[1]).0
+    (vec![t], traced.expect("LOADS has the traced shape"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::OnceLock;
+    use crate::experiments::cached;
 
     fn table() -> &'static Table {
-        static T: OnceLock<Table> = OnceLock::new();
-        T.get_or_init(|| run().remove(0))
+        &cached("e15").0[0]
     }
 
     #[test]
@@ -200,17 +202,17 @@ mod tests {
 
     #[test]
     fn experiment_is_deterministic() {
-        let a = format!("{}", run().remove(0));
-        let b = format!("{}", run().remove(0));
-        assert_eq!(a, b);
-        let ja = hyperion_telemetry::json::to_json(&telemetry());
-        let jb = hyperion_telemetry::json::to_json(&telemetry());
+        let (a, ra) = run();
+        let (b, rb) = cached("e15");
+        assert_eq!(format!("{}", a[0]), format!("{}", b[0]));
+        let ja = hyperion_telemetry::json::to_json(&ra);
+        let jb = hyperion_telemetry::json::to_json(rb);
         assert_eq!(ja, jb);
     }
 
     #[test]
     fn telemetry_carries_the_util_plane() {
-        let rec = telemetry();
+        let rec = cached("e15").1;
         assert!(rec.util_enabled());
         assert!(!rec.util().is_empty());
         assert_eq!(rec.open_spans(), 0);

@@ -23,8 +23,9 @@ const INTERP_NS_PER_INSN: f64 = 1.2;
 /// driver hook, well below the full socket path).
 const SOFT_PACKET_OVERHEAD: Ns = Ns(300);
 
-/// Packets per measurement.
-const PACKETS: u64 = 10_000;
+/// Packets per program: enough for a stable insns/pkt and p50/p99, small
+/// enough to keep the span dump readable.
+const PACKETS: u64 = 512;
 
 /// The three programs of the experiment.
 pub fn programs() -> Vec<(&'static str, String, u64)> {
@@ -80,8 +81,12 @@ pub fn programs() -> Vec<(&'static str, String, u64)> {
     ]
 }
 
-/// Runs E4.
-pub fn run() -> Vec<Table> {
+/// Runs E4 and returns its table, plus the recorder of the same packets:
+/// each program's packets recorded both ways, as fabric hops through the
+/// HDL pipeline and as host hops through the interpreter + kernel packet
+/// path.
+pub fn run() -> (Vec<Table>, Recorder) {
+    let mut rec = Recorder::new("E4: eBPF packet programs, pipeline vs interpreter");
     let mut t = Table::new(
         "E4: eBPF packet programs, interpreter vs HDL pipeline",
         &[
@@ -95,6 +100,12 @@ pub fn run() -> Vec<Table> {
         ],
     );
     for (name, source, ctx_len) in programs() {
+        // Hop labels must be 'static: one pair per program of the fixed set.
+        let (hw_hop, sw_hop) = match name {
+            "filter" => ("hdl:filter", "interp:filter"),
+            "ip-checksum" => ("hdl:ip-checksum", "interp:ip-checksum"),
+            _ => ("hdl:len-histogram", "interp:len-histogram"),
+        };
         let program = assemble(name, &source, ctx_len).expect("asm");
         let verified = verify(&program).expect("verify");
         let mut hw = compile(&verified, ClockDomain::new(250)).expect("compile");
@@ -108,12 +119,22 @@ pub fn run() -> Vec<Table> {
         let mut packet = vec![0u8; ctx_len as usize];
         packet[9] = 6;
         packet[22] = 22;
-        for i in 0..PACKETS.min(512) {
+        let mut hw_now = Ns::ZERO;
+        let mut sw_now = Ns::ZERO;
+        for i in 0..PACKETS {
             packet[0] = i as u8;
+            // Traced admission also marks intake back-pressure (II
+            // spacing) as a queueing edge for the critical-path analyzer.
+            hw_now = hw.admit(hw_hop, hw_now, Some(&mut rec));
+
             let r = vm.run(&program, &mut packet).expect("run");
             insns_total += r.insns;
+            let sw_ns =
+                SOFT_PACKET_OVERHEAD.0 + (r.insns as f64 * INTERP_NS_PER_INSN).round() as u64;
+            rec.record_hop(Component::Host, sw_hop, sw_now, sw_now + Ns(sw_ns));
+            sw_now += Ns(sw_ns);
         }
-        let insns_per_pkt = insns_total as f64 / PACKETS.min(512) as f64;
+        let insns_per_pkt = insns_total as f64 / PACKETS as f64;
 
         // Software throughput: overhead + interpretation, one core.
         let sw_ns_per_pkt = SOFT_PACKET_OVERHEAD.0 as f64 + insns_per_pkt * INTERP_NS_PER_INSN;
@@ -121,11 +142,6 @@ pub fn run() -> Vec<Table> {
 
         // Hardware throughput: II-limited at the fabric clock.
         let hw_pps = hw.throughput_per_sec() as f64;
-        // Drive some packets through to exercise the model.
-        let mut now = Ns::ZERO;
-        for _ in 0..100 {
-            now = hw.admit(now);
-        }
 
         t.row(vec![
             name.to_string(),
@@ -137,80 +153,35 @@ pub fn run() -> Vec<Table> {
             format!("{:.1}x", hw_pps / sw_pps),
         ]);
     }
-    vec![t]
-}
-
-/// Packets per program in the telemetry run (enough for stable p50/p99,
-/// small enough to keep the span dump readable).
-const TELEMETRY_PACKETS: u64 = 512;
-
-/// Telemetry run: each program's packets recorded both ways — as fabric
-/// hops through the HDL pipeline and as host hops through the
-/// interpreter + kernel packet path.
-pub fn telemetry() -> Recorder {
-    let mut rec = Recorder::new("E4: eBPF packet programs, pipeline vs interpreter");
-    for (name, source, ctx_len) in programs() {
-        // Hop labels must be 'static: one pair per program of the fixed set.
-        let (hw_hop, sw_hop) = match name {
-            "filter" => ("hdl:filter", "interp:filter"),
-            "ip-checksum" => ("hdl:ip-checksum", "interp:ip-checksum"),
-            _ => ("hdl:len-histogram", "interp:len-histogram"),
-        };
-        let program = assemble(name, &source, ctx_len).expect("asm");
-        let verified = verify(&program).expect("verify");
-        let mut hw = compile(&verified, ClockDomain::new(250)).expect("compile");
-
-        let mut vm = Vm::new();
-        if name == "len-histogram" {
-            vm.maps.add_array(16);
-        }
-        let mut packet = vec![0u8; ctx_len as usize];
-        packet[9] = 6;
-        packet[22] = 22;
-        let mut hw_now = Ns::ZERO;
-        let mut sw_now = Ns::ZERO;
-        for i in 0..TELEMETRY_PACKETS {
-            packet[0] = i as u8;
-            // Traced admission also marks intake back-pressure (II
-            // spacing) as a queueing edge for the critical-path analyzer.
-            let done = hw.admit_traced(hw_hop, hw_now, Some(&mut rec));
-            hw_now = done;
-
-            let r = vm.run(&program, &mut packet).expect("run");
-            let sw_ns =
-                SOFT_PACKET_OVERHEAD.0 + (r.insns as f64 * INTERP_NS_PER_INSN).round() as u64;
-            rec.record_hop(Component::Host, sw_hop, sw_now, sw_now + Ns(sw_ns));
-            sw_now += Ns(sw_ns);
-        }
-    }
-    rec
+    (vec![t], rec)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::cached;
 
     #[test]
     fn telemetry_shows_pipeline_beating_interpreter() {
-        let rec = telemetry();
+        let rec = cached("e4").1;
         let rows = rec.hop_rows();
         let hw = rows.iter().find(|r| r.name == "hdl:filter").unwrap();
         let sw = rows.iter().find(|r| r.name == "interp:filter").unwrap();
-        assert_eq!(hw.count, TELEMETRY_PACKETS);
-        assert_eq!(sw.count, TELEMETRY_PACKETS);
+        assert_eq!(hw.count, PACKETS);
+        assert_eq!(sw.count, PACKETS);
         assert!(sw.total > hw.total, "interpreter must be slower");
         assert_eq!(rec.open_spans(), 0);
     }
 
     #[test]
     fn all_programs_verify_and_compile() {
-        let t = &run()[0];
+        let t = &cached("e4").0[0];
         assert_eq!(t.rows.len(), 3);
     }
 
     #[test]
     fn hardware_wins_by_an_order_of_magnitude_for_stateless() {
-        let t = &run()[0];
+        let t = &cached("e4").0[0];
         // filter row: II = 1, expect >=10x (hXDP-class).
         let speedup = t.cell(0, t.headers.len() - 1).ratio();
         assert!(speedup >= 10.0, "filter speedup {speedup}");
@@ -218,7 +189,7 @@ mod tests {
 
     #[test]
     fn stateful_programs_pay_ii() {
-        let t = &run()[0];
+        let t = &cached("e4").0[0];
         let hist_ii = t.cell(2, 3).u64();
         assert!(hist_ii > 1, "histogram must have II > 1 (map update)");
         let filter_ii = t.cell(0, 3).u64();

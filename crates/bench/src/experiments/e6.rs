@@ -3,10 +3,7 @@
 //! across tree sizes and all four transports.
 
 use hyperion::dpu::DpuBuilder;
-use hyperion_apps::pointer_chase::{
-    client_driven_lookup, client_driven_lookup_traced, offloaded_lookup, offloaded_lookup_traced,
-    populate_tree,
-};
+use hyperion_apps::pointer_chase::{client_driven_lookup, offloaded_lookup, populate_tree};
 use hyperion_net::rpc::RpcChannel;
 use hyperion_net::transport::{Endpoint, EndpointKind, Transport, TransportKind};
 use hyperion_net::Network;
@@ -24,8 +21,12 @@ fn channel(net: &mut Network, kind: TransportKind) -> RpcChannel {
     RpcChannel::new(client, server, Transport::new(kind))
 }
 
-/// Runs E6: tree-depth sweep (UDP) and a transport sweep (fixed depth).
-pub fn run() -> Vec<Table> {
+/// Runs E6: tree-depth sweep (UDP) and a transport sweep (fixed depth),
+/// plus the recorder of the 5k-key depth row: both lookup styles traced
+/// end to end — wire legs, service dispatch, per-level node fetches, and
+/// whole-lookup op samples.
+pub fn run() -> (Vec<Table>, Recorder) {
+    let mut rec = Recorder::new("E6: pointer chasing, client-driven vs offloaded (5k keys, UDP)");
     let mut depth_table = Table::new(
         "E6: pointer chasing vs tree size (UDP transport)",
         &[
@@ -39,6 +40,7 @@ pub fn run() -> Vec<Table> {
         ],
     );
     for &keys in &[100u64, 5_000, 50_000] {
+        let mut trace = (keys == 5_000).then_some(&mut rec);
         let mut dpu = DpuBuilder::new().auth_key(1).build();
         let t0 = dpu.boot(Ns::ZERO).expect("boot");
         let t0 = populate_tree(&mut dpu, keys, t0);
@@ -52,11 +54,12 @@ pub fn run() -> Vec<Table> {
         let mut t = t0;
         for i in 0..LOOKUPS {
             let key = (i * keys / LOOKUPS).min(keys - 1);
-            let cli = client_driven_lookup(&mut dpu, &mut ch, &mut net, key, t);
+            let cli =
+                client_driven_lookup(&mut dpu, &mut ch, &mut net, key, t, trace.as_deref_mut());
             cli_total += (cli.done - t).0;
             cli_rtts += cli.rtts;
             t = cli.done;
-            let off = offloaded_lookup(&mut dpu, &mut ch, &mut net, key, t);
+            let off = offloaded_lookup(&mut dpu, &mut ch, &mut net, key, t, trace.as_deref_mut());
             off_total += (off.done - t).0;
             off_rtts += off.rtts;
             t = off.done;
@@ -90,10 +93,10 @@ pub fn run() -> Vec<Table> {
         let mut off_total = 0u64;
         for i in 0..LOOKUPS {
             let key = i * 1_500;
-            let cli = client_driven_lookup(&mut dpu, &mut ch, &mut net, key, t);
+            let cli = client_driven_lookup(&mut dpu, &mut ch, &mut net, key, t, None);
             cli_total += (cli.done - t).0;
             t = cli.done;
-            let off = offloaded_lookup(&mut dpu, &mut ch, &mut net, key, t);
+            let off = offloaded_lookup(&mut dpu, &mut ch, &mut net, key, t, None);
             off_total += (off.done - t).0;
             t = off.done;
         }
@@ -126,45 +129,21 @@ pub fn run() -> Vec<Table> {
             fmt_ratio(cli_lat as f64 / off_lat as f64),
         ]);
     }
-    vec![depth_table, transport_table, mem_table]
-}
-
-/// Telemetry run: the 5k-key UDP configuration with both lookup styles
-/// traced end to end — wire legs, service dispatch, per-level node
-/// fetches, and whole-lookup op samples. This recorder also backs the
-/// determinism property test (same seed → byte-identical dump).
-pub fn telemetry() -> Recorder {
-    let mut rec = Recorder::new("E6: pointer chasing, client-driven vs offloaded (5k keys, UDP)");
-    let keys = 5_000u64;
-    let mut dpu = DpuBuilder::new().auth_key(1).build();
-    let t0 = dpu.boot(Ns::ZERO).expect("boot");
-    let t0 = populate_tree(&mut dpu, keys, t0);
-    let mut net = Network::new();
-    let mut ch = channel(&mut net, TransportKind::Udp);
-    let mut t = t0;
-    for i in 0..LOOKUPS {
-        let key = (i * keys / LOOKUPS).min(keys - 1);
-        let cli = client_driven_lookup_traced(&mut dpu, &mut ch, &mut net, key, t, Some(&mut rec));
-        t = cli.done;
-        let off = offloaded_lookup_traced(&mut dpu, &mut ch, &mut net, key, t, Some(&mut rec));
-        t = off.done;
-    }
-    rec
+    (vec![depth_table, transport_table, mem_table], rec)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::OnceLock;
+    use crate::experiments::cached;
 
     fn tables() -> &'static [Table] {
-        static T: OnceLock<Vec<Table>> = OnceLock::new();
-        T.get_or_init(run)
+        cached("e6").0
     }
 
     #[test]
     fn telemetry_separates_the_two_lookup_styles() {
-        let rec = telemetry();
+        let rec = cached("e6").1;
         let ops: Vec<(&str, u64, u64)> = rec
             .op_histograms()
             .map(|(n, h)| (n, h.count(), h.percentile(50.0)))

@@ -3,7 +3,7 @@
 
 use hyperion::control::ControlPlane;
 use hyperion::dpu::DpuBuilder;
-use hyperion_apps::fail2ban::{deploy, run_on_dpu, run_on_dpu_traced};
+use hyperion_apps::fail2ban::{deploy, run_on_dpu};
 use hyperion_apps::loadbalancer::LoadBalancer;
 use hyperion_apps::trafficgen::TrafficGen;
 use hyperion_baseline::host::HostServer;
@@ -19,12 +19,23 @@ const KEY: u64 = 0xC0FFEE;
 /// Packets per fail2ban run.
 const PACKETS: u64 = 20_000;
 
-/// Runs E7: fail2ban DPU vs host, then the LB spill sweep.
-pub fn run() -> Vec<Table> {
-    vec![fail2ban_table(), lb_table()]
+/// The leading packets of each fail2ban run the recorder traces (fewer
+/// than the run: every traced packet retains a span).
+const TRACED_PACKETS: u64 = 5_000;
+
+/// Runs E7: fail2ban DPU vs host, then the LB spill sweep, plus the
+/// recorder of fail2ban's first 5,000 packets on both sides.
+pub fn run() -> (Vec<Table>, Recorder) {
+    let (f2b, rec) = fail2ban();
+    (vec![f2b, lb_table()], rec)
 }
 
-fn fail2ban_table() -> Table {
+/// The fail2ban table and its recorder. The DPU side traces the fabric
+/// pipeline and the fire-and-forget log appends; the host side traces the
+/// kernel packet path, the synchronous half of each ban's log write, and
+/// the raw-device flash program (with its queue-depth gauge).
+fn fail2ban() -> (Table, Recorder) {
+    let mut rec = Recorder::new("E7: fail2ban packet logging, DPU vs host");
     let mut t = Table::new(
         "E7: fail2ban packet logging, DPU pipeline+log vs host interpreter+kernel I/O",
         &["platform", "packets/s", "bans", "durably logged"],
@@ -35,13 +46,30 @@ fn fail2ban_table() -> Table {
     let mut cp = ControlPlane::new(KEY);
     let (slot, live) = deploy(&mut dpu, &mut cp, t0).expect("deploy");
     let mut gen = TrafficGen::new(99, 5_000, 0.1, 64);
-    let report = run_on_dpu(&mut dpu, &mut cp, slot, &mut gen, PACKETS, live);
-    let dpu_elapsed = (report.end - live).as_secs_f64();
+    let traced = run_on_dpu(
+        &mut dpu,
+        &mut cp,
+        slot,
+        &mut gen,
+        TRACED_PACKETS,
+        live,
+        Some(&mut rec),
+    );
+    let rest = run_on_dpu(
+        &mut dpu,
+        &mut cp,
+        slot,
+        &mut gen,
+        PACKETS - TRACED_PACKETS,
+        traced.end,
+        None,
+    );
+    let dpu_elapsed = (rest.end - live).as_secs_f64();
     t.row(vec![
         "hyperion".into(),
         fmt_rate(PACKETS as f64 / dpu_elapsed),
-        report.bans.to_string(),
-        report.logged.to_string(),
+        (traced.bans + rest.bans).to_string(),
+        (traced.logged + rest.logged).to_string(),
     ]);
 
     // Host side: the same eBPF program interpreted per packet behind the
@@ -62,32 +90,42 @@ fn fail2ban_table() -> Table {
     let mut logged = 0u64;
     let mut log_lba = 0u64;
     const INTERP_NS_PER_INSN: u64 = 1; // ~3 GHz core, ~3 insn cycles each
-    for _ in 0..PACKETS {
+    for i in 0..PACKETS {
+        let mut trace = (i < TRACED_PACKETS).then_some(&mut rec);
         let (_, packet) = gen.next_packet();
         let mut ctx = vec![0u8; hyperion_apps::fail2ban::CTX_LEN as usize];
         ctx[0..8].copy_from_slice(&packet.flow.hash64().to_le_bytes());
         ctx[8] = packet.payload[0];
         let r = vm.run(&program, &mut ctx).expect("run");
         // Kernel packet path + interpretation on a core.
-        now = host.cpu(now, KERNEL_ENDPOINT + Ns(r.insns * INTERP_NS_PER_INSN));
+        let done = host.cpu(now, KERNEL_ENDPOINT + Ns(r.insns * INTERP_NS_PER_INSN));
+        if let Some(rec) = trace.as_deref_mut() {
+            rec.record_hop(Component::Host, "kernel:packet", now, done);
+        }
+        now = done;
         if r.ret == 1 {
             bans += 1;
             // Mirror the DPU's asynchronous durability: the host still
             // pays the synchronous CPU half of the write (syscall, block
             // stack, copy-in), while the flash program proceeds in the
             // background on the raw device.
-            now = host.cpu(
+            let done = host.cpu(
                 now,
                 hyperion_baseline::host::SYSCALL + hyperion_baseline::host::BLOCK_STACK,
             );
-            now = host.copy(now, 4096);
+            let done = host.copy(done, 4096);
+            if let Some(rec) = trace.as_deref_mut() {
+                rec.record_hop(Component::Host, "kernel:log_write", now, done);
+            }
+            now = done;
             host.raw_device()
-                .submit(
+                .submit_traced(
                     hyperion_nvme::device::Command::Write {
                         lba: log_lba,
                         data: bytes::Bytes::from(vec![0u8; 4096]),
                     },
                     now,
+                    trace,
                 )
                 .expect("log write");
             log_lba += 1;
@@ -101,7 +139,7 @@ fn fail2ban_table() -> Table {
         bans.to_string(),
         logged.to_string(),
     ]);
-    t
+    (t, rec)
 }
 
 fn lb_table() -> Table {
@@ -146,92 +184,19 @@ fn lb_table() -> Table {
     t
 }
 
-/// Packets in the telemetry run (smaller than the throughput run: every
-/// packet retains a span).
-const TELEMETRY_PACKETS: u64 = 5_000;
-
-/// Telemetry run: fail2ban both ways. The DPU side traces the fabric
-/// pipeline and the fire-and-forget log appends; the host side traces the
-/// kernel packet path, the synchronous half of each ban's log write, and
-/// the raw-device flash program (with its queue-depth gauge).
-pub fn telemetry() -> Recorder {
-    let mut rec = Recorder::new("E7: fail2ban packet logging, DPU vs host");
-
-    let mut dpu = DpuBuilder::new().auth_key(KEY).build();
-    let t0 = dpu.boot(Ns::ZERO).expect("boot");
-    let mut cp = ControlPlane::new(KEY);
-    let (slot, live) = deploy(&mut dpu, &mut cp, t0).expect("deploy");
-    let mut gen = TrafficGen::new(99, 5_000, 0.1, 64);
-    let _ = run_on_dpu_traced(
-        &mut dpu,
-        &mut cp,
-        slot,
-        &mut gen,
-        TELEMETRY_PACKETS,
-        live,
-        Some(&mut rec),
-    );
-
-    let program = assemble(
-        "fail2ban",
-        hyperion_apps::fail2ban::FAIL2BAN_EBPF,
-        hyperion_apps::fail2ban::CTX_LEN,
-    )
-    .expect("asm");
-    let mut vm = Vm::new();
-    vm.maps.add_hash(1 << 20);
-    vm.maps.add_hash(1 << 20);
-    let mut host = HostServer::new(1 << 20);
-    let mut gen = TrafficGen::new(99, 5_000, 0.1, 64);
-    let mut now = Ns::ZERO;
-    let mut log_lba = 0u64;
-    const INTERP_NS_PER_INSN: u64 = 1;
-    for _ in 0..TELEMETRY_PACKETS {
-        let (_, packet) = gen.next_packet();
-        let mut ctx = vec![0u8; hyperion_apps::fail2ban::CTX_LEN as usize];
-        ctx[0..8].copy_from_slice(&packet.flow.hash64().to_le_bytes());
-        ctx[8] = packet.payload[0];
-        let r = vm.run(&program, &mut ctx).expect("run");
-        let done = host.cpu(now, KERNEL_ENDPOINT + Ns(r.insns * INTERP_NS_PER_INSN));
-        rec.record_hop(Component::Host, "kernel:packet", now, done);
-        now = done;
-        if r.ret == 1 {
-            let t = host.cpu(
-                now,
-                hyperion_baseline::host::SYSCALL + hyperion_baseline::host::BLOCK_STACK,
-            );
-            let t = host.copy(t, 4096);
-            rec.record_hop(Component::Host, "kernel:log_write", now, t);
-            now = t;
-            host.raw_device()
-                .submit_traced(
-                    hyperion_nvme::device::Command::Write {
-                        lba: log_lba,
-                        data: bytes::Bytes::from(vec![0u8; 4096]),
-                    },
-                    now,
-                    Some(&mut rec),
-                )
-                .expect("log write");
-            log_lba += 1;
-        }
-    }
-    rec
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::OnceLock;
+    use crate::experiments::cached;
 
     #[test]
     fn telemetry_traces_both_platforms() {
-        let rec = telemetry();
+        let rec = cached("e7").1;
         let rows = rec.hop_rows();
         let pipeline = rows.iter().find(|r| r.name == "f2b:pipeline").unwrap();
         let kernel = rows.iter().find(|r| r.name == "kernel:packet").unwrap();
-        assert_eq!(pipeline.count, TELEMETRY_PACKETS);
-        assert_eq!(kernel.count, TELEMETRY_PACKETS);
+        assert_eq!(pipeline.count, TRACED_PACKETS);
+        assert_eq!(kernel.count, TRACED_PACKETS);
         // Same traffic, same classifier: both sides persist bans, and the
         // host pays strictly more time per packet.
         assert!(rows.iter().any(|r| r.name == "log:append"));
@@ -240,19 +205,9 @@ mod tests {
         assert_eq!(rec.open_spans(), 0);
     }
 
-    fn f2b() -> &'static Table {
-        static T: OnceLock<Table> = OnceLock::new();
-        T.get_or_init(fail2ban_table)
-    }
-
-    fn lb() -> &'static Table {
-        static T: OnceLock<Table> = OnceLock::new();
-        T.get_or_init(lb_table)
-    }
-
     #[test]
     fn dpu_outpaces_host_and_both_log_all_bans() {
-        let t = f2b();
+        let t = &cached("e7").0[0];
         let dpu_rate = t.cell(0, 1).rate();
         let host_rate = t.cell(1, 1).rate();
         assert!(
@@ -266,7 +221,7 @@ mod tests {
 
     #[test]
     fn lb_spills_only_beyond_dram_capacity() {
-        let t = lb();
+        let t = &cached("e7").0[1];
         let spills = |i: usize| -> u64 { t.cell(i, 1).u64() };
         assert_eq!(spills(0), 0, "10k flows fit in DRAM");
         assert!(spills(2) > 0, "200k flows must spill");
@@ -274,7 +229,7 @@ mod tests {
 
     #[test]
     fn throughput_degrades_gracefully_under_spill() {
-        let t = lb();
+        let t = &cached("e7").0[1];
         let r_small = t.cell(0, 3).rate();
         let r_big = t.cell(2, 3).rate();
         assert!(r_big < r_small, "spill costs throughput");

@@ -250,8 +250,8 @@ mod tests {
 
     #[test]
     fn util_tables_surface_the_blame() {
-        let rec = crate::experiments::e15::telemetry();
-        let tables = util_tables(&rec);
+        let rec = crate::experiments::cached("e15").1;
+        let tables = util_tables(rec);
         assert_eq!(tables.len(), 2);
         assert!(!tables[0].rows.is_empty(), "utilization rows");
         let bl = &tables[1];
@@ -283,17 +283,20 @@ mod tests {
         assert_eq!(a, b);
     }
 
-    /// Satellite: every counter and gauge a real telemetry run emits is
-    /// in the registry — the closed-name-set contract of DESIGN §5.4.
+    /// Every counter and gauge a real telemetry run emits is in the
+    /// registry — the closed-name-set contract of DESIGN §5.4. Covers every
+    /// instrumented experiment's recorder and the SLO mix's.
     #[test]
     fn emitted_names_are_registered() {
-        let recs = [
-            crate::experiments::e1::telemetry(),
-            crate::experiments::e13::telemetry(),
-            crate::experiments::e14::telemetry(),
-            crate::experiments::e15::telemetry(),
-        ];
-        for rec in &recs {
+        let slo = crate::slo::run().1;
+        let mut recs: Vec<&Recorder> = crate::experiments::REGISTRY
+            .iter()
+            .filter(|e| e.traced())
+            .map(|e| crate::experiments::cached(e.id).1)
+            .collect();
+        recs.push(&slo);
+        assert_eq!(recs.len(), 8);
+        for rec in recs {
             for (name, _) in rec.counters() {
                 assert!(
                     registry::is_registered_counter(name),

@@ -10,9 +10,7 @@
 //!    to the end-to-end latency.
 
 use hyperion::dpu::DpuBuilder;
-use hyperion_apps::pointer_chase::{
-    client_driven_lookup_traced, offloaded_lookup_traced, populate_tree,
-};
+use hyperion_apps::pointer_chase::{client_driven_lookup, offloaded_lookup, populate_tree};
 use hyperion_net::rpc::RpcChannel;
 use hyperion_net::transport::{Endpoint, EndpointKind, Transport, TransportKind};
 use hyperion_net::Network;
@@ -37,10 +35,9 @@ fn chase_run() -> Recorder {
     let mut t = t0;
     for i in 0..LOOKUPS {
         let key = (i * KEYS / LOOKUPS).min(KEYS - 1);
-        let cli = client_driven_lookup_traced(&mut dpu, &mut ch, &mut net, key, t, Some(&mut rec));
+        let cli = client_driven_lookup(&mut dpu, &mut ch, &mut net, key, t, Some(&mut rec));
         assert_eq!(cli.value, Some(key * 7));
-        let off =
-            offloaded_lookup_traced(&mut dpu, &mut ch, &mut net, key, cli.done, Some(&mut rec));
+        let off = offloaded_lookup(&mut dpu, &mut ch, &mut net, key, cli.done, Some(&mut rec));
         assert_eq!(off.value, Some(key * 7));
         t = off.done;
     }

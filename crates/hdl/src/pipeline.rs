@@ -164,11 +164,6 @@ impl HwPipeline {
         self.items
     }
 
-    /// Admits one item at `now` (see [`HwPipeline::admit_traced`]).
-    pub fn admit(&mut self, now: Ns) -> Ns {
-        self.admit_traced("", now, None)
-    }
-
     /// Queue wait an item arriving at `now` would see at the intake before
     /// the pipeline can issue it (zero when the intake is free).
     pub fn intake_wait(&self, now: Ns) -> Ns {
@@ -184,12 +179,7 @@ impl HwPipeline {
     /// (initiation-interval spacing) delays issue, the span gets a
     /// queueing edge so the critical-path analyzer can split intake stall
     /// from pipeline latency.
-    pub fn admit_traced(
-        &mut self,
-        label: &'static str,
-        now: Ns,
-        mut rec: Option<&mut Recorder>,
-    ) -> Ns {
+    pub fn admit(&mut self, label: &'static str, now: Ns, mut rec: Option<&mut Recorder>) -> Ns {
         let span = rec.as_deref_mut().map(|rec| {
             let wait = self.intake_wait(now);
             let span = rec.open(Component::Fabric, label, now);
@@ -217,7 +207,7 @@ impl HwPipeline {
         ctx: &mut [u8],
         now: Ns,
     ) -> Result<(ExecResult, Ns), VmError> {
-        let done = self.admit(now);
+        let done = self.admit("", now, None);
         let result = vm.run(self.program.program(), ctx)?;
         Ok((result, done))
     }
@@ -251,20 +241,20 @@ mod tests {
     #[test]
     fn admit_pipelines_items() {
         let mut p = pipeline("mov r0, 0\nexit", 0);
-        let first = p.admit(Ns::ZERO);
-        let second = p.admit(Ns::ZERO);
+        let first = p.admit("", Ns::ZERO, None);
+        let second = p.admit("", Ns::ZERO, None);
         // Items are II (= 1 cycle = 4 ns) apart, not a full latency apart.
         assert_eq!(second - first, Ns(4));
         assert_eq!(p.items(), 2);
     }
 
     #[test]
-    fn admit_traced_marks_intake_backpressure() {
+    fn traced_admit_marks_intake_backpressure() {
         let mut p = pipeline("mov r0, 0\nexit", 0);
         let mut rec = Recorder::new("hdl-unit");
-        let first = p.admit_traced("kernel:item", Ns::ZERO, Some(&mut rec));
+        let first = p.admit("kernel:item", Ns::ZERO, Some(&mut rec));
         // Second item at the same instant stalls one II at the intake.
-        let second = p.admit_traced("kernel:item", Ns::ZERO, Some(&mut rec));
+        let second = p.admit("kernel:item", Ns::ZERO, Some(&mut rec));
         assert!(second > first);
         assert_eq!(rec.spans().len(), 2);
         assert!(rec

@@ -127,11 +127,6 @@ impl Link {
         let (start, end) = self.line.access_interval(now, ser);
         (start, end, end + self.propagation)
     }
-
-    /// The link's bandwidth in bits per second.
-    pub fn bandwidth_bps(&self) -> u64 {
-        self.bits_per_sec
-    }
 }
 
 #[cfg(test)]

@@ -42,7 +42,12 @@ pub const COUNTERS: &[&str] = &[
 ];
 
 /// Every gauge name the instrumented layers may sample.
-pub const GAUGES: &[&str] = &["nvme:queue_depth", "pcie:link_queue_wait_ns"];
+pub const GAUGES: &[&str] = &[
+    // fabric:* — slot occupancy at service dispatch (core::services).
+    "fabric:slots_occupied",
+    "nvme:queue_depth",
+    "pcie:link_queue_wait_ns",
+];
 
 /// Whether `name` is a registered counter.
 pub fn is_registered_counter(name: &str) -> bool {

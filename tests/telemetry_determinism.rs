@@ -4,9 +4,7 @@
 //! wall-clock, no randomness, no map iteration order anywhere on the
 //! recording path.
 
-use hyperion_repro::apps::pointer_chase::{
-    client_driven_lookup_traced, offloaded_lookup_traced, populate_tree,
-};
+use hyperion_repro::apps::pointer_chase::{client_driven_lookup, offloaded_lookup, populate_tree};
 use hyperion_repro::core::dpu::DpuBuilder;
 use hyperion_repro::net::rpc::RpcChannel;
 use hyperion_repro::net::transport::{Endpoint, EndpointKind, Transport, TransportKind};
@@ -29,9 +27,9 @@ fn traced_chase(keys: u64, lookups: u64, kind: TransportKind) -> String {
     let mut t = t0;
     for i in 0..lookups {
         let key = (i * keys / lookups).min(keys - 1);
-        let cli = client_driven_lookup_traced(&mut dpu, &mut ch, &mut net, key, t, Some(&mut rec));
+        let cli = client_driven_lookup(&mut dpu, &mut ch, &mut net, key, t, Some(&mut rec));
         t = cli.done;
-        let off = offloaded_lookup_traced(&mut dpu, &mut ch, &mut net, key, t, Some(&mut rec));
+        let off = offloaded_lookup(&mut dpu, &mut ch, &mut net, key, t, Some(&mut rec));
         t = off.done;
     }
     assert_eq!(rec.open_spans(), 0, "instrumentation must close every span");
@@ -62,7 +60,7 @@ fn merged_recorders_dump_deterministically() {
             let server = Endpoint::new(net.add_node(), EndpointKind::Hardware);
             let mut ch = RpcChannel::new(client, server, Transport::new(TransportKind::Udp));
             let mut rec = Recorder::new("part");
-            offloaded_lookup_traced(&mut dpu, &mut ch, &mut net, k / 2, t0, Some(&mut rec));
+            offloaded_lookup(&mut dpu, &mut ch, &mut net, k / 2, t0, Some(&mut rec));
             base.merge(&rec);
         }
         to_json(&base)
