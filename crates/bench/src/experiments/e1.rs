@@ -45,12 +45,7 @@ pub fn run() -> (Vec<Table>, Recorder) {
         let nobjs = 8u64;
         for i in 0..nobjs {
             dpu.segments
-                .create(
-                    hyperion_mem::seglevel::SegmentId(i as u128 + 1),
-                    size,
-                    hyperion_mem::seglevel::AllocHint::Durable,
-                    t0,
-                )
+                .create(hyperion_mem::seglevel::SegmentId(i as u128 + 1), size, t0)
                 .expect("create");
         }
         let mut t = t0;

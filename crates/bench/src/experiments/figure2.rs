@@ -4,7 +4,7 @@
 
 use hyperion::control::{ControlPlane, ControlRequest, ControlResponse};
 use hyperion::dpu::DpuBuilder;
-use hyperion_mem::seglevel::{AllocHint, SegmentId};
+use hyperion_mem::seglevel::SegmentId;
 use hyperion_sim::time::Ns;
 
 use crate::table::{fmt_ns, Table};
@@ -87,7 +87,7 @@ pub fn run() -> Vec<Table> {
 
     // Persist as a durable segment (single-level store, PCIe bifurcation).
     dpu.segments
-        .create(SegmentId(0xF2), 4096, AllocHint::Durable, at_nvme)
+        .create(SegmentId(0xF2), 4096, at_nvme)
         .expect("create");
     let durable = dpu
         .segments

@@ -81,11 +81,6 @@ impl Admission {
         }
     }
 
-    /// The configuration in force.
-    pub fn config(&self) -> AdmissionConfig {
-        self.cfg
-    }
-
     /// Requests admitted so far.
     pub fn admitted(&self) -> u64 {
         self.admitted

@@ -225,7 +225,7 @@ impl HyperionDpu {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hyperion_mem::seglevel::{AllocHint, SegmentId};
+    use hyperion_mem::seglevel::SegmentId;
 
     #[test]
     fn assemble_and_boot_standalone() {
@@ -251,9 +251,7 @@ mod tests {
     fn segments_survive_reboot() {
         let mut dpu = DpuBuilder::new().auth_key(1).build();
         let t = dpu.boot(Ns::ZERO).unwrap();
-        dpu.segments
-            .create(SegmentId(42), 4096, AllocHint::Durable, t)
-            .unwrap();
+        dpu.segments.create(SegmentId(42), 4096, t).unwrap();
         dpu.segments
             .write(SegmentId(42), 0, b"boot-proof", t)
             .unwrap();

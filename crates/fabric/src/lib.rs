@@ -4,9 +4,9 @@
 //! prototype is built on (paper §2, Figures 1–2): programmable-area
 //! accounting, clock domains, slot-style spatial multiplexing with ICAP
 //! partial reconfiguration, and the AXI-stream interconnect of the
-//! Figure 2 schematic, assembled as [`Fabric`]. [`memtier`] models the
-//! heterogeneous memory tiers (BRAM/URAM/HBM/DDR); the single-level store
-//! (`hyperion-mem`'s `seglevel`) builds its own tiers from it.
+//! Figure 2 schematic, assembled as [`Fabric`]. The board's HBM and DDR
+//! are not modelled: the single-level store (`hyperion-mem`'s `seglevel`)
+//! keeps every segment on NVMe.
 //!
 //! The model's fidelity target is the *systems* behaviour the paper argues
 //! from — placement feasibility, 10–100 ms reconfiguration, deterministic
@@ -19,7 +19,6 @@
 pub mod axi;
 pub mod bitstream;
 pub mod clock;
-pub mod memtier;
 pub mod params;
 pub mod resources;
 pub mod slots;
@@ -27,7 +26,6 @@ pub mod slots;
 pub use axi::{AxiError, AxiSwitch, PortId};
 pub use bitstream::{authorize, AuthTag, Bitstream};
 pub use clock::ClockDomain;
-pub use memtier::{MemoryTier, Tier};
 pub use resources::ResourceBudget;
 pub use slots::{Resident, SlotError, SlotId, SlotManager};
 

@@ -23,37 +23,6 @@ pub const U280_BUDGET: ResourceBudget = ResourceBudget {
 /// frequency for data-path kernels on UltraScale+).
 pub const DEFAULT_CLOCK_MHZ: u64 = 250;
 
-/// HBM2 stack capacity on the U280 (8 GiB).
-pub const HBM_CAPACITY: u64 = 8 << 30;
-
-/// HBM2 aggregate bandwidth (~460 GB/s) expressed in bits/s.
-pub const HBM_BANDWIDTH_BPS: u64 = 3_680_000_000_000;
-
-/// HBM2 random access latency seen from fabric logic.
-pub const HBM_LATENCY: Ns = Ns(120);
-
-/// On-board DDR4 capacity (2 x 16 GiB DIMMs).
-pub const DDR_CAPACITY: u64 = 32 << 30;
-
-/// DDR4-2400 dual-channel bandwidth (~38 GB/s) in bits/s.
-pub const DDR_BANDWIDTH_BPS: u64 = 304_000_000_000;
-
-/// DDR4 random access latency seen from fabric logic.
-pub const DDR_LATENCY: Ns = Ns(200);
-
-/// Aggregate BRAM bandwidth is effectively wire-speed for our flows; model
-/// a deep on-chip SRAM port (~1 TB/s class) with single-cycle-ish latency.
-pub const BRAM_BANDWIDTH_BPS: u64 = 8_000_000_000_000;
-
-/// BRAM access latency (one 250 MHz cycle).
-pub const BRAM_LATENCY: Ns = Ns(4);
-
-/// BRAM capacity: 2,016 blocks x 36 Kib = ~8.9 MiB usable.
-pub const BRAM_CAPACITY: u64 = 2_016 * (36 * 1024) / 8;
-
-/// URAM capacity: 960 blocks x 288 Kib = 33.75 MiB.
-pub const URAM_CAPACITY: u64 = 960 * (288 * 1024) / 8;
-
 /// ICAP (Internal Configuration Access Port) programming throughput.
 ///
 /// ~800 MB/s for UltraScale+ ICAP at 200 MHz x 32 bit; together with

@@ -149,11 +149,6 @@ impl Network {
         self.faults = plan;
     }
 
-    /// The installed fault plan (for counter export).
-    pub fn fault_plan(&self) -> &FaultPlan {
-        &self.faults
-    }
-
     /// Adds a node with full-duplex 100 GbE connectivity; returns its id.
     pub fn add_node(&mut self) -> NodeId {
         let id = NodeId(self.nodes.len());

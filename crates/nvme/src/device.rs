@@ -244,11 +244,6 @@ impl NvmeDevice {
         self.faults = plan;
     }
 
-    /// The installed fault plan (for counter export).
-    pub fn fault_plan(&self) -> &FaultPlan {
-        &self.faults
-    }
-
     /// Number of LBAs relocated to spare pages after grown bad blocks: the
     /// device still serves every LBA, from spare capacity.
     pub fn remapped_lbas(&self) -> usize {

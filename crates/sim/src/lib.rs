@@ -14,8 +14,8 @@
 //!   sampler, so timelines are reproducible bit-for-bit;
 //! * [`fault`] — seeded, virtual-clock-scheduled fault injection
 //!   (Bernoulli sites and failure windows) for the self-healing paths;
-//! * [`stats`] — log-bucketed histograms, run summaries, and structural
-//!   counters (hops/copies/RTTs);
+//! * [`stats`] — log-bucketed histograms and structural counters
+//!   (hops/copies/RTTs);
 //! * [`energy`] — picojoule-exact energy and milliwatt power units for
 //!   the paper's 4–8x efficiency claim.
 //!
@@ -38,5 +38,5 @@ pub use fault::FaultPlan;
 pub use hash::{IntMap, IntSet};
 pub use resource::{Link, Resource};
 pub use rng::{Rng, Zipf};
-pub use stats::{Counters, Histogram, Summary};
+pub use stats::{Counters, Histogram};
 pub use time::{serialization_delay, Ns};

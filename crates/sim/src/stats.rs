@@ -1,4 +1,4 @@
-//! Measurement collection: histograms, summaries, and counters.
+//! Measurement collection: histograms and counters.
 //!
 //! Experiments report latency distributions (p50/p99/p999), throughput, and
 //! derived ratios. The log-bucketed histogram gives bounded-memory
@@ -181,59 +181,6 @@ impl fmt::Display for Histogram {
     }
 }
 
-/// A throughput/ratio summary for one experiment configuration.
-#[derive(Debug, Clone)]
-pub struct Summary {
-    /// Human-readable configuration label (e.g. "hyperion/4KiB").
-    pub label: String,
-    /// Operations completed.
-    pub ops: u64,
-    /// Total simulated duration of the run.
-    pub elapsed: Ns,
-    /// Latency distribution of individual operations.
-    pub latency: Histogram,
-}
-
-impl Summary {
-    /// Creates an empty summary with the given label.
-    pub fn new(label: impl Into<String>) -> Summary {
-        Summary {
-            label: label.into(),
-            ops: 0,
-            elapsed: Ns::ZERO,
-            latency: Histogram::new(),
-        }
-    }
-
-    /// Records one completed operation with its latency.
-    pub fn record(&mut self, latency: Ns) {
-        self.ops += 1;
-        self.latency.record_ns(latency);
-    }
-
-    /// Operations per simulated second.
-    pub fn throughput_ops(&self) -> f64 {
-        if self.elapsed == Ns::ZERO {
-            return 0.0;
-        }
-        self.ops as f64 / self.elapsed.as_secs_f64()
-    }
-}
-
-impl fmt::Display for Summary {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}: {} ops in {} ({:.0} ops/s) latency[{}]",
-            self.label,
-            self.ops,
-            self.elapsed,
-            self.throughput_ops(),
-            self.latency
-        )
-    }
-}
-
 /// A labeled monotonically increasing counter set.
 ///
 /// Used by models to count the *structural* quantities the paper argues
@@ -401,15 +348,6 @@ mod tests {
         assert_eq!(a.count(), 2);
         assert_eq!(a.min(), 5);
         assert_eq!(a.max(), 500);
-    }
-
-    #[test]
-    fn summary_throughput() {
-        let mut s = Summary::new("x");
-        s.record(Ns(100));
-        s.record(Ns(100));
-        s.elapsed = Ns::from_secs(1);
-        assert_eq!(s.throughput_ops(), 2.0);
     }
 
     #[test]

@@ -119,11 +119,6 @@ impl BlockStore {
     pub fn cursor(&self) -> u64 {
         self.cursor
     }
-
-    /// The wrapped device.
-    pub fn device_mut(&mut self) -> &mut NvmeDevice {
-        &mut self.device
-    }
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@
 use hyperion_repro::core::control::{ControlPlane, ControlRequest, ControlResponse};
 use hyperion_repro::core::dpu::DpuBuilder;
 use hyperion_repro::core::services::{KvOp, LogOp, ServiceResponse};
-use hyperion_repro::mem::seglevel::{AllocHint, SegmentId};
+use hyperion_repro::mem::seglevel::SegmentId;
 use hyperion_repro::sim::time::Ns;
 
 const AUTH_KEY: u64 = 0xC0FFEE;
@@ -65,11 +65,11 @@ fn main() {
         .expect("process");
     println!("64 B packet -> {}, 8 B packet -> {}", pass.ret, drop.ret);
 
-    // 4. The single-level store: one 128-bit id namespace over DRAM, HBM
-    //    and NVMe; durable objects survive reboots.
+    // 4. The single-level store: one 128-bit id namespace over the NVMe
+    //    devices; segments in the persisted table survive reboots.
     let t = live_at;
     dpu.segments
-        .create(SegmentId(0xDECAF), 4096, AllocHint::Durable, t)
+        .create(SegmentId(0xDECAF), 4096, t)
         .expect("create");
     let t = dpu
         .segments

@@ -49,6 +49,9 @@ time ./scripts/goldens.sh "$GOLDENS"
 diff -ru goldens/ "$GOLDENS"
 
 echo "==> size: Rust lines under crates/, workspace tests passed and unreached pub items (printed, not gated)"
+# unreached_pub.sh prints three totals: pub fn/const named by no other
+# file, pub fn named elsewhere only by tests, and pub types named by no
+# other file.
 echo "crates/ Rust lines: $(find crates -name '*.rs' | xargs cat | wc -l)"
 echo "workspace tests passed: $(grep -o '[0-9]* passed' "$TESTLOG" | awk '{n += $1} END {print n}')"
 ./scripts/unreached_pub.sh | grep 'total:' | sed 's/^/unreached_pub.sh /'

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Lists the `pub fn`s and `pub const`s under crates/*/src that nothing
-# outside their own file reaches, in two lists: candidates for deletion,
-# or for narrowing to private. Both print; neither gates anything.
+# Lists the `pub fn`s, `pub const`s and `pub` types under crates/*/src
+# that nothing outside their own file reaches, in three lists: candidates
+# for deletion, or for narrowing to private. All print; none gates
+# anything.
 #
 # Usage (from anywhere in the repository):
 #   ./scripts/unreached_pub.sh
@@ -21,6 +22,13 @@
 # use here. Each line adds `elsewhere-test=K`, the uses in other files'
 # test code. Its last line is `test-only total: ...`.
 #
+# The third list holds each `pub struct`, `pub enum`, `pub trait` and
+# `pub type` whose name appears in no other .rs file, apart from the
+# `pub use` statements of its own crate's lib.rs (a re-export alone is
+# not a use). Its lines have the first list's form, and its last line is
+# `type total: ...`. It finds a type whose methods the first two lists
+# miss because they share their names (`new`, `record`) with used ones.
+#
 # The match is by name, so an item that shares its name with something
 # used in another file's non-test code (`new`, `len`) is never listed.
 set -euo pipefail
@@ -31,20 +39,34 @@ list=$(mktemp)
 # One awk process must see every file, so no xargs (it may split the list).
 mapfile -t sources < <(find crates src examples tests perfbench -name target -prune -o -name '*.rs' -print | sort)
 tested=$(mktemp)
-trap 'rm -f "$list" "$tested"' EXIT
+types=$(mktemp)
+trap 'rm -f "$list" "$tested" "$types"' EXIT
 
-awk -v tested="$tested" '
+awk -v tested="$tested" -v types="$types" '
     FNR == 1 {
         in_test = 0
+        in_reexport = 0
         nfiles++
         names[nfiles] = FILENAME
         # Every line of a file under a tests/ directory is test code.
         test_file = FILENAME ~ /(^|\/)tests\//
     }
     /^#\[cfg\(test\)\]/ { in_test = 1 }
+    # A `pub use` statement of a crate root, which may span lines.
+    FILENAME ~ /^crates\/[^\/]+\/src\/lib\.rs$/ && /^pub use / { in_reexport = 1 }
     {
         line = $0
         def = ""
+        reexport = in_reexport
+        if (in_reexport && line ~ /;/) in_reexport = 0
+        if (!in_test && FILENAME ~ /^crates\/[^\/]+\/src\// &&
+            match(line, /^[ \t]*pub (struct|enum|trait|type) [A-Za-z_][A-Za-z0-9_]*/)) {
+            tdef = substr(line, RSTART, RLENGTH)
+            sub(/^[ \t]*pub /, "", tdef)
+            split(tdef, parts, " ")
+            tdefs[FILENAME SUBSEP parts[2]] = FNR
+            tkind[FILENAME SUBSEP parts[2]] = parts[1]
+        }
         # Definitions: only in the non-test part of crates/*/src.
         if (!in_test && FILENAME ~ /^crates\/[^\/]+\/src\// &&
             match(line, /^[ \t]*pub (const )?(unsafe )?fn [A-Za-z_][A-Za-z0-9_]*/)) {
@@ -68,6 +90,8 @@ awk -v tested="$tested" '
                 seen[w SUBSEP FILENAME] = 1
                 files[w]++
             }
+            if (reexport) reexported[FILENAME SUBSEP w] = 1
+            else named[FILENAME SUBSEP w] = 1
             if (in_test) test_uses[FILENAME SUBSEP w]++
             else uses[FILENAME SUBSEP w]++
         }
@@ -108,9 +132,27 @@ awk -v tested="$tested" '
             printf("%s:%d %s %s  non-test=%d test=%d elsewhere-test=%d\n", file, defs[k],
                 kind[k], name, uses[k] - 1, test_uses[k] + 0, elsewhere) > tested
         }
+        for (k in tdefs) {
+            split(k, parts, SUBSEP)
+            file = parts[1]; name = parts[2]
+            root = file
+            sub(/\/src\/.*/, "/src/lib.rs", root)
+            used = 0
+            for (f = 1; f <= nfiles; f++) {
+                other = names[f]
+                if (other == file) continue
+                if ((other SUBSEP name) in named ||
+                    (other != root && (other SUBSEP name) in reexported)) { used = 1; break }
+            }
+            if (used) continue
+            printf("%s:%d %s %s  non-test=%d test=%d\n", file, tdefs[k], tkind[k], name,
+                uses[k] - 1, test_uses[k] + 0) > types
+        }
     }
 ' "${sources[@]}" | sort -t: -k1,1 -k2,2n >"$list"
 cat "$list"
 echo "total: $(wc -l <"$list") ($(grep -c ' fn ' "$list") pub fn, $(grep -c ' const ' "$list") pub const)"
 sort -t: -k1,1 -k2,2n "$tested"
 echo "test-only total: $(wc -l <"$tested") pub fn"
+sort -t: -k1,1 -k2,2n "$types"
+echo "type total: $(wc -l <"$types") ($(grep -c ' struct ' "$types") pub struct, $(grep -c ' enum ' "$types") pub enum, $(grep -c ' trait ' "$types") pub trait, $(grep -c ' type ' "$types") pub type)"

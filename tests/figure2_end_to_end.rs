@@ -5,7 +5,7 @@
 
 use hyperion_repro::core::control::{ControlPlane, ControlRequest, ControlResponse};
 use hyperion_repro::core::dpu::{DpuBuilder, DpuState};
-use hyperion_repro::mem::seglevel::{AllocHint, SegmentId};
+use hyperion_repro::mem::seglevel::SegmentId;
 use hyperion_repro::sim::time::Ns;
 
 const KEY: u64 = 0xC0FFEE;
@@ -59,7 +59,7 @@ fn full_figure2_flow_with_zero_cpu_hops() {
         .stream(dpu.ports.accel, dpu.ports.nvme, processed, 4096)
         .expect("egress stream");
     dpu.segments
-        .create(SegmentId(1), 4096, AllocHint::Durable, at_nvme)
+        .create(SegmentId(1), 4096, at_nvme)
         .expect("create");
     let done = dpu
         .segments
@@ -83,9 +83,7 @@ fn full_figure2_flow_with_zero_cpu_hops() {
 fn reboot_cycle_preserves_durable_state_and_slots_reset() {
     let mut dpu = DpuBuilder::new().auth_key(KEY).build();
     let t = dpu.boot(Ns::ZERO).expect("boot");
-    dpu.segments
-        .create(SegmentId(9), 8192, AllocHint::Durable, t)
-        .expect("create");
+    dpu.segments.create(SegmentId(9), 8192, t).expect("create");
     dpu.segments
         .write(SegmentId(9), 100, b"across-reboots", t)
         .expect("write");
