@@ -18,7 +18,7 @@ use hyperion_ebpf::MapId;
 use hyperion_fabric::slots::SlotId;
 use hyperion_sim::stats::Counters;
 use hyperion_sim::time::Ns;
-use hyperion_telemetry::{Component, Recorder};
+use hyperion_telemetry::{At, Component};
 
 use crate::trafficgen::TrafficGen;
 
@@ -121,25 +121,23 @@ pub fn deploy(
 /// With a recorder, every packet records its pipeline hop (`f2b:pipeline`,
 /// fabric), and every ban records the fire-and-forget flash durability
 /// window (`log:append`, nvme) plus an `e7.ban_durable` op sample.
-#[allow(clippy::too_many_arguments)]
-pub fn run_on_dpu(
+pub fn run_on_dpu<'r>(
     dpu: &mut HyperionDpu,
     cp: &mut ControlPlane,
     slot: SlotId,
     gen: &mut TrafficGen,
     packets: u64,
-    start: Ns,
-    mut rec: Option<&mut Recorder>,
+    at: impl Into<At<'r>>,
 ) -> Fail2BanReport {
+    let At { mut now, mut rec } = at.into();
     let mut report = Fail2BanReport {
         packets,
         bans: 0,
         dropped: 0,
         logged: 0,
-        end: start,
+        end: now,
         counters: Counters::new(),
     };
-    let mut now = start;
     for _ in 0..packets {
         let (flow, packet) = gen.next_packet();
         // Build the kernel context: flow hash + marker + payload head.
@@ -183,6 +181,7 @@ pub fn run_on_dpu(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hyperion_telemetry::Recorder;
 
     const KEY: u64 = 0xC0FFEE;
 
@@ -199,7 +198,7 @@ mod tests {
         let (mut dpu, mut cp, slot, t) = setup();
         // All flows are attackers: bans must happen after MAX_RETRY.
         let mut gen = TrafficGen::new(11, 50, 1.0, 32);
-        let report = run_on_dpu(&mut dpu, &mut cp, slot, &mut gen, 2_000, t, None);
+        let report = run_on_dpu(&mut dpu, &mut cp, slot, &mut gen, 2_000, t);
         assert!(report.bans > 0, "some flows must be banned");
         assert_eq!(report.bans, report.logged);
         assert!(report.dropped > 0, "banned flows keep sending");
@@ -214,7 +213,7 @@ mod tests {
         let (mut dpu2, mut cp2, slot2, t2) = setup();
         let mut gen1 = TrafficGen::new(11, 50, 1.0, 32);
         let mut gen2 = TrafficGen::new(11, 50, 1.0, 32);
-        let plain = run_on_dpu(&mut dpu1, &mut cp1, slot1, &mut gen1, 1_000, t1, None);
+        let plain = run_on_dpu(&mut dpu1, &mut cp1, slot1, &mut gen1, 1_000, t1);
         let mut rec = Recorder::new("t");
         let traced = run_on_dpu(
             &mut dpu2,
@@ -222,8 +221,7 @@ mod tests {
             slot2,
             &mut gen2,
             1_000,
-            t2,
-            Some(&mut rec),
+            At::new(t2, Some(&mut rec)),
         );
         assert_eq!(plain.end, traced.end);
         assert_eq!(plain.bans, traced.bans);
@@ -239,7 +237,7 @@ mod tests {
     fn clean_traffic_is_never_banned() {
         let (mut dpu, mut cp, slot, t) = setup();
         let mut gen = TrafficGen::new(12, 100, 0.0, 32);
-        let report = run_on_dpu(&mut dpu, &mut cp, slot, &mut gen, 1_000, t, None);
+        let report = run_on_dpu(&mut dpu, &mut cp, slot, &mut gen, 1_000, t);
         assert_eq!(report.bans, 0);
         assert_eq!(report.dropped, 0);
         assert_eq!(report.logged, 0);

@@ -156,6 +156,7 @@ impl FlowTable {
         self.shards[Self::shard(flow)].insert(flow, entry);
     }
 
+    #[cfg(test)]
     fn len(&self) -> usize {
         self.shards.iter().map(IntMap::len).sum()
     }
@@ -371,16 +372,6 @@ impl LoadBalancer {
         BackendId(best.1)
     }
 
-    /// Number of flows resident in DRAM.
-    pub fn dram_flows(&self) -> usize {
-        self.lru.len()
-    }
-
-    /// Total tracked flows.
-    pub fn total_flows(&self) -> usize {
-        self.table.len()
-    }
-
     /// Where the open page's records start in `queued`.
     fn open_page(&self) -> usize {
         self.closed.last().map_or(0, |&(_, end)| end)
@@ -554,8 +545,8 @@ mod tests {
         }
         assert!(lb.counters.get("spills") >= 400);
         assert!(lb.counters.get("spill_pages") >= 1);
-        assert_eq!(lb.dram_flows(), 100);
-        assert_eq!(lb.total_flows(), 500);
+        assert_eq!(lb.lru.len(), 100);
+        assert_eq!(lb.table.len(), 500);
         // Revisit flow 0 (in the first flushed page): same backend, paid
         // a flash read.
         let (b, done) = lb.steer(0, t);

@@ -19,7 +19,7 @@ use hyperion_net::rpc::{MethodId, RpcChannel};
 use hyperion_net::Network;
 use hyperion_sim::time::Ns;
 use hyperion_storage::blockstore::BLOCK;
-use hyperion_telemetry::{Component, Recorder};
+use hyperion_telemetry::{At, Component};
 
 /// Steps the in-fabric walker is unrolled to. The verifier requires DAG
 /// control flow, so the chase loop is fully unrolled with forward exits
@@ -158,27 +158,34 @@ pub fn populate_tree(dpu: &mut HyperionDpu, n: u64, now: Ns) -> Ns {
 /// on-DPU traversal records its service span and `tree.lookup` op sample,
 /// the single RPC records its per-leg wire spans, and the whole lookup
 /// lands as an `e6.offloaded` op sample.
-pub fn offloaded_lookup(
+pub fn offloaded_lookup<'r>(
     dpu: &mut HyperionDpu,
     channel: &mut RpcChannel,
     net: &mut Network,
     key: u64,
-    now: Ns,
-    mut rec: Option<&mut Recorder>,
+    at: impl Into<At<'r>>,
 ) -> ChaseResult {
+    let At { now, mut rec } = at.into();
     let root = rec
         .as_deref_mut()
         .map(|rec| rec.open(Component::Service, "chase:offloaded", now));
     // Server work = the on-DPU traversal time.
     let (resp, served) = dpu
-        .dispatch_traced(now, TreeOp::Lookup { key }.into(), rec.as_deref_mut())
+        .dispatch(At::new(now, rec.as_deref_mut()), TreeOp::Lookup { key })
         .expect("lookup");
     let ServiceResponse::Value(value) = resp else {
         unreachable!("lookup returns a value");
     };
     let work = served - now;
     let d = channel
-        .call_traced(net, MethodId(1), now, 16, 16, work, rec.as_deref_mut())
+        .call(
+            net,
+            MethodId(1),
+            At::new(now, rec.as_deref_mut()),
+            16,
+            16,
+            work,
+        )
         .expect("rpc");
     if let (Some(rec), Some(root)) = (rec, root) {
         rec.close(root, d.done);
@@ -197,14 +204,14 @@ pub fn offloaded_lookup(
 /// With a recorder, the whole walk is one `chase:client` root span, every
 /// per-level node fetch records its service span (`tree.node_read`) and
 /// wire spans, and the walk lands as an `e6.client_driven` op sample.
-pub fn client_driven_lookup(
+pub fn client_driven_lookup<'r>(
     dpu: &mut HyperionDpu,
     channel: &mut RpcChannel,
     net: &mut Network,
     key: u64,
-    now: Ns,
-    mut rec: Option<&mut Recorder>,
+    at: impl Into<At<'r>>,
 ) -> ChaseResult {
+    let At { now, mut rec } = at.into();
     let root = rec
         .as_deref_mut()
         .map(|rec| rec.open(Component::Service, "chase:client", now));
@@ -218,14 +225,21 @@ pub fn client_driven_lookup(
     for level in 0..height {
         // Fetch one node: the server-side work is the single block read.
         let (resp, served) = dpu
-            .dispatch_traced(t, TreeOp::NodeRead { lba }.into(), rec.as_deref_mut())
+            .dispatch(At::new(t, rec.as_deref_mut()), TreeOp::NodeRead { lba })
             .expect("node read");
         let ServiceResponse::Node(data) = resp else {
             unreachable!("node read returns bytes");
         };
         let work = served - t;
         let d = channel
-            .call_traced(net, MethodId(2), t, 16, BLOCK, work, rec.as_deref_mut())
+            .call(
+                net,
+                MethodId(2),
+                At::new(t, rec.as_deref_mut()),
+                16,
+                BLOCK,
+                work,
+            )
             .expect("rpc");
         t = d.done;
         rtts += d.wire_rounds;
@@ -307,6 +321,7 @@ pub fn cached_chase(
 mod tests {
     use super::*;
     use hyperion_net::transport::{Endpoint, EndpointKind, Transport, TransportKind};
+    use hyperion_telemetry::Recorder;
 
     fn setup(keys: u64) -> (HyperionDpu, Network, RpcChannel, Ns) {
         let mut dpu = hyperion::dpu::DpuBuilder::new().auth_key(1).build();
@@ -323,12 +338,12 @@ mod tests {
     fn both_strategies_find_the_same_values() {
         let (mut dpu, mut net, mut ch, t) = setup(5_000);
         for key in [0u64, 17, 499, 4_999] {
-            let off = offloaded_lookup(&mut dpu, &mut ch, &mut net, key, t, None);
-            let cli = client_driven_lookup(&mut dpu, &mut ch, &mut net, key, t, None);
+            let off = offloaded_lookup(&mut dpu, &mut ch, &mut net, key, t);
+            let cli = client_driven_lookup(&mut dpu, &mut ch, &mut net, key, t);
             assert_eq!(off.value, Some(key * 7));
             assert_eq!(cli.value, Some(key * 7));
         }
-        let miss = offloaded_lookup(&mut dpu, &mut ch, &mut net, 999_999, t, None);
+        let miss = offloaded_lookup(&mut dpu, &mut ch, &mut net, 999_999, t);
         assert_eq!(miss.value, None);
     }
 
@@ -337,8 +352,8 @@ mod tests {
         let (mut dpu, mut net, mut ch, t) = setup(5_000);
         let height = dpu.btree.as_ref().unwrap().height() as u64;
         assert!(height >= 2);
-        let off = offloaded_lookup(&mut dpu, &mut ch, &mut net, 100, t, None);
-        let cli = client_driven_lookup(&mut dpu, &mut ch, &mut net, 100, t, None);
+        let off = offloaded_lookup(&mut dpu, &mut ch, &mut net, 100, t);
+        let cli = client_driven_lookup(&mut dpu, &mut ch, &mut net, 100, t);
         assert_eq!(off.rtts, 1);
         assert_eq!(cli.rtts, height);
     }
@@ -368,17 +383,22 @@ mod tests {
         let (mut dpu2, mut net2, mut ch2, t2) = setup(5_000);
         assert_eq!(t1, t2);
         let mut rec = Recorder::new("t");
-        let off1 = offloaded_lookup(&mut dpu1, &mut ch1, &mut net1, 499, t1, None);
-        let off2 = offloaded_lookup(&mut dpu2, &mut ch2, &mut net2, 499, t2, Some(&mut rec));
+        let off1 = offloaded_lookup(&mut dpu1, &mut ch1, &mut net1, 499, t1);
+        let off2 = offloaded_lookup(
+            &mut dpu2,
+            &mut ch2,
+            &mut net2,
+            499,
+            At::new(t2, Some(&mut rec)),
+        );
         assert_eq!(off1, off2);
-        let cli1 = client_driven_lookup(&mut dpu1, &mut ch1, &mut net1, 499, off1.done, None);
+        let cli1 = client_driven_lookup(&mut dpu1, &mut ch1, &mut net1, 499, off1.done);
         let cli2 = client_driven_lookup(
             &mut dpu2,
             &mut ch2,
             &mut net2,
             499,
-            off2.done,
-            Some(&mut rec),
+            At::new(off2.done, Some(&mut rec)),
         );
         assert_eq!(cli1, cli2);
         // Instrumentation closed every span and sampled both op families.
@@ -425,8 +445,8 @@ mod tests {
     #[test]
     fn offload_wins_on_latency_for_deep_trees() {
         let (mut dpu, mut net, mut ch, t) = setup(5_000);
-        let off = offloaded_lookup(&mut dpu, &mut ch, &mut net, 2_500, t, None);
-        let cli = client_driven_lookup(&mut dpu, &mut ch, &mut net, 2_500, t, None);
+        let off = offloaded_lookup(&mut dpu, &mut ch, &mut net, 2_500, t);
+        let cli = client_driven_lookup(&mut dpu, &mut ch, &mut net, 2_500, t);
         assert!(
             cli.done - t > off.done - t,
             "client-driven {} vs offloaded {}",

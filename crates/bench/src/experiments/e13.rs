@@ -21,7 +21,7 @@ use hyperion_net::{NetError, Network, FAULT_NET_CORRUPT, FAULT_NET_DROP, FAULT_N
 use hyperion_nvme::{FAULT_NVME_LATENCY_SPIKE, FAULT_NVME_MEDIA_READ};
 use hyperion_sim::fault::FaultPlan;
 use hyperion_sim::time::Ns;
-use hyperion_telemetry::Recorder;
+use hyperion_telemetry::{At, Recorder};
 
 use super::percentile;
 use crate::table::{fmt_ns, Table};
@@ -119,16 +119,15 @@ fn run_profile(p: &Profile, mut rec: Option<&mut Recorder>) -> ProfileOutcome {
     };
     for i in 0..READS {
         let capsule = ini.read((i * 17) % SPAN, 1);
-        let result = ini.exchange_traced(
+        let result = ini.exchange(
             &mut net,
             &tr,
             client,
             dpu,
             &mut target,
             capsule,
-            now,
+            At::new(now, rec.as_deref_mut()),
             &policy,
-            rec.as_deref_mut(),
         );
         match result {
             Ok((resp, x)) => {

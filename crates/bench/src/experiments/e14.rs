@@ -35,7 +35,7 @@ use hyperion_net::{partition_site, NodeId};
 use hyperion_sim::fault::FaultPlan;
 use hyperion_sim::time::Ns;
 use hyperion_storage::corfu::CorfuLog;
-use hyperion_telemetry::Recorder;
+use hyperion_telemetry::{At, Recorder};
 
 use super::percentile;
 use crate::table::{fmt_ns, Table};
@@ -173,9 +173,9 @@ fn run_profile(p: &Profile, mut rec: Option<&mut Recorder>) -> Outcome {
 
         // Supervision first: a newly suspected member triggers the
         // automatic failover before this round's traffic is routed.
-        for m in sup.tick(&faults, now, rec.as_deref_mut()) {
+        for m in sup.tick(&faults, At::new(now, rec.as_deref_mut())) {
             let report = sup
-                .fail_over(&mut log, m, now, rec.as_deref_mut())
+                .fail_over(&mut log, m, At::new(now, rec.as_deref_mut()))
                 .expect("failover with a spare must succeed");
             out.repaired += report.repaired_positions;
             recovered_at = Some(recovered_at.map_or(report.done, |r| r.max(report.done)));

@@ -28,7 +28,7 @@ use hyperion_net::Network;
 use hyperion_nvme::{params as nvme_params, Command, NvmeDevice};
 use hyperion_pcie::{PcieGen, PcieLink};
 use hyperion_sim::time::Ns;
-use hyperion_telemetry::{blame, Recorder};
+use hyperion_telemetry::{blame, At, Recorder};
 
 use crate::table::{fmt_ns, Table};
 
@@ -94,23 +94,25 @@ fn run_load(load: &Load) -> (Recorder, Ns) {
     for op in 0..CLIENTS * OPS_PER_CLIENT {
         let client = clients[op % CLIENTS];
         let d = tr
-            .send_traced(
+            .send(
                 &mut net,
                 client,
                 dpu,
-                Ns::ZERO,
+                At::new(Ns::ZERO, Some(&mut rec)),
                 load.msg_bytes,
-                Some(&mut rec),
             )
             .expect("fault-free fabric");
-        let dma_done = link.transfer_traced(d.done, load.dma_bytes, Some(&mut rec));
+        let dma_done = link.transfer(At::new(d.done, Some(&mut rec)), load.dma_bytes);
         let lba = if load.collide_flash {
             0
         } else {
             (op as u64) * lbas_per_page
         };
         let c = dev
-            .submit_traced(Command::Read { lba, blocks: 1 }, dma_done, Some(&mut rec))
+            .submit(
+                Command::Read { lba, blocks: 1 },
+                At::new(dma_done, Some(&mut rec)),
+            )
             .expect("in-range read");
         makespan = makespan.max(c.done);
     }

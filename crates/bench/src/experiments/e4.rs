@@ -11,7 +11,7 @@ use hyperion_ebpf::{assemble, verify, Vm};
 use hyperion_fabric::clock::ClockDomain;
 use hyperion_hdl::compile;
 use hyperion_sim::time::Ns;
-use hyperion_telemetry::{Component, Recorder};
+use hyperion_telemetry::{At, Component, Recorder};
 
 use crate::table::{fmt_rate, Table};
 
@@ -125,7 +125,7 @@ pub fn run() -> (Vec<Table>, Recorder) {
             packet[0] = i as u8;
             // Traced admission also marks intake back-pressure (II
             // spacing) as a queueing edge for the critical-path analyzer.
-            hw_now = hw.admit(hw_hop, hw_now, Some(&mut rec));
+            hw_now = hw.admit(hw_hop, At::new(hw_now, Some(&mut rec)));
 
             let r = vm.run(&program, &mut packet).expect("run");
             insns_total += r.insns;

@@ -8,7 +8,7 @@ use hyperion_net::rpc::RpcChannel;
 use hyperion_net::transport::{Endpoint, EndpointKind, Transport, TransportKind};
 use hyperion_net::Network;
 use hyperion_sim::time::Ns;
-use hyperion_telemetry::Recorder;
+use hyperion_telemetry::{At, Recorder};
 
 use crate::table::{fmt_ns, fmt_ratio, Table};
 
@@ -54,12 +54,23 @@ pub fn run() -> (Vec<Table>, Recorder) {
         let mut t = t0;
         for i in 0..LOOKUPS {
             let key = (i * keys / LOOKUPS).min(keys - 1);
-            let cli =
-                client_driven_lookup(&mut dpu, &mut ch, &mut net, key, t, trace.as_deref_mut());
+            let cli = client_driven_lookup(
+                &mut dpu,
+                &mut ch,
+                &mut net,
+                key,
+                At::new(t, trace.as_deref_mut()),
+            );
             cli_total += (cli.done - t).0;
             cli_rtts += cli.rtts;
             t = cli.done;
-            let off = offloaded_lookup(&mut dpu, &mut ch, &mut net, key, t, trace.as_deref_mut());
+            let off = offloaded_lookup(
+                &mut dpu,
+                &mut ch,
+                &mut net,
+                key,
+                At::new(t, trace.as_deref_mut()),
+            );
             off_total += (off.done - t).0;
             off_rtts += off.rtts;
             t = off.done;
@@ -93,10 +104,10 @@ pub fn run() -> (Vec<Table>, Recorder) {
         let mut off_total = 0u64;
         for i in 0..LOOKUPS {
             let key = i * 1_500;
-            let cli = client_driven_lookup(&mut dpu, &mut ch, &mut net, key, t, None);
+            let cli = client_driven_lookup(&mut dpu, &mut ch, &mut net, key, t);
             cli_total += (cli.done - t).0;
             t = cli.done;
-            let off = offloaded_lookup(&mut dpu, &mut ch, &mut net, key, t, None);
+            let off = offloaded_lookup(&mut dpu, &mut ch, &mut net, key, t);
             off_total += (off.done - t).0;
             t = off.done;
         }

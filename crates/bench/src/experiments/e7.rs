@@ -10,7 +10,7 @@ use hyperion_baseline::host::HostServer;
 use hyperion_ebpf::{assemble, Vm};
 use hyperion_net::params::KERNEL_ENDPOINT;
 use hyperion_sim::time::Ns;
-use hyperion_telemetry::{Component, Recorder};
+use hyperion_telemetry::{At, Component, Recorder};
 
 use crate::table::{fmt_rate, Table};
 
@@ -52,8 +52,7 @@ fn fail2ban() -> (Table, Recorder) {
         slot,
         &mut gen,
         TRACED_PACKETS,
-        live,
-        Some(&mut rec),
+        At::new(live, Some(&mut rec)),
     );
     let rest = run_on_dpu(
         &mut dpu,
@@ -62,7 +61,6 @@ fn fail2ban() -> (Table, Recorder) {
         &mut gen,
         PACKETS - TRACED_PACKETS,
         traced.end,
-        None,
     );
     let dpu_elapsed = (rest.end - live).as_secs_f64();
     t.row(vec![
@@ -119,13 +117,12 @@ fn fail2ban() -> (Table, Recorder) {
             }
             now = done;
             host.raw_device()
-                .submit_traced(
+                .submit(
                     hyperion_nvme::device::Command::Write {
                         lba: log_lba,
                         data: bytes::Bytes::from(vec![0u8; 4096]),
                     },
-                    now,
-                    trace,
+                    At::new(now, trace),
                 )
                 .expect("log write");
             log_lba += 1;

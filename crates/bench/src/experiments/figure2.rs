@@ -85,7 +85,7 @@ pub fn run() -> Vec<Table> {
         dpu.root_complex.counters.get("cpu_hops").to_string(),
     ]);
 
-    // Persist as a durable segment (single-level store, PCIe bifurcation).
+    // Persist as a durable segment (single-level store).
     dpu.segments
         .create(SegmentId(0xF2), 4096, at_nvme)
         .expect("create");

@@ -16,7 +16,7 @@ use hyperion_net::transport::{Endpoint, EndpointKind, Transport, TransportKind};
 use hyperion_net::Network;
 use hyperion_sim::time::Ns;
 use hyperion_telemetry::critical_path::analyze;
-use hyperion_telemetry::{to_perfetto, Recorder};
+use hyperion_telemetry::{to_perfetto, At, Recorder};
 
 const KEYS: u64 = 20_000;
 const LOOKUPS: u64 = 16;
@@ -35,9 +35,16 @@ fn chase_run() -> Recorder {
     let mut t = t0;
     for i in 0..LOOKUPS {
         let key = (i * KEYS / LOOKUPS).min(KEYS - 1);
-        let cli = client_driven_lookup(&mut dpu, &mut ch, &mut net, key, t, Some(&mut rec));
+        let cli =
+            client_driven_lookup(&mut dpu, &mut ch, &mut net, key, At::new(t, Some(&mut rec)));
         assert_eq!(cli.value, Some(key * 7));
-        let off = offloaded_lookup(&mut dpu, &mut ch, &mut net, key, cli.done, Some(&mut rec));
+        let off = offloaded_lookup(
+            &mut dpu,
+            &mut ch,
+            &mut net,
+            key,
+            At::new(cli.done, Some(&mut rec)),
+        );
         assert_eq!(off.value, Some(key * 7));
         t = off.done;
     }

@@ -97,11 +97,6 @@ impl Admission {
         self.inflight.len()
     }
 
-    /// True while the shedder is draining toward the low watermark.
-    pub fn is_shedding(&self) -> bool {
-        self.shedding
-    }
-
     /// Decides admission for a request arriving at `now`. `Ok(())` means
     /// the caller may run the request and must then [`Admission::record`]
     /// its completion instant; `Err` carries the depth and the limit that
@@ -164,7 +159,7 @@ mod tests {
         }
         let e = a.admit(Ns(0)).unwrap_err();
         assert_eq!(e, Overload { depth: 4, limit: 4 });
-        assert!(a.is_shedding());
+        assert!(a.shedding);
         assert_eq!(a.admitted(), 4);
         assert_eq!(a.shed(), 1);
     }
@@ -182,7 +177,7 @@ mod tests {
         assert!(a.admit(Ns(100)).is_err());
         // Depth 2 at t=200: at the low watermark, admission resumes.
         a.admit(Ns(200)).unwrap();
-        assert!(!a.is_shedding());
+        assert!(!a.shedding);
     }
 
     #[test]

@@ -30,7 +30,7 @@ use hyperion_net::{NetError, Network, NodeId};
 use hyperion_sim::fault::FaultPlan;
 use hyperion_sim::time::Ns;
 use hyperion_storage::corfu::{CorfuError, CorfuLog, FailoverReport};
-use hyperion_telemetry::{Component, Recorder};
+use hyperion_telemetry::{At, Component};
 
 use crate::dpu::{DpuBuilder, HyperionDpu};
 use crate::services::{ServiceError, ServiceOp, ServiceResponse};
@@ -197,7 +197,7 @@ impl DpuCluster {
             .send(net, server, client, served, resp_bytes + RPC_FRAMING)
             .map_err(ClusterError::Net)?;
         // One round trip plus each leg's extra rounds, as
-        // `Transport::request_traced` counts them.
+        // `Transport::request` counts them.
         let d = Delivery {
             done: reply.done,
             wire_rounds: 1 + request.wire_rounds + reply.wire_rounds,
@@ -364,12 +364,8 @@ impl ClusterSupervisor {
     ///
     /// Liveness is read via [`FaultPlan::active`] — a pure window query —
     /// so ticking never perturbs any Bernoulli stream.
-    pub fn tick(
-        &mut self,
-        faults: &FaultPlan,
-        now: Ns,
-        mut rec: Option<&mut Recorder>,
-    ) -> Vec<usize> {
+    pub fn tick<'r>(&mut self, faults: &FaultPlan, at: impl Into<At<'r>>) -> Vec<usize> {
+        let At { now, mut rec } = at.into();
         let mut newly = Vec::new();
         for m in 0..self.nodes.len() {
             if self.suspected[m] {
@@ -400,13 +396,13 @@ impl ClusterSupervisor {
     /// [`Component::Cluster`] span whose whole extent is a queue edge
     /// (requests stalled behind repair are *waiting*, not being served;
     /// the critical-path analyzer charges it as such).
-    pub fn fail_over(
+    pub fn fail_over<'r>(
         &mut self,
         log: &mut CorfuLog,
         unit: usize,
-        now: Ns,
-        rec: Option<&mut Recorder>,
+        at: impl Into<At<'r>>,
     ) -> Result<FailoverReport, ClusterError> {
+        let At { now, rec } = at.into();
         let report = log.fail_over(unit, now).map_err(ClusterError::Log)?;
         self.epoch = self.epoch.max(report.epoch);
         self.epoch_bumps += 1;
@@ -473,6 +469,7 @@ mod tests {
     use super::*;
     use crate::services::KvOp;
     use hyperion_net::transport::{EndpointKind, TransportKind};
+    use hyperion_telemetry::Recorder;
 
     const KEY: u64 = 0xC0FFEE;
 
@@ -645,7 +642,7 @@ mod tests {
         let mut suspected = Vec::new();
         for round in 0..20u64 {
             let now = Ns(round * interval.0);
-            for m in sup.tick(&faults, now, None) {
+            for m in sup.tick(&faults, now) {
                 suspected.push((m, now));
             }
         }
@@ -659,7 +656,7 @@ mod tests {
         assert!(!sup.is_suspected(0) && !sup.is_suspected(2));
         assert_eq!(sup.suspicions(), 1);
         // Latched: ticking long after never un-suspects.
-        sup.tick(&faults, Ns(100 * interval.0), None);
+        sup.tick(&faults, Ns(100 * interval.0));
         assert!(sup.is_suspected(1));
     }
 
@@ -678,7 +675,7 @@ mod tests {
         let mut hit = None;
         for round in 0..40u64 {
             let now = Ns(round * interval.0);
-            for m in sup.tick(&faults, now, None) {
+            for m in sup.tick(&faults, now) {
                 hit = Some((m, now));
             }
         }
@@ -699,7 +696,7 @@ mod tests {
         // Simulate a reconfiguration bumping the cluster epoch.
         let mut log = CorfuLog::new_replicated(3, 1 << 12, 2);
         log.add_spare_unit(1 << 12);
-        sup.fail_over(&mut log, 0, t, None).unwrap();
+        sup.fail_over(&mut log, 0, t).unwrap();
         assert_eq!(sup.epoch(), 1);
         // The zombie still sends epoch-0 requests: typed rejection.
         let stale = cluster.serve_fenced(&sup, 0, 7, KvOp::Get { key: 7 }, t);
@@ -723,7 +720,7 @@ mod tests {
         // member 0 fail-stops.
         let faults = FaultPlan::seeded(1).from_instant(&crash_site(0), t + Ns(1));
         for round in 0..10u64 {
-            sup.tick(&faults, t + Ns(round * interval.0), None);
+            sup.tick(&faults, t + Ns(round * interval.0));
         }
         assert!(sup.is_suspected(0));
         // Find a key owned by member 0.
@@ -748,7 +745,9 @@ mod tests {
             t = done;
         }
         let mut rec = Recorder::new("cluster");
-        let report = sup.fail_over(&mut log, 1, t, Some(&mut rec)).unwrap();
+        let report = sup
+            .fail_over(&mut log, 1, At::new(t, Some(&mut rec)))
+            .unwrap();
         assert!(report.repaired_positions > 0);
         assert_eq!(rec.counter("cluster:epoch_bumps"), 1);
         assert_eq!(
@@ -773,7 +772,7 @@ mod tests {
         let mut sup = ClusterSupervisor::new(nodes, Ns(1_000_000), DEFAULT_PHI_THRESHOLD);
         let faults = FaultPlan::none();
         for round in 0..100u64 {
-            let newly = sup.tick(&faults, Ns(round * 1_000_000), None);
+            let newly = sup.tick(&faults, Ns(round * 1_000_000));
             assert!(newly.is_empty());
         }
         assert_eq!(sup.suspicions(), 0);

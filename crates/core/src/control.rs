@@ -174,11 +174,6 @@ impl ControlPlane {
     pub fn kernel_mut(&mut self, slot: SlotId) -> Option<&mut DeployedKernel> {
         self.kernels.get_mut(&slot.0)
     }
-
-    /// Number of deployed kernels.
-    pub fn num_kernels(&self) -> usize {
-        self.kernels.len()
-    }
 }
 
 #[cfg(test)]
@@ -230,7 +225,7 @@ mod tests {
             reconfig >= Ns::from_millis(8) && reconfig <= Ns::from_millis(100),
             "reconfig {reconfig}"
         );
-        assert_eq!(cp.num_kernels(), 1);
+        assert_eq!(cp.kernels.len(), 1);
         // The deployed kernel executes packets.
         let k = cp.kernel_mut(slot).unwrap();
         let mut packet = vec![7u8; 64];
@@ -291,7 +286,7 @@ mod tests {
         .unwrap();
         cp.handle(&mut dpu, ControlRequest::Evict(SlotId(0)), Ns::ZERO)
             .unwrap();
-        assert_eq!(cp.num_kernels(), 0);
+        assert_eq!(cp.kernels.len(), 0);
         let ControlResponse::Status {
             slots_used,
             reconfigs,

@@ -2,7 +2,7 @@
 //!
 //! One [`HyperionDpu`] is the complete Figure-2 system: the U280 fabric
 //! with its AXIS switch and reconfigurable slots, the FPGA-hosted PCIe
-//! root complex with the x16→4x4 bifurcation, and four NVMe SSDs — plus
+//! root complex, and four NVMe SSDs — plus
 //! the software state the blueprint describes: the single-level segment
 //! store (SSD0–1), the Corfu log units (SSD2, striped), and the
 //! block-structure volume hosting the B+ tree and the LSM (SSD3).
@@ -13,7 +13,7 @@
 use hyperion_fabric::{Fabric, PortId};
 use hyperion_mem::seglevel::SingleLevelStore;
 use hyperion_nvme::device::NvmeDevice;
-use hyperion_pcie::{Bifurcation, RootComplex};
+use hyperion_pcie::RootComplex;
 use hyperion_sim::stats::Counters;
 use hyperion_sim::time::Ns;
 use hyperion_storage::blockstore::BlockStore;
@@ -76,8 +76,6 @@ pub struct HyperionDpu {
     /// FPGA-hosted root complex (paper §2: "Hyperion runs a PCIe root
     /// complex with an NVMe controller on the FPGA board").
     pub root_complex: RootComplex,
-    /// The x16 → 4x4 bifurcation to the SSDs.
-    pub bifurcation: Bifurcation,
     /// Single-level segment store over SSD0–1.
     pub segments: SingleLevelStore,
     /// Corfu shared log (SSD2, striped into 4 units).
@@ -154,7 +152,6 @@ impl DpuBuilder {
             state: DpuState::PoweredOff,
             fabric,
             root_complex: RootComplex::new(),
-            bifurcation: Bifurcation::x16_to_4x4(),
             segments: SingleLevelStore::new(devices),
             log: CorfuLog::new(4, SSD_LBAS / 4),
             blocks: BlockStore::with_capacity(SSD_LBAS),

@@ -26,7 +26,7 @@ use hyperion_net::{NetError, Network};
 use hyperion_nvme::device::{Command, NvmeDevice, NvmeError, Response};
 use hyperion_sim::fault::FaultPlan;
 use hyperion_sim::time::Ns;
-use hyperion_telemetry::{Component, Recorder};
+use hyperion_telemetry::{At, Component, Recorder};
 
 /// Capsule opcode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -357,25 +357,6 @@ impl Initiator {
         }
     }
 
-    /// Drives one command exchange to completion under `policy` (see
-    /// [`Initiator::exchange_traced`]).
-    #[allow(clippy::too_many_arguments)]
-    pub fn exchange(
-        &mut self,
-        net: &mut Network,
-        tr: &Transport,
-        client: Endpoint,
-        target_ep: Endpoint,
-        target: &mut NvmeOfTarget,
-        capsule: CommandCapsule,
-        now: Ns,
-        policy: &RetryPolicy,
-    ) -> Result<(ResponseCapsule, FabricExchange), NetError> {
-        self.exchange_traced(
-            net, tr, client, target_ep, target, capsule, now, policy, None,
-        )
-    }
-
     /// Drives one command exchange (request over the fabric, execute on
     /// the target, response back) to completion under `policy`.
     ///
@@ -391,7 +372,7 @@ impl Initiator {
     /// queueing edge when retries delayed the start of the winning
     /// attempt. The fabric legs themselves record nothing.
     #[allow(clippy::too_many_arguments)]
-    pub fn exchange_traced(
+    pub fn exchange<'r>(
         &mut self,
         net: &mut Network,
         tr: &Transport,
@@ -399,10 +380,10 @@ impl Initiator {
         target_ep: Endpoint,
         target: &mut NvmeOfTarget,
         mut capsule: CommandCapsule,
-        now: Ns,
+        at: impl Into<At<'r>>,
         policy: &RetryPolicy,
-        mut rec: Option<&mut Recorder>,
     ) -> Result<(ResponseCapsule, FabricExchange), NetError> {
+        let At { now, mut rec } = at.into();
         let span = rec.as_deref_mut().map(|rec| {
             let label = match capsule.opcode {
                 FabricOpcode::Read => "nvmeof:read",
@@ -411,18 +392,22 @@ impl Initiator {
             };
             rec.open(Component::Service, label, now)
         });
-        let attempt = |t, k, _: Option<&mut Recorder>| {
+        let attempt = |at: At<'_>, k| {
             if k > 0 {
                 capsule.cid = self.alloc_cid();
             }
-            let d = tr.send(net, client, target_ep, t, capsule.wire_len())?;
+            let d = tr.send(net, client, target_ep, at.now, capsule.wire_len())?;
             let (header, data, ready) =
                 target.handle(&capsule.encode(), capsule.data.clone(), d.done);
             let resp = ResponseCapsule::decode(&header, data).expect("target responses decode");
             let back = tr.send(net, target_ep, client, ready, resp.wire_len())?;
             Ok((resp, back.done))
         };
-        let run = policy.drive(now, rec.as_deref_mut(), attempt, count_nvmeof_retry);
+        let run = policy.drive(
+            At::new(now, rec.as_deref_mut()),
+            attempt,
+            count_nvmeof_retry,
+        );
         let out = run.result.map(|(resp, done)| {
             let x = FabricExchange {
                 done,
@@ -714,16 +699,15 @@ mod tests {
         for i in 0..8u64 {
             let capsule = ini.write(i, Bytes::from(vec![i as u8; 4096]));
             let (resp, x) = ini
-                .exchange_traced(
+                .exchange(
                     &mut net,
                     &tr,
                     client,
                     dpu,
                     &mut target,
                     capsule,
-                    t,
+                    At::new(t, Some(&mut rec)),
                     &policy,
-                    Some(&mut rec),
                 )
                 .expect("bounded retry recovers");
             assert_eq!(resp.status, FabricStatus::Ok);
@@ -787,16 +771,15 @@ mod tests {
         };
         let mut rec = hyperion_telemetry::Recorder::new("nvmeof");
         let capsule = ini.read(0, 1);
-        let out = ini.exchange_traced(
+        let out = ini.exchange(
             &mut net,
             &tr,
             client,
             dpu,
             &mut target,
             capsule,
-            Ns::ZERO,
+            At::new(Ns::ZERO, Some(&mut rec)),
             &policy,
-            Some(&mut rec),
         );
         assert!(matches!(out, Err(NetError::Exhausted { attempts: 4 })));
         assert_eq!(rec.counter("nvmeof:gave_up"), 1);

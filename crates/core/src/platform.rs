@@ -42,12 +42,6 @@ pub const SERVER_1U: PlatformSpec = PlatformSpec {
 };
 
 impl PlatformSpec {
-    /// TDP ratio of `other` over `self` (how much more power the other
-    /// platform may draw).
-    pub fn tdp_ratio_vs(&self, other: &PlatformSpec) -> f64 {
-        other.max_tdp.0 as f64 / self.max_tdp.0 as f64
-    }
-
     /// Volume ratio of `other` over `self`.
     pub fn volume_ratio_vs(&self, other: &PlatformSpec) -> f64 {
         other.volume_cm3 as f64 / self.volume_cm3 as f64
@@ -62,8 +56,6 @@ mod tests {
     fn paper_tdp_figures() {
         assert_eq!(HYPERION.max_tdp, MilliWatts::from_watts(230));
         assert_eq!(SERVER_1U.max_tdp, MilliWatts::from_watts(1_600));
-        let ratio = HYPERION.tdp_ratio_vs(&SERVER_1U);
-        assert!((6.9..7.0).contains(&ratio), "tdp ratio {ratio}");
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //!
 //! The surface is typed by domain: [`KvOp`], [`TreeOp`] and [`LogOp`].
 //! [`ServiceOp`] is the umbrella a transport endpoint routes on, and
-//! [`HyperionDpu::dispatch_traced`] is the one body that runs an op of
-//! any group.
+//! [`HyperionDpu::dispatch`] is the one body that runs an op of any
+//! group, traced or not: it takes its instant as an [`At`], so a caller
+//! passes a plain `Ns` or `At::new(now, Some(&mut rec))`.
 //!
 //! `TreeOp::NodeRead` exists for the baseline side of experiment E6: a
 //! client-driven pointer chase fetches one node per RPC, while
@@ -22,7 +23,7 @@ use hyperion_nvme::device::{Command, NvmeError, Response};
 use hyperion_sim::time::Ns;
 use hyperion_storage::blockstore::BlockError;
 use hyperion_storage::corfu::LogEntry;
-use hyperion_telemetry::{Component, Recorder};
+use hyperion_telemetry::{At, Component};
 
 use crate::dpu::{DpuError, HyperionDpu};
 
@@ -251,32 +252,23 @@ impl ServiceOp {
 }
 
 impl HyperionDpu {
-    /// Runs one typed op at `now` (see [`HyperionDpu::dispatch_traced`]).
-    pub fn dispatch(
-        &mut self,
-        now: Ns,
-        op: impl Into<ServiceOp>,
-    ) -> Result<(ServiceResponse, Ns), ServiceError> {
-        self.dispatch_traced(now, op.into(), None)
-    }
-
-    /// Runs one typed op at `now`; returns the response and the instant
-    /// the DPU finishes the work. [`HyperionDpu::dispatch`] accepts any op
-    /// group via `Into<ServiceOp>`; this body takes the converted op, so
-    /// it is compiled once. It is the one body that runs an op, in this
-    /// order: admission, the `served` count, the ready check, the op.
+    /// Runs one typed op of any group at `at.now`; returns the response
+    /// and the instant the DPU finishes the work. It is the one body that
+    /// runs an op, in this order: admission, the `served` count, the ready
+    /// check, the op.
     ///
     /// With a recorder: a [`Component::Service`] span over the op, a
     /// per-op latency sample under the op's label, a fabric
     /// slot-occupancy gauge, a `service:shed` count per shed request, and
     /// nested device spans where the op touches the KV-SSD (see
-    /// [`NvmeDevice::submit_traced`](hyperion_nvme::device::NvmeDevice::submit_traced)).
-    pub fn dispatch_traced(
+    /// [`NvmeDevice::submit`](hyperion_nvme::device::NvmeDevice::submit)).
+    pub fn dispatch<'r>(
         &mut self,
-        now: Ns,
-        op: ServiceOp,
-        mut rec: Option<&mut Recorder>,
+        at: impl Into<At<'r>>,
+        op: impl Into<ServiceOp>,
     ) -> Result<(ServiceResponse, Ns), ServiceError> {
+        let At { now, mut rec } = at.into();
+        let op = op.into();
         let label = op.label();
         let span = rec.as_deref_mut().map(|rec| {
             rec.gauge(
@@ -329,19 +321,17 @@ impl HyperionDpu {
                 }
                 ServiceOp::Kv(KvOp::SsdPut { key, value }) => {
                     let cmd = Command::KvPut { key, value };
-                    let rec = rec.as_deref_mut();
                     let c = self
                         .kvssd
-                        .submit_traced(cmd, now, rec)
+                        .submit(cmd, At::new(now, rec.as_deref_mut()))
                         .map_err(kv_ssd_err)?;
                     (ServiceResponse::Ok, c.done)
                 }
                 ServiceOp::Kv(KvOp::SsdGet { key }) => {
                     let cmd = Command::KvGet { key };
-                    let rec = rec.as_deref_mut();
                     let c = self
                         .kvssd
-                        .submit_traced(cmd, now, rec)
+                        .submit(cmd, At::new(now, rec.as_deref_mut()))
                         .map_err(kv_ssd_err)?;
                     let value = match c.response {
                         Response::Data(d) => Some(d),
@@ -416,43 +406,37 @@ mod tests {
     }
 
     #[test]
-    fn dispatch_traced_records_span_and_op() {
-        let mut dpu = booted();
-        let t = dpu.booted_at();
+    fn dispatch_traces_without_moving_timing() {
+        let (mut plain, mut traced) = (booted(), booted());
         let mut rec = hyperion_telemetry::Recorder::new("svc");
-        let (_, t2) = dpu
-            .dispatch_traced(t, KvOp::Put { key: 1, value: 2 }.into(), Some(&mut rec))
-            .unwrap();
-        assert!(t2 >= t);
+        let ops = || -> [ServiceOp; 2] {
+            [
+                KvOp::Put { key: 1, value: 2 }.into(),
+                KvOp::SsdPut {
+                    key: b"k".to_vec(),
+                    value: Bytes::from_static(b"v"),
+                }
+                .into(),
+            ]
+        };
+        let mut t = plain.booted_at();
+        assert_eq!(t, traced.booted_at());
+        for (a, b) in ops().into_iter().zip(ops()) {
+            let (resp_a, done_a) = plain.dispatch(t, a).unwrap();
+            let (resp_b, done_b) = traced.dispatch(At::new(t, Some(&mut rec)), b).unwrap();
+            assert_eq!(format!("{resp_a:?}"), format!("{resp_b:?}"));
+            assert_eq!(done_a, done_b);
+            assert!(done_a >= t);
+            t = done_a;
+        }
+        // One service span per op; the KV-SSD put nests its device span.
         assert_eq!(rec.open_spans(), 0);
-        assert_eq!(rec.spans().len(), 1);
-        assert_eq!(rec.spans()[0].name, "kv.put");
-        let ops: Vec<_> = rec.op_histograms().collect();
-        assert_eq!(ops.len(), 1);
-        assert_eq!(ops[0].0, "kv.put");
-        assert_eq!(ops[0].1.count(), 1);
-    }
-
-    #[test]
-    fn kvssd_traced_dispatch_nests_device_span() {
-        let mut dpu = booted();
-        let t = dpu.booted_at();
-        let mut rec = hyperion_telemetry::Recorder::new("svc");
-        dpu.dispatch_traced(
-            t,
-            KvOp::SsdPut {
-                key: b"k".to_vec(),
-                value: Bytes::from_static(b"v"),
-            }
-            .into(),
-            Some(&mut rec),
-        )
-        .unwrap();
         let spans = rec.spans();
-        assert_eq!(spans.len(), 2);
-        assert_eq!(spans[0].name, "kvssd.put");
-        assert_eq!(spans[1].name, "nvme:kv_put");
-        assert_eq!(spans[1].parent, Some(hyperion_telemetry::SpanId::index(0)));
+        let names: Vec<_> = spans.iter().map(|s| s.name).collect();
+        assert_eq!(names, ["kv.put", "kvssd.put", "nvme:kv_put"]);
+        assert_eq!(spans[2].parent, Some(hyperion_telemetry::SpanId::index(1)));
+        let ops: Vec<_> = rec.op_histograms().map(|(n, h)| (n, h.count())).collect();
+        assert_eq!(ops, [("kv.put", 1), ("kvssd.put", 1)]);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 
 use hyperion_sim::stats::Histogram;
 use hyperion_sim::time::Ns;
-use hyperion_telemetry::Recorder;
+use hyperion_telemetry::{At, Recorder};
 
 use crate::control::{ControlError, ControlPlane, ControlRequest};
 use crate::dpu::HyperionDpu;
@@ -180,7 +180,7 @@ const MIX_LOG_ENTRY: usize = 64;
 /// LSM, tree, and log — the interference an operator's SLO dashboard
 /// exists to catch), and each tenant has a personality by index: KV-heavy
 /// (`t % 3 == 0`), tree-heavy (`t % 3 == 1`), log-heavy (`t % 3 == 2`).
-/// Every op runs through the traced dispatch path, so `rec` accumulates
+/// Every op is dispatched with `rec` attached, so `rec` accumulates
 /// the same spans/hops a production flight recorder would.
 pub fn run_tenant_mix(
     dpu: &mut HyperionDpu,
@@ -237,7 +237,7 @@ pub fn run_tenant_mix(
                 },
             };
             let group = op.group();
-            let (resp, done) = dpu.dispatch_traced(now, op, Some(rec))?;
+            let (resp, done) = dpu.dispatch(At::new(now, Some(rec)), op)?;
             if let ServiceResponse::Appended { position } = resp {
                 log_tail[t as usize] = Some(position);
             }

@@ -168,9 +168,9 @@ fn zombie_writes_after_failover_are_fenced_everywhere() {
     let mut failed_over = false;
     for round in 0..12u64 {
         let now = t + Ns(round * interval.0);
-        for m in sup.tick(&faults, now, None) {
+        for m in sup.tick(&faults, now) {
             assert_eq!(m, 0);
-            let report = sup.fail_over(&mut log, m, now, None).expect("failover");
+            let report = sup.fail_over(&mut log, m, now).expect("failover");
             assert!(report.repaired_positions > 0, "replicas must be repaired");
             failed_over = true;
         }

@@ -1,11 +1,12 @@
 //! Recorder parity under every injected network fault.
 //!
-//! Each traced operation has one body that takes `Option<&mut Recorder>`.
-//! These tests drive the retrying path (`Initiator::exchange_traced`, the
-//! one caller of `RetryPolicy::drive`) and the RPC path
-//! (`RpcChannel::call_traced`) through one seeded plan that drops,
-//! corrupts and flaps the wire, once with `None` and once with a
-//! recorder, and require identical results and attempt counts. The
+//! Each modelled operation has one body that takes its instant as an
+//! `At`: a plain `Ns` runs it untraced, `At::new(now, Some(&mut rec))`
+//! traced. These tests drive the retrying path (`Initiator::exchange`,
+//! the one caller of `RetryPolicy::drive`) and the RPC path
+//! (`RpcChannel::call`) through one seeded plan that drops, corrupts and
+//! flaps the wire, once at a plain `Ns` and once with a recorder, and
+//! require identical results and attempt counts. The
 //! recorder's counters and `fault:nvmeof:*` instants prove that every
 //! fault arm (drop → timeout, corrupt → NACK, flap → wait for carrier)
 //! was taken.
@@ -20,7 +21,7 @@ use hyperion_net::{
 };
 use hyperion_sim::fault::FaultPlan;
 use hyperion_sim::time::Ns;
-use hyperion_telemetry::Recorder;
+use hyperion_telemetry::{At, Recorder};
 
 /// Operations per run, issued at a fixed cadence of [`GAP`].
 const OPS: u64 = 200;
@@ -72,19 +73,19 @@ impl Side {
     }
 }
 
-/// Runs `op` [`OPS`] times on two identical sides, without and with a
-/// recorder, and asserts every outcome matches. Returns the outcomes and
-/// the recorder.
+/// Runs `op` [`OPS`] times on two identical sides, at a plain `Ns` and
+/// with a recorder, and asserts every outcome matches. Returns the
+/// outcomes and the recorder.
 fn parity<T: PartialEq + Debug>(
-    mut op: impl FnMut(&mut Side, u64, Ns, Option<&mut Recorder>) -> T,
+    mut op: impl FnMut(&mut Side, u64, At<'_>) -> T,
 ) -> (Vec<T>, Recorder) {
     let (mut plain, mut traced) = (Side::new(), Side::new());
     let mut rec = Recorder::new("parity");
     let mut outcomes = Vec::new();
     for i in 0..OPS {
         let t = GAP * i;
-        let a = op(&mut plain, i, t, None);
-        let b = op(&mut traced, i, t, Some(&mut rec));
+        let a = op(&mut plain, i, t.into());
+        let b = op(&mut traced, i, At::new(t, Some(&mut rec)));
         assert_eq!(a, b, "op {i} at {t}");
         outcomes.push(a);
     }
@@ -95,23 +96,22 @@ fn parity<T: PartialEq + Debug>(
 
 #[test]
 fn nvmeof_exchange_matches_across_recorders_under_every_fault() {
-    let (outcomes, rec) = parity(|s, i, t, rec| {
+    let (outcomes, rec) = parity(|s, i, at| {
         let lba = i % 64;
         let capsule = if i % 2 == 0 {
             s.ini.write(lba, Bytes::from(vec![i as u8; 4096]))
         } else {
             s.ini.read(lba, 1)
         };
-        s.ini.exchange_traced(
+        s.ini.exchange(
             &mut s.net,
             &s.tr,
             s.client,
             s.server,
             &mut s.target,
             capsule,
-            t,
+            at,
             &POLICY,
-            rec,
         )
     });
     for arm in ["timeouts", "corrupt", "link_down"] {
@@ -129,9 +129,8 @@ fn nvmeof_exchange_matches_across_recorders_under_every_fault() {
 #[test]
 fn rpc_call_matches_across_recorders_under_every_fault() {
     let mut calls = Vec::new();
-    let (outcomes, _) = parity(|s, i, t, rec| {
-        let out =
-            s.ch.call_traced(&mut s.net, MethodId(1), t, 64, 512, Ns(1_000), rec);
+    let (outcomes, _) = parity(|s, i, at| {
+        let out = s.ch.call(&mut s.net, MethodId(1), at, 64, 512, Ns(1_000));
         if i + 1 == OPS {
             calls.push((s.ch.counters.get("calls"), s.ch.counters.get("rtts")));
         }

@@ -13,7 +13,7 @@ use std::fmt;
 
 use hyperion_sim::resource::Resource;
 use hyperion_sim::time::{serialization_delay, Ns};
-use hyperion_telemetry::{Component, Recorder};
+use hyperion_telemetry::{At, Component};
 
 use crate::bitstream::Bitstream;
 use crate::params;
@@ -140,17 +140,6 @@ impl SlotManager {
         self.slots.iter().position(|s| s.is_none()).map(SlotId)
     }
 
-    /// Streams `bitstream` into `slot` starting at `now` (see
-    /// [`SlotManager::program_traced`]).
-    pub fn program(
-        &mut self,
-        slot: SlotId,
-        bitstream: Bitstream,
-        now: Ns,
-    ) -> Result<Ns, SlotError> {
-        self.program_traced(slot, bitstream, now, None)
-    }
-
     /// Streams `bitstream` into `slot` starting at `now`.
     ///
     /// Returns the instant the kernel goes live. The duration is ICAP
@@ -166,13 +155,13 @@ impl SlotManager {
     /// is claimed as `fabric:icap`, slot occupancy is sampled as a
     /// `fabric:slots` depth timeline, and a reconfiguration that had to
     /// wait for the ICAP gets a queueing edge blaming it.
-    pub fn program_traced(
+    pub fn program<'r>(
         &mut self,
         slot: SlotId,
         bitstream: Bitstream,
-        now: Ns,
-        mut rec: Option<&mut Recorder>,
+        at: impl Into<At<'r>>,
     ) -> Result<Ns, SlotError> {
+        let At { now, mut rec } = at.into();
         let obs = rec.as_deref_mut().map(|rec| {
             let span = rec.open(Component::Fabric, "fabric:reconfig", now);
             (span, self.icap.earliest_start(now))
@@ -246,6 +235,7 @@ impl SlotManager {
 mod tests {
     use super::*;
     use crate::clock::ClockDomain;
+    use hyperion_telemetry::Recorder;
 
     const KEY: u64 = 0xC0FFEE;
 
@@ -293,10 +283,18 @@ mod tests {
         let mut rec = Recorder::new("fabric-util");
         rec.enable_util();
         let a = m
-            .program_traced(SlotId(0), small_kernel("a"), Ns::ZERO, Some(&mut rec))
+            .program(
+                SlotId(0),
+                small_kernel("a"),
+                At::new(Ns::ZERO, Some(&mut rec)),
+            )
             .unwrap();
         let b = m
-            .program_traced(SlotId(1), small_kernel("b"), Ns::ZERO, Some(&mut rec))
+            .program(
+                SlotId(1),
+                small_kernel("b"),
+                At::new(Ns::ZERO, Some(&mut rec)),
+            )
             .unwrap();
         let icap = rec.util().resource("fabric:icap").expect("icap claimed");
         // Two back-to-back streams coalesce into one contiguous window.
@@ -308,7 +306,7 @@ mod tests {
         assert_eq!(rec.edge_resources()[0].1, "fabric:icap");
         let slots = rec.util().resource("fabric:slots").expect("depth sampled");
         assert_eq!(slots.peak_depth(), 2);
-        // Timing parity with the recorder-free (`None`) path.
+        // Timing parity with the untraced (plain `Ns`) path.
         let mut plain = mgr();
         assert_eq!(plain.program(SlotId(0), small_kernel("a"), Ns::ZERO), Ok(a));
         assert_eq!(plain.program(SlotId(1), small_kernel("b"), Ns::ZERO), Ok(b));

@@ -13,7 +13,7 @@ use hyperion_fabric::clock::ClockDomain;
 use hyperion_fabric::resources::ResourceBudget;
 use hyperion_sim::resource::Resource;
 use hyperion_sim::time::Ns;
-use hyperion_telemetry::{Component, Recorder};
+use hyperion_telemetry::{At, Component};
 
 use crate::dataflow::{Schedule, Unit};
 
@@ -179,7 +179,8 @@ impl HwPipeline {
     /// (initiation-interval spacing) delays issue, the span gets a
     /// queueing edge so the critical-path analyzer can split intake stall
     /// from pipeline latency.
-    pub fn admit(&mut self, label: &'static str, now: Ns, mut rec: Option<&mut Recorder>) -> Ns {
+    pub fn admit<'r>(&mut self, label: &'static str, at: impl Into<At<'r>>) -> Ns {
+        let At { now, mut rec } = at.into();
         let span = rec.as_deref_mut().map(|rec| {
             let wait = self.intake_wait(now);
             let span = rec.open(Component::Fabric, label, now);
@@ -207,7 +208,7 @@ impl HwPipeline {
         ctx: &mut [u8],
         now: Ns,
     ) -> Result<(ExecResult, Ns), VmError> {
-        let done = self.admit("", now, None);
+        let done = self.admit("", now);
         let result = vm.run(self.program.program(), ctx)?;
         Ok((result, done))
     }
@@ -223,6 +224,7 @@ mod tests {
     use super::*;
     use crate::compile;
     use hyperion_ebpf::{assemble, verify};
+    use hyperion_telemetry::Recorder;
 
     fn pipeline(src: &str, ctx: u64) -> HwPipeline {
         let p = assemble("k", src, ctx).unwrap();
@@ -241,8 +243,8 @@ mod tests {
     #[test]
     fn admit_pipelines_items() {
         let mut p = pipeline("mov r0, 0\nexit", 0);
-        let first = p.admit("", Ns::ZERO, None);
-        let second = p.admit("", Ns::ZERO, None);
+        let first = p.admit("", Ns::ZERO);
+        let second = p.admit("", Ns::ZERO);
         // Items are II (= 1 cycle = 4 ns) apart, not a full latency apart.
         assert_eq!(second - first, Ns(4));
         assert_eq!(p.items(), 2);
@@ -252,9 +254,9 @@ mod tests {
     fn traced_admit_marks_intake_backpressure() {
         let mut p = pipeline("mov r0, 0\nexit", 0);
         let mut rec = Recorder::new("hdl-unit");
-        let first = p.admit("kernel:item", Ns::ZERO, Some(&mut rec));
+        let first = p.admit("kernel:item", At::new(Ns::ZERO, Some(&mut rec)));
         // Second item at the same instant stalls one II at the intake.
-        let second = p.admit("kernel:item", Ns::ZERO, Some(&mut rec));
+        let second = p.admit("kernel:item", At::new(Ns::ZERO, Some(&mut rec)));
         assert!(second > first);
         assert_eq!(rec.spans().len(), 2);
         assert!(rec

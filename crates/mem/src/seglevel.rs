@@ -63,7 +63,8 @@ pub enum StoreError {
         /// Segment length.
         len: u64,
     },
-    /// No device has room.
+    /// No device has room, or the persisted table would outgrow the boot
+    /// area.
     OutOfSpace,
     /// The persisted table failed its checksum on recovery.
     CorruptTable,
@@ -257,7 +258,16 @@ impl SingleLevelStore {
     ///
     /// Paper §2.1: "The segment translation table is periodically persisted
     /// on a pre-selected control/boot NVMe area."
+    ///
+    /// Fails with [`StoreError::OutOfSpace`], writing nothing, when the
+    /// image does not fit in the [`BOOT_AREA_LBAS`] boot area: past it lie
+    /// the first segments of device 0.
     pub fn persist_table(&mut self, now: Ns) -> Result<Ns, StoreError> {
+        // Header (magic, generation, body length, checksum), row count, rows.
+        let image_len = 28 + 8 + self.table.len() * ROW_BYTES;
+        if image_len as u64 > BOOT_AREA_LBAS * LBA_SIZE {
+            return Err(StoreError::OutOfSpace);
+        }
         self.generation += 1;
         let mut rows: Vec<&SegmentEntry> = self.table.values().collect();
         rows.sort_by_key(|e| e.id);
@@ -461,6 +471,29 @@ mod tests {
         // A one-byte read does go to flash.
         let (_, done) = s.read(id, 0, 1, t).unwrap();
         assert!(done - t > Ns(50_000), "flash read {}", done - t);
+    }
+
+    #[test]
+    fn a_table_past_the_boot_area_is_refused_and_overwrites_nothing() {
+        let mut s = store();
+        s.create(SegmentId(0), 8, Ns::ZERO).unwrap();
+        s.write(SegmentId(0), 0, b"payload!", Ns::ZERO).unwrap();
+        assert_eq!(s.entry(SegmentId(0)).unwrap().lba, BOOT_AREA_LBAS);
+        // The most rows whose image (36 bytes plus the rows) fills the
+        // boot area exactly or less: 508,399. Empty segments take no LBA.
+        let fit = (BOOT_AREA_LBAS * LBA_SIZE - 36) / ROW_BYTES as u64;
+        assert_eq!(fit, 508_399);
+        for i in 1..fit {
+            s.create(SegmentId(i.into()), 0, Ns::ZERO).unwrap();
+        }
+        s.persist_table(Ns::ZERO).unwrap();
+        s.create(SegmentId(fit.into()), 0, Ns::ZERO).unwrap();
+        assert!(matches!(
+            s.persist_table(Ns::ZERO),
+            Err(StoreError::OutOfSpace)
+        ));
+        let (back, _) = s.read(SegmentId(0), 0, 8, Ns::ZERO).unwrap();
+        assert_eq!(back.as_ref(), b"payload!");
     }
 
     #[test]

@@ -60,13 +60,6 @@ pub struct Packet {
     pub tcp_flags: u8,
 }
 
-impl Packet {
-    /// Total wire size of this packet including headers.
-    pub fn wire_bytes(&self) -> u64 {
-        self.payload.len() as u64 + params::HEADER_BYTES
-    }
-}
-
 /// Splits a message of `bytes` into MTU-sized packets and returns the
 /// total wire bytes including per-packet headers.
 ///
@@ -121,15 +114,5 @@ mod tests {
     fn wire_bytes_include_per_packet_headers() {
         assert_eq!(wire_bytes_for_message(1500), 1500 + 78);
         assert_eq!(wire_bytes_for_message(3000), 3000 + 2 * 78);
-    }
-
-    #[test]
-    fn packet_wire_size() {
-        let p = Packet {
-            flow: key(0),
-            payload: Bytes::from_static(&[0u8; 100]),
-            tcp_flags: 0x02,
-        };
-        assert_eq!(p.wire_bytes(), 178);
     }
 }

@@ -9,7 +9,7 @@
 use hyperion_sim::fault::FaultPlan;
 use hyperion_sim::resource::Link;
 use hyperion_sim::time::Ns;
-use hyperion_telemetry::{Recorder, SpanId};
+use hyperion_telemetry::{At, Recorder, SpanId};
 
 use crate::frame::wire_bytes_for_message;
 use crate::params;
@@ -171,16 +171,16 @@ impl Network {
     /// message occupies are claimed busy on `net:uplink:<src>` /
     /// `net:downlink:<dst>`, and when the message had to wait for a busy
     /// wire, `span` (if given) gets a queueing edge labeled with the gating
-    /// link. Timing and fault behavior do not depend on `rec`.
-    pub fn deliver_traced(
+    /// link. Timing and fault behavior do not depend on `at.rec`.
+    pub fn deliver<'r>(
         &mut self,
         src: NodeId,
         dst: NodeId,
-        now: Ns,
+        at: impl Into<At<'r>>,
         bytes: u64,
-        rec: Option<&mut Recorder>,
         span: Option<SpanId>,
     ) -> Result<Ns, NetError> {
+        let At { now, rec } = at.into();
         let mut obs = rec.map(|rec| DeliveryObs { rec, span });
         let wire = wire_bytes_for_message(bytes);
         if src.0 >= self.nodes.len() {
@@ -305,7 +305,7 @@ mod tests {
         let mut net = Network::new();
         let a = net.add_node();
         let b = net.add_node();
-        let t = net.deliver_traced(a, b, Ns::ZERO, 64, None, None).unwrap();
+        let t = net.deliver(a, b, Ns::ZERO, 64, None).unwrap();
         // 2 x 500ns propagation + 300ns switch + 2 x ~12ns serialization.
         assert!(t > Ns(1_300) && t < Ns(2_000), "latency {t}");
     }
@@ -317,12 +317,8 @@ mod tests {
         let b = net.add_node();
         let c = net.add_node();
         let d = net.add_node();
-        let t1 = net
-            .deliver_traced(a, b, Ns::ZERO, 1 << 20, None, None)
-            .unwrap();
-        let t2 = net
-            .deliver_traced(c, d, Ns::ZERO, 1 << 20, None, None)
-            .unwrap();
+        let t1 = net.deliver(a, b, Ns::ZERO, 1 << 20, None).unwrap();
+        let t2 = net.deliver(c, d, Ns::ZERO, 1 << 20, None).unwrap();
         assert_eq!(t1, t2);
     }
 
@@ -332,12 +328,8 @@ mod tests {
         let sinks = net.add_node();
         let s1 = net.add_node();
         let s2 = net.add_node();
-        let t1 = net
-            .deliver_traced(s1, sinks, Ns::ZERO, 1 << 20, None, None)
-            .unwrap();
-        let t2 = net
-            .deliver_traced(s2, sinks, Ns::ZERO, 1 << 20, None, None)
-            .unwrap();
+        let t1 = net.deliver(s1, sinks, Ns::ZERO, 1 << 20, None).unwrap();
+        let t2 = net.deliver(s2, sinks, Ns::ZERO, 1 << 20, None).unwrap();
         assert!(t2 > t1, "second sender must queue at the downlink");
     }
 
@@ -345,18 +337,14 @@ mod tests {
     fn unknown_nodes_error() {
         let mut net = Network::new();
         let a = net.add_node();
-        assert!(net
-            .deliver_traced(a, NodeId(7), Ns::ZERO, 10, None, None)
-            .is_err());
+        assert!(net.deliver(a, NodeId(7), Ns::ZERO, 10, None).is_err());
     }
 
     #[test]
     fn loopback_skips_the_wire() {
         let mut net = Network::new();
         let a = net.add_node();
-        let t = net
-            .deliver_traced(a, a, Ns::ZERO, 1 << 20, None, None)
-            .unwrap();
+        let t = net.deliver(a, a, Ns::ZERO, 1 << 20, None).unwrap();
         assert_eq!(t, Ns::ZERO + params::SWITCH_LATENCY);
     }
 
@@ -368,10 +356,7 @@ mod tests {
             let b = net.add_node();
             net.set_fault_plan(FaultPlan::seeded(11).bernoulli(FAULT_NET_DROP, 0.5));
             (0..64)
-                .map(|i| {
-                    net.deliver_traced(a, b, Ns(i * 10_000), 64, None, None)
-                        .is_ok()
-                })
+                .map(|i| net.deliver(a, b, Ns(i * 10_000), 64, None).is_ok())
                 .collect::<Vec<bool>>()
         };
         let x = run();
@@ -385,12 +370,12 @@ mod tests {
         let a = net.add_node();
         let b = net.add_node();
         net.set_fault_plan(FaultPlan::seeded(1).window(FAULT_NET_FLAP, Ns(100), Ns(500)));
-        assert!(net.deliver_traced(a, b, Ns(0), 64, None, None).is_ok());
-        match net.deliver_traced(a, b, Ns(200), 64, None, None) {
+        assert!(net.deliver(a, b, Ns(0), 64, None).is_ok());
+        match net.deliver(a, b, Ns(200), 64, None) {
             Err(NetError::LinkDown { until }) => assert_eq!(until, Ns(500)),
             other => panic!("expected LinkDown, got {other:?}"),
         }
-        assert!(net.deliver_traced(a, b, Ns(500), 64, None, None).is_ok());
+        assert!(net.deliver(a, b, Ns(500), 64, None).is_ok());
     }
 
     #[test]
@@ -401,20 +386,20 @@ mod tests {
         let c = net.add_node();
         net.set_fault_plan(FaultPlan::seeded(1).window(&partition_site(b), Ns(1_000), Ns(5_000)));
         // Before the window: clean.
-        assert!(net.deliver_traced(a, b, Ns(0), 64, None, None).is_ok());
+        assert!(net.deliver(a, b, Ns(0), 64, None).is_ok());
         // Inside the window: both directions blackhole, silently.
         assert_eq!(
-            net.deliver_traced(a, b, Ns(2_000), 64, None, None),
+            net.deliver(a, b, Ns(2_000), 64, None),
             Err(NetError::Dropped)
         );
         assert_eq!(
-            net.deliver_traced(b, a, Ns(2_000), 64, None, None),
+            net.deliver(b, a, Ns(2_000), 64, None),
             Err(NetError::Dropped)
         );
         // Unrelated pairs are untouched.
-        assert!(net.deliver_traced(a, c, Ns(2_000), 64, None, None).is_ok());
+        assert!(net.deliver(a, c, Ns(2_000), 64, None).is_ok());
         // After the window: the node is reachable again.
-        assert!(net.deliver_traced(a, b, Ns(5_000), 64, None, None).is_ok());
+        assert!(net.deliver(a, b, Ns(5_000), 64, None).is_ok());
     }
 
     #[test]
@@ -433,10 +418,7 @@ mod tests {
             }
             net.set_fault_plan(plan);
             (0..64)
-                .map(|i| {
-                    net.deliver_traced(a, b, Ns(i * 10_000), 64, None, None)
-                        .is_ok()
-                })
+                .map(|i| net.deliver(a, b, Ns(i * 10_000), 64, None).is_ok())
                 .collect::<Vec<bool>>()
         };
         assert_eq!(run(false), run(true));
@@ -449,7 +431,7 @@ mod tests {
         let b = net.add_node();
         let clean = net.base_latency(4096);
         net.set_fault_plan(FaultPlan::seeded(1).bernoulli(FAULT_NET_CORRUPT, 1.0));
-        match net.deliver_traced(a, b, Ns::ZERO, 4096, None, None) {
+        match net.deliver(a, b, Ns::ZERO, 4096, None) {
             Err(NetError::Corrupted { delivered_at }) => assert_eq!(delivered_at, clean),
             other => panic!("expected Corrupted, got {other:?}"),
         }
@@ -461,9 +443,7 @@ mod tests {
         let a = net.add_node();
         let b = net.add_node();
         let est = net.base_latency(4096);
-        let t = net
-            .deliver_traced(a, b, Ns::ZERO, 4096, None, None)
-            .unwrap();
+        let t = net.deliver(a, b, Ns::ZERO, 4096, None).unwrap();
         assert_eq!(t, est);
     }
 }

@@ -10,7 +10,7 @@
 
 use hyperion_sim::stats::Counters;
 use hyperion_sim::time::Ns;
-use hyperion_telemetry::Recorder;
+use hyperion_telemetry::At;
 
 use crate::netsim::{NetError, Network};
 use crate::transport::{Delivery, Endpoint, Transport};
@@ -59,50 +59,26 @@ impl RpcChannel {
         self.transport
     }
 
-    /// Issues a unary call (see [`RpcChannel::call_traced`]).
-    pub fn call(
-        &mut self,
-        net: &mut Network,
-        method: MethodId,
-        now: Ns,
-        req_payload: u64,
-        resp_payload: u64,
-        server_work: Ns,
-    ) -> Result<Delivery, NetError> {
-        self.call_traced(
-            net,
-            method,
-            now,
-            req_payload,
-            resp_payload,
-            server_work,
-            None,
-        )
-    }
-
     /// Issues a unary call: request payload up, `server_work` at the
     /// server, response payload down. With a recorder, the exchange
-    /// records its per-leg telemetry (see [`Transport::request_traced`]).
-    #[allow(clippy::too_many_arguments)]
-    pub fn call_traced(
+    /// records its per-leg telemetry (see [`Transport::request`]).
+    pub fn call<'r>(
         &mut self,
         net: &mut Network,
         _method: MethodId,
-        now: Ns,
+        at: impl Into<At<'r>>,
         req_payload: u64,
         resp_payload: u64,
         server_work: Ns,
-        rec: Option<&mut Recorder>,
     ) -> Result<Delivery, NetError> {
-        let d = self.transport.request_traced(
+        let d = self.transport.request(
             net,
             self.client,
             self.server,
-            now,
+            at,
             req_payload + RPC_FRAMING,
             resp_payload + RPC_FRAMING,
             server_work,
-            rec,
         )?;
         self.counters.bump("calls");
         self.counters.add("rtts", d.wire_rounds);

@@ -10,7 +10,7 @@
 
 use hyperion_sim::rng::SplitMix64;
 use hyperion_sim::time::Ns;
-use hyperion_telemetry::{Component, Recorder};
+use hyperion_telemetry::{At, Component, Recorder};
 
 use crate::frame::packets_for_message;
 use crate::netsim::{NetError, Network, NodeId};
@@ -197,8 +197,8 @@ impl RetryPolicy {
         Some(resume + self.backoff(attempt))
     }
 
-    /// Runs `attempt` under this policy: `attempt(t, k, rec)` issues
-    /// attempt `k` (0-based) at `t`, and a failure is retried at
+    /// Runs `attempt` under this policy: `attempt(at, k)` issues attempt
+    /// `k` (0-based) at `at.now`, and a failure is retried at
     /// [`RetryPolicy::retry_at`] until an attempt succeeds, fails with an
     /// error no retry can fix, or `max_attempts` attempts (at least one)
     /// have failed, which yields [`NetError::Exhausted`].
@@ -206,17 +206,17 @@ impl RetryPolicy {
     /// With a recorder, `on_retry(rec, e, t)` sees every retryable failure
     /// `e` of the attempt issued at `t`, so each layer names its own
     /// counters and trace instants; without one nothing is recorded.
-    pub fn drive<T>(
+    pub fn drive<'r, T>(
         &self,
-        now: Ns,
-        mut rec: Option<&mut Recorder>,
-        mut attempt: impl FnMut(Ns, u32, Option<&mut Recorder>) -> Result<T, NetError>,
+        at: impl Into<At<'r>>,
+        mut attempt: impl FnMut(At<'_>, u32) -> Result<T, NetError>,
         on_retry: impl Fn(&mut Recorder, &NetError, Ns),
     ) -> Retried<T> {
+        let At { now, mut rec } = at.into();
         let attempts = self.max_attempts.max(1);
         let mut t = now;
         for k in 0..attempts {
-            let e = match attempt(t, k, rec.as_deref_mut()) {
+            let e = match attempt(At::new(t, rec.as_deref_mut()), k) {
                 Ok(value) => {
                     return Retried {
                         result: Ok(value),
@@ -329,18 +329,6 @@ impl Transport {
     }
 
     /// Sends one message and returns its delivery outcome.
-    pub fn send(
-        &self,
-        net: &mut Network,
-        from: Endpoint,
-        to: Endpoint,
-        now: Ns,
-        bytes: u64,
-    ) -> Result<Delivery, NetError> {
-        self.send_traced(net, from, to, now, bytes, None)
-    }
-
-    /// Sends one message and returns its delivery outcome.
     ///
     /// With a recorder, a `*:send` span covers the delivery (endpoint
     /// processing + wire + extra rounds). When the protocol burns control
@@ -352,15 +340,15 @@ impl Transport {
     /// `net:uplink:<src>` / `net:downlink:<dst>`, and a busy-wire wait
     /// relabels the span's queueing edge with the gating link (the latest
     /// resource wait wins).
-    pub fn send_traced(
+    pub fn send<'r>(
         &self,
         net: &mut Network,
         from: Endpoint,
         to: Endpoint,
-        now: Ns,
+        at: impl Into<At<'r>>,
         bytes: u64,
-        mut rec: Option<&mut Recorder>,
     ) -> Result<Delivery, NetError> {
+        let At { now, mut rec } = at.into();
         let rounds = self.extra_rounds(bytes);
         // Each extra round costs one base RTT of control traffic before
         // the tail of the data lands.
@@ -374,7 +362,13 @@ impl Transport {
         });
         let start = now + self.tx_cost(from.kind, bytes);
         let result = net
-            .deliver_traced(from.node, to.node, start, bytes, rec.as_deref_mut(), span)
+            .deliver(
+                from.node,
+                to.node,
+                At::new(start, rec.as_deref_mut()),
+                bytes,
+                span,
+            )
             .map(|arrival| Delivery {
                 done: arrival + round_penalty + self.rx_cost(to.kind, bytes),
                 wire_rounds: rounds,
@@ -398,33 +392,44 @@ impl Transport {
     ///
     /// With a recorder: a `*:request` span covering the whole exchange,
     /// nested `*:send` spans for each leg (see
-    /// [`Transport::send_traced`]), and the server residency recorded as a
+    /// [`Transport::send`]), and the server residency recorded as a
     /// [`Component::Service`] hop.
     #[allow(clippy::too_many_arguments)]
-    pub fn request_traced(
+    pub fn request<'r>(
         &self,
         net: &mut Network,
         client: Endpoint,
         server: Endpoint,
-        now: Ns,
+        at: impl Into<At<'r>>,
         req_bytes: u64,
         resp_bytes: u64,
         server_work: Ns,
-        mut rec: Option<&mut Recorder>,
     ) -> Result<Delivery, NetError> {
+        let At { now, mut rec } = at.into();
         let span = rec
             .as_deref_mut()
             .map(|rec| rec.open(Component::Net, self.kind.request_label(), now));
         let result = (|| {
-            let req = self.send_traced(net, client, server, now, req_bytes, rec.as_deref_mut())?;
+            let req = self.send(
+                net,
+                client,
+                server,
+                At::new(now, rec.as_deref_mut()),
+                req_bytes,
+            )?;
             let served = req.done + server_work;
             if let Some(rec) = rec.as_deref_mut() {
                 if server_work > Ns::ZERO {
                     rec.record_hop(Component::Service, "server:work", req.done, served);
                 }
             }
-            let resp =
-                self.send_traced(net, server, client, served, resp_bytes, rec.as_deref_mut())?;
+            let resp = self.send(
+                net,
+                server,
+                client,
+                At::new(served, rec.as_deref_mut()),
+                resp_bytes,
+            )?;
             Ok(Delivery {
                 done: resp.done,
                 wire_rounds: 1 + req.wire_rounds + resp.wire_rounds,
@@ -500,7 +505,7 @@ mod tests {
     fn request_counts_one_rtt_minimum() {
         let (mut net, a, b) = pair(EndpointKind::Hardware);
         let d = Transport::new(TransportKind::Udp)
-            .request_traced(&mut net, a, b, Ns::ZERO, 64, 4096, Ns(1_000), None)
+            .request(&mut net, a, b, Ns::ZERO, 64, 4096, Ns(1_000))
             .unwrap();
         assert_eq!(d.wire_rounds, 1);
         assert!(d.done > Ns(1_000));
@@ -529,8 +534,20 @@ mod tests {
         let tr = Transport::new(TransportKind::Udp);
         let mut rec = Recorder::new("incast");
         rec.enable_util();
-        let a = tr.send_traced(&mut net, s1, sink, Ns::ZERO, 1 << 20, Some(&mut rec));
-        let b = tr.send_traced(&mut net, s2, sink, Ns::ZERO, 1 << 20, Some(&mut rec));
+        let a = tr.send(
+            &mut net,
+            s1,
+            sink,
+            At::new(Ns::ZERO, Some(&mut rec)),
+            1 << 20,
+        );
+        let b = tr.send(
+            &mut net,
+            s2,
+            sink,
+            At::new(Ns::ZERO, Some(&mut rec)),
+            1 << 20,
+        );
         let (a, b) = (a.unwrap(), b.unwrap());
         assert!(b.done > a.done);
         for id in ["net:uplink:1", "net:uplink:2", "net:downlink:0"] {
@@ -546,7 +563,7 @@ mod tests {
         assert_eq!(down, Ns(up.0 * 2));
         assert_eq!(rec.edge_resources().len(), 1);
         assert_eq!(rec.edge_resources()[0].1, "net:downlink:0");
-        // Timing parity with the recorder-free (`None`) path.
+        // Timing parity with the untraced (plain `Ns`) path.
         let mut plain = Network::new();
         let p_sink = Endpoint::new(plain.add_node(), EndpointKind::Hardware);
         let p1 = Endpoint::new(plain.add_node(), EndpointKind::Hardware);
@@ -565,11 +582,11 @@ mod tests {
     fn hardware_endpoints_beat_kernel_endpoints() {
         let (mut net, a, b) = pair(EndpointKind::Hardware);
         let hw = Transport::new(TransportKind::Udp)
-            .request_traced(&mut net, a, b, Ns::ZERO, 64, 64, Ns::ZERO, None)
+            .request(&mut net, a, b, Ns::ZERO, 64, 64, Ns::ZERO)
             .unwrap();
         let (mut net2, a2, b2) = pair(EndpointKind::Kernel);
         let sw = Transport::new(TransportKind::Udp)
-            .request_traced(&mut net2, a2, b2, Ns::ZERO, 64, 64, Ns::ZERO, None)
+            .request(&mut net2, a2, b2, Ns::ZERO, 64, 64, Ns::ZERO)
             .unwrap();
         assert!(
             sw.done > hw.done + Ns(8_000),

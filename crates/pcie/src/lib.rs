@@ -3,9 +3,10 @@
 //! Models the PCIe plumbing of both sides of the paper's comparison:
 //!
 //! * **Hyperion side** (paper §2): the FPGA hosts its own PCIe root complex
-//!   and bifurcates its x16 lanes into 4 x4 links to off-the-shelf NVMe
-//!   SSDs via the crossover board, so storage traffic never leaves the
-//!   card — an end-to-end hardware path with zero CPU-mediated hops.
+//!   and reaches off-the-shelf NVMe SSDs via the crossover board, so
+//!   storage traffic never leaves the card — an end-to-end hardware path
+//!   with zero CPU-mediated hops. The paper splits the x16 lanes into four
+//!   x4 links; no DPU path crosses them, so they are not modelled.
 //! * **Baseline side** (paper §1, Table 1): devices hang off a host root
 //!   complex; device-to-device movement either bounces through host DRAM
 //!   (two DMA transfers plus CPU coordination) or, at best, uses P2P DMA
@@ -23,7 +24,7 @@ use hyperion_sim::fault::FaultPlan;
 use hyperion_sim::resource::Resource;
 use hyperion_sim::stats::Counters;
 use hyperion_sim::time::{serialization_delay, Ns};
-use hyperion_telemetry::{Component, Recorder};
+use hyperion_telemetry::{At, Component};
 
 /// PCI Express generation, determining per-lane throughput.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -123,12 +124,6 @@ impl PcieLink {
         self.gen.lane_bps() * self.lanes as u64
     }
 
-    /// Transfers `bytes` across the link (see
-    /// [`PcieLink::transfer_traced`]).
-    pub fn transfer(&mut self, now: Ns, bytes: u64) -> Ns {
-        self.transfer_traced(now, bytes, None)
-    }
-
     /// Queue wait a transfer issued at `now` would see before its TLPs
     /// start moving (zero when the link is idle).
     pub fn queue_wait(&self, now: Ns) -> Ns {
@@ -145,7 +140,8 @@ impl PcieLink {
     /// utilization plane enabled the serialization window is claimed busy
     /// on `pcie:<link>`, the queueing edge carries that resource as its
     /// label, and a retrain stall leaves a `fault:pcie:retrain` instant.
-    pub fn transfer_traced(&mut self, now: Ns, bytes: u64, mut rec: Option<&mut Recorder>) -> Ns {
+    pub fn transfer<'r>(&mut self, at: impl Into<At<'r>>, bytes: u64) -> Ns {
+        let At { now, mut rec } = at.into();
         // Resolve the retrain stall first so the queue-wait gauge and the
         // queueing edge both cover time the TLPs could not move, whether
         // the link was busy or retraining.
@@ -270,41 +266,6 @@ impl RootComplex {
     }
 }
 
-/// The Hyperion bifurcation of Figure 2: one x16 trunk split into four x4
-/// links, each feeding one NVMe SSD through the crossover board.
-#[derive(Debug)]
-pub struct Bifurcation {
-    links: Vec<PcieLink>,
-}
-
-impl Bifurcation {
-    /// Creates the 4-way x16→4x4 Gen3 split used by the prototype.
-    pub fn x16_to_4x4() -> Bifurcation {
-        Bifurcation {
-            links: vec![
-                PcieLink::new("pcie-x4-0", PcieGen::Gen3, 4),
-                PcieLink::new("pcie-x4-1", PcieGen::Gen3, 4),
-                PcieLink::new("pcie-x4-2", PcieGen::Gen3, 4),
-                PcieLink::new("pcie-x4-3", PcieGen::Gen3, 4),
-            ],
-        }
-    }
-
-    /// Number of downstream links.
-    pub fn num_links(&self) -> usize {
-        self.links.len()
-    }
-
-    /// Access one downstream link.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn link_mut(&mut self, i: usize) -> &mut PcieLink {
-        &mut self.links[i]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -390,7 +351,7 @@ mod tests {
         let mut l = PcieLink::new("l", PcieGen::Gen3, 4);
         l.set_fault_plan(FaultPlan::seeded(7).window(FAULT_PCIE_RETRAIN, Ns::ZERO, Ns(30_000)));
         let mut rec = Recorder::new("pcie");
-        let done = l.transfer_traced(Ns::ZERO, 4096, Some(&mut rec));
+        let done = l.transfer(At::new(Ns::ZERO, Some(&mut rec)), 4096);
         assert!(done > Ns(30_000));
         assert_eq!(rec.counter("pcie:retrain_stalls"), 1);
         assert_eq!(rec.queue_edges().len(), 1, "stall must be a queue edge");
@@ -403,8 +364,8 @@ mod tests {
         let mut rec = Recorder::new("pcie-util");
         rec.enable_util();
         // Two back-to-back transfers: the second queues on the wire.
-        let a = l.transfer_traced(Ns::ZERO, 64 * 1024, Some(&mut rec));
-        let b = l.transfer_traced(Ns::ZERO, 64 * 1024, Some(&mut rec));
+        let a = l.transfer(At::new(Ns::ZERO, Some(&mut rec)), 64 * 1024);
+        let b = l.transfer(At::new(Ns::ZERO, Some(&mut rec)), 64 * 1024);
         assert!(b > a);
         let r = rec.util().resource("pcie:pcie-x4-0").expect("claimed");
         assert_eq!(r.claims(), 2);
@@ -414,22 +375,9 @@ mod tests {
         // The queued transfer's edge is labeled with the wire.
         assert_eq!(rec.edge_resources().len(), 1);
         assert_eq!(rec.edge_resources()[0].1, "pcie:pcie-x4-0");
-        // Timing identical to the recorder-free (`None`) path.
+        // Timing identical to the untraced (plain `Ns`) path.
         let mut plain = PcieLink::new("pcie-x4-0", PcieGen::Gen3, 4);
         assert_eq!(plain.transfer(Ns::ZERO, 64 * 1024), a);
         assert_eq!(plain.transfer(Ns::ZERO, 64 * 1024), b);
-    }
-
-    #[test]
-    fn bifurcation_provides_four_independent_links() {
-        let mut b = Bifurcation::x16_to_4x4();
-        assert_eq!(b.num_links(), 4);
-        // Transfers on different links do not queue on each other.
-        let t0 = b.link_mut(0).transfer(Ns::ZERO, 1 << 20);
-        let t1 = b.link_mut(1).transfer(Ns::ZERO, 1 << 20);
-        assert_eq!(t0, t1);
-        // Same link queues.
-        let t2 = b.link_mut(0).transfer(Ns::ZERO, 1 << 20);
-        assert!(t2 > t0);
     }
 }

@@ -129,11 +129,6 @@ pub struct FileMeta {
 }
 
 impl FileMeta {
-    /// Number of row groups.
-    pub fn num_row_groups(&self) -> usize {
-        self.groups.len()
-    }
-
     /// Total rows.
     pub fn num_rows(&self) -> u64 {
         self.groups.iter().map(|g| g.rows).sum()
@@ -526,7 +521,7 @@ mod tests {
     #[test]
     fn write_scan_round_trip() {
         let (mut store, meta) = written(10_000, 2_500);
-        assert_eq!(meta.num_row_groups(), 4);
+        assert_eq!(meta.groups.len(), 4);
         assert_eq!(meta.num_rows(), 10_000);
         let (batch, _, _) = scan(&mut store, &meta, &["id", "price"], None, Ns::ZERO).unwrap();
         assert_eq!(batch.num_rows(), 10_000);
@@ -542,7 +537,7 @@ mod tests {
         let total_blocks = (store.cursor() - meta.first_lba) as u32;
         let (meta2, _) = read_footer(&mut store, meta.first_lba, total_blocks, Ns::ZERO).unwrap();
         assert_eq!(meta2.schema, meta.schema);
-        assert_eq!(meta2.num_row_groups(), meta.num_row_groups());
+        assert_eq!(meta2.groups.len(), meta.groups.len());
         assert_eq!(meta2.num_rows(), meta.num_rows());
         // Scanning via the reconstructed footer works identically.
         let (b1, _, _) = scan(&mut store, &meta, &["price"], None, Ns::ZERO).unwrap();

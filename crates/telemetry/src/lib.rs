@@ -45,7 +45,7 @@ pub mod trace;
 pub mod util;
 
 pub use critical_path::{HopAttribution, RequestPath};
-pub use recorder::{Gauge, HopRow, Recorder};
+pub use recorder::{At, Gauge, HopRow, Recorder};
 pub use span::{Component, SpanId};
 pub use trace::to_perfetto;
 pub use util::{blame, BlameReport, BlameRow, ResourceUtil, UtilPlane};

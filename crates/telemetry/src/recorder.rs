@@ -99,6 +99,34 @@ pub struct HopRow {
     pub energy: Pj,
 }
 
+/// Where a modelled operation runs: the virtual instant it starts at and,
+/// when it is traced, the recorder it reports to.
+///
+/// Every modelled operation takes `at: impl Into<At>`, so an untraced
+/// caller passes a plain [`Ns`] and a traced one passes
+/// `At::new(now, Some(&mut rec))`. Tracing is a runtime choice of the
+/// caller; recording never changes an operation's timing.
+#[derive(Debug)]
+pub struct At<'r> {
+    /// The instant the operation starts at.
+    pub now: Ns,
+    /// The recorder the operation reports to; `None` records nothing.
+    pub rec: Option<&'r mut Recorder>,
+}
+
+impl<'r> At<'r> {
+    /// An operation at `now` reporting to `rec`.
+    pub fn new(now: Ns, rec: Option<&'r mut Recorder>) -> At<'r> {
+        At { now, rec }
+    }
+}
+
+impl From<Ns> for At<'_> {
+    fn from(now: Ns) -> Self {
+        At { now, rec: None }
+    }
+}
+
 /// Aggregated telemetry for one run.
 #[derive(Debug, Clone)]
 pub struct Recorder {

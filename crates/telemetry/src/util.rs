@@ -75,19 +75,6 @@ impl ResourceUtil {
         Ns(self.busy.iter().map(|(s, e)| e - s).sum())
     }
 
-    /// Busy time overlapping `[from, to)`.
-    pub fn busy_between(&self, from: Ns, to: Ns) -> Ns {
-        let mut total = 0;
-        for &(s, e) in &self.busy {
-            let lo = s.max(from.0);
-            let hi = e.min(to.0);
-            if hi > lo {
-                total += hi - lo;
-            }
-        }
-        Ns(total)
-    }
-
     /// Busy fraction of a horizon (0 when the horizon is empty).
     pub fn busy_fraction(&self, horizon: Ns) -> f64 {
         if horizon == Ns::ZERO {
@@ -415,13 +402,12 @@ mod tests {
     }
 
     #[test]
-    fn busy_between_and_fraction() {
+    fn busy_fraction_of_a_horizon() {
         let mut p = UtilPlane::new();
         p.enable();
         p.claim("r", Ns(0), Ns(50));
         p.claim("r", Ns(100), Ns(150));
         let r = p.resource("r").expect("r");
-        assert_eq!(r.busy_between(Ns(25), Ns(125)), Ns(50));
         assert_eq!(r.busy_fraction(Ns(200)), 0.5);
         assert_eq!(r.busy_fraction(Ns::ZERO), 0.0);
     }

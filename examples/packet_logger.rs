@@ -23,7 +23,7 @@ fn main() {
 
     // 20k packets from 2,000 flows; 15% of flows are brute-forcers.
     let mut gen = TrafficGen::new(2026, 2_000, 0.15, 64);
-    let report = run_on_dpu(&mut dpu, &mut cp, slot, &mut gen, 20_000, live, None);
+    let report = run_on_dpu(&mut dpu, &mut cp, slot, &mut gen, 20_000, live);
     let elapsed = report.end - live;
     println!(
         "processed {} packets in {elapsed} ({:.2} Mpps)",

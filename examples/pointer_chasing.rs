@@ -32,8 +32,8 @@ fn main() {
             let mut ch = RpcChannel::new(client, server, Transport::new(kind));
 
             let key = keys / 2;
-            let cli = client_driven_lookup(&mut dpu, &mut ch, &mut net, key, t0, None);
-            let off = offloaded_lookup(&mut dpu, &mut ch, &mut net, key, cli.done, None);
+            let cli = client_driven_lookup(&mut dpu, &mut ch, &mut net, key, t0);
+            let off = offloaded_lookup(&mut dpu, &mut ch, &mut net, key, cli.done);
             assert_eq!(cli.value, off.value);
             let cli_lat = cli.done - t0;
             let off_lat = off.done - cli.done;

@@ -11,6 +11,15 @@ echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 cargo fmt --manifest-path perfbench/Cargo.toml -- --check
 
+echo "==> one name per modelled operation (no *_traced twins)"
+# Tracing is the caller's runtime choice: an operation takes an `At`, a
+# plain `Ns` or one carrying a recorder, so no function is defined again
+# under a `_traced` name. Test names that merely contain `traced` pass.
+if grep -rnE 'fn [a-z_]+_traced\b' crates src examples tests; then
+    echo "a function ending in _traced is defined above; take an At instead" >&2
+    exit 1
+fi
+
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 # perfbench is its own Cargo workspace; --workspace never reaches it.

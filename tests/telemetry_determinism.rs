@@ -11,7 +11,7 @@ use hyperion_repro::net::transport::{Endpoint, EndpointKind, Transport, Transpor
 use hyperion_repro::net::Network;
 use hyperion_repro::sim::time::Ns;
 use hyperion_repro::telemetry::json::to_json;
-use hyperion_repro::telemetry::Recorder;
+use hyperion_repro::telemetry::{At, Recorder};
 use proptest::prelude::*;
 
 /// One traced pointer-chase run (the E6 shape), returning its dump.
@@ -27,9 +27,10 @@ fn traced_chase(keys: u64, lookups: u64, kind: TransportKind) -> String {
     let mut t = t0;
     for i in 0..lookups {
         let key = (i * keys / lookups).min(keys - 1);
-        let cli = client_driven_lookup(&mut dpu, &mut ch, &mut net, key, t, Some(&mut rec));
+        let cli =
+            client_driven_lookup(&mut dpu, &mut ch, &mut net, key, At::new(t, Some(&mut rec)));
         t = cli.done;
-        let off = offloaded_lookup(&mut dpu, &mut ch, &mut net, key, t, Some(&mut rec));
+        let off = offloaded_lookup(&mut dpu, &mut ch, &mut net, key, At::new(t, Some(&mut rec)));
         t = off.done;
     }
     assert_eq!(rec.open_spans(), 0, "instrumentation must close every span");
@@ -60,7 +61,13 @@ fn merged_recorders_dump_deterministically() {
             let server = Endpoint::new(net.add_node(), EndpointKind::Hardware);
             let mut ch = RpcChannel::new(client, server, Transport::new(TransportKind::Udp));
             let mut rec = Recorder::new("part");
-            offloaded_lookup(&mut dpu, &mut ch, &mut net, k / 2, t0, Some(&mut rec));
+            offloaded_lookup(
+                &mut dpu,
+                &mut ch,
+                &mut net,
+                k / 2,
+                At::new(t0, Some(&mut rec)),
+            );
             base.merge(&rec);
         }
         to_json(&base)

@@ -23,7 +23,7 @@ fn middleware_and_storage_services_share_one_dpu() {
     // 1. fail2ban kernel in slot 0, processing attack traffic.
     let (slot, live) = fail2ban::deploy(&mut dpu, &mut cp, t0).expect("deploy");
     let mut gen = TrafficGen::new(5, 200, 0.5, 32);
-    let report = fail2ban::run_on_dpu(&mut dpu, &mut cp, slot, &mut gen, 3_000, live, None);
+    let report = fail2ban::run_on_dpu(&mut dpu, &mut cp, slot, &mut gen, 3_000, live);
     assert!(report.bans > 0);
     assert_eq!(report.bans, report.logged);
 
@@ -67,8 +67,8 @@ fn remote_clients_see_consistent_tree_state_over_every_transport() {
         let client = Endpoint::new(net.add_node(), EndpointKind::Bypass);
         let server = Endpoint::new(net.add_node(), EndpointKind::Hardware);
         let mut ch = RpcChannel::new(client, server, Transport::new(kind));
-        let off = offloaded_lookup(&mut dpu, &mut ch, &mut net, 777, t0, None);
-        let cli = client_driven_lookup(&mut dpu, &mut ch, &mut net, 777, off.done, None);
+        let off = offloaded_lookup(&mut dpu, &mut ch, &mut net, 777, t0);
+        let cli = client_driven_lookup(&mut dpu, &mut ch, &mut net, 777, off.done);
         assert_eq!(off.value, Some(777 * 7), "{}", kind.name());
         assert_eq!(cli.value, off.value, "{}", kind.name());
         assert!(cli.rtts > off.rtts, "{}", kind.name());
